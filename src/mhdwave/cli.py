@@ -29,15 +29,16 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_hash, parse_config_file, serialize_config
+from .config import config_hash, parse_config, parse_config_file, serialize_config
 from .decay import (
     DecayExperimentConfig,
+    _theory_pair,
     fit_power_law,
     gamma_prefactor_scan,
-    run_decay_experiment,
     singular_limit_experiment,
     verify_expintegral,
 )
+from .diagnostics import norm_observer
 from .errors import (
     BlowUpError,
     ConfigurationError,
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .initial import make_initial_data
 from .kernels import BoundSampleSpec, verify_kernel_bounds
-from .solver import SolverConfig, run
+from .solver import run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,7 +64,7 @@ def _env_default(name: str):
 
 
 class _Manifest:
-    def __init__(self, outdir: Path, cfg: RunConfig | None, args_echo: dict):
+    def __init__(self, outdir: Path, cfg: DecayExperimentConfig, args_echo: dict):
         self.outdir = outdir
         self.rows = []
         head = {
@@ -71,12 +72,11 @@ class _Manifest:
             "version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "args": args_echo,
+            "config_hash": config_hash(cfg),
+            "config": json.loads(serialize_config(cfg)),
         }
-        if cfg is not None:
-            head["config_hash"] = config_hash(cfg)
-            head["config"] = json.loads(serialize_config(cfg))
         self.rows.append(head)
-        self.config_hash = head.get("config_hash")
+        self.config_hash = head["config_hash"]
 
     def add_file(self, path: Path, kind: str) -> None:
         self.rows.append({"kind": kind, "path": path.name, "config_hash": self.config_hash})
@@ -100,74 +100,19 @@ def _float_cell(x) -> str:
     return repr(float(x))
 
 
-def _series_rows(traj, norm_ids):
-    yield ["t"] + norm_ids
-    for i, t in enumerate(traj.times):
-        yield [_float_cell(t)] + [_float_cell(traj.snapshots[i][k]) for k in norm_ids]
-
-
-def _load_run_config(args) -> RunConfig:
-    if args.config:
-        cfg = parse_config_file(args.config)
-    else:
-        cfg = RunConfig()
+def _load_run_config(args) -> DecayExperimentConfig:
+    cfg = parse_config_file(args.config) if args.config else parse_config("{}")
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, params={**cfg.params, "seed": args.seed})
     if args.output:
-        cfg.output_dir = args.output
+        cfg = replace(cfg, output_dir=args.output)
     return cfg
-
-
-def _experiment_config(cfg: RunConfig) -> DecayExperimentConfig:
-    return DecayExperimentConfig(
-        grid=cfg.grid(), gamma=cfg.gamma, dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme,
-        family=cfg.family, params=cfg.initial_params(), q_list=cfg.q_list,
-        s_list_u=cfg.s_list_u, s_list_b=cfg.s_list_b, m=cfg.m, c_label=cfg.c_label,
-        window=cfg.window, snapshot_every=cfg.snapshot_every,
-    )
-
-
-def _norm_ids(cfg: RunConfig):
-    ids = []
-    for q in cfg.q_list:
-        ids += [f"u_L{q:g}", f"b_L{q:g}"]
-    ids += [f"u_H{s:g}" for s in cfg.s_list_u]
-    ids += [f"b_H{s:g}" for s in cfg.s_list_b]
-    return ids
-
-
-def _fit_summary_rows(comparisons):
-    yield ["norm_id", "exponent", "theory", "delta", "theory_lq", "r2",
-           "window_lo", "window_hi", "non_power_law"]
-    for c in comparisons:
-        if c.fit is None:
-            yield [c.norm_id, "", "", "", "", "", "", "", "trivial"]
-            continue
-        yield [
-            c.norm_id,
-            _float_cell(c.fit.exponent),
-            _float_cell(c.theory.exponent) if c.theory else "",
-            _float_cell(c.delta) if c.delta is not None else "",
-            _float_cell(c.theory_lq.exponent) if c.theory_lq else "",
-            _float_cell(c.fit.r2),
-            _float_cell(c.fit.window[0]),
-            _float_cell(c.fit.window[1]),
-            str(c.fit.non_power_law).lower(),
-        ]
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     outdir = Path(cfg.output_dir)
     manifest = _Manifest(outdir, cfg, {"command": "simulate"})
-    grid = cfg.grid()
-    solver_cfg = SolverConfig(
-        gamma=cfg.gamma, dt=cfg.dt, t_end=cfg.t_end, grid=grid, scheme=cfg.scheme,
-        cfl_safety=cfg.cfl_safety, nonlinear=cfg.nonlinear,
-        snapshot_every=cfg.snapshot_every,
-    )
-    from .diagnostics import norm_observer
-
     observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b, cfg.m, cfg.gamma)
     if args.resume:
         state, gamma_ck = load_checkpoint(args.resume)
@@ -176,28 +121,27 @@ def cmd_simulate(args) -> int:
                 f"checkpoint gamma {gamma_ck} does not match config gamma {cfg.gamma}",
                 path="physics.gamma",
             )
-        if state.grid != grid:
+        if state.grid != cfg.grid:
             raise ConfigurationError("checkpoint grid does not match config grid",
                                      path="grid")
         initial = (state.u_hat, state.b_hat, state.bt_hat)
         t_offset = state.t
-        solver_cfg = replace(solver_cfg, t_end=max(0.0, cfg.t_end - t_offset))
     else:
-        initial = make_initial_data(cfg.family, cfg.initial_params(), grid)
+        initial = make_initial_data(cfg.family, cfg.params, cfg.grid)
         t_offset = 0.0
+    solver_cfg = replace(cfg, t_end=max(0.0, cfg.t_end - t_offset)).solver_config()
 
     ck_paths = []
 
     def sink(state):
         p = outdir / f"checkpoint_t{state.t + t_offset:012.6f}.mhdw"
         outdir.mkdir(parents=True, exist_ok=True)
-        shifted = replace_time(state, state.t + t_offset)
-        save_checkpoint(p, shifted, cfg.gamma)
+        save_checkpoint(p, replace(state, t=state.t + t_offset), cfg.gamma)
         ck_paths.append(p)
 
     traj = run(solver_cfg, initial, observer,
                checkpoint_every=args.checkpoint_every, checkpoint_sink=sink)
-    ids = _norm_ids(cfg)
+    ids = cfg.norm_ids()
     rows = [["t"] + ids]
     for i, t in enumerate(traj.times):
         rows.append([_float_cell(t + t_offset)] + [_float_cell(traj.snapshots[i][k]) for k in ids])
@@ -210,25 +154,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def replace_time(state, t):
-    out = state.copy()
-    out.t = t
-    return out
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     outdir = Path(cfg.output_dir)
     manifest = _Manifest(outdir, cfg, {"command": "sweep", "gammas": args.gammas})
     gammas = sorted(float(x) for x in args.gammas.split(","))
-    base = _experiment_config(cfg)
     executor = ThreadPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
     try:
-        sweep = gamma_prefactor_scan(gammas, base, executor)
+        sweep = gamma_prefactor_scan(gammas, cfg, executor)
     finally:
         if executor:
             executor.shutdown()
-    ids = _norm_ids(cfg)
+    ids = cfg.norm_ids()
     rows = [["gamma", "norm_id", "exponent", "theory", "r2", "prefactor", "final_value"]]
     for g in sweep.gammas:
         for nid in ids:
@@ -268,14 +205,11 @@ def cmd_fit_decay(args) -> int:
         raise DataError("series CSV must have a leading t column")
     t = data[:, 0]
     window = cfg.window if cfg.window else (float(t[1]), float(t[-1]))
-    from .decay import _theory_pair  # same pairing as the live experiment
-
-    base = _experiment_config(cfg)
     rows = [["norm_id", "exponent", "theory", "delta", "r2", "window_lo", "window_hi"]]
     for j, nid in enumerate(header[1:], start=1):
         fit = fit_power_law(zip(t, data[:, j]), window)
         try:
-            theory, _ = _theory_pair(nid, base)
+            theory, _ = _theory_pair(nid, cfg)  # same pairing as the live experiment
             theory_val = theory.exponent
             delta = fit.exponent - theory_val
             rows.append([nid, _float_cell(fit.exponent), _float_cell(theory_val),
@@ -335,8 +269,7 @@ def cmd_compare_mhd(args) -> int:
     gammas = [float(x) for x in args.gammas.split(",")]
     manifest = _Manifest(outdir, cfg, {"command": "compare-mhd", "gammas": gammas,
                                        "T": args.T})
-    base = _experiment_config(cfg)
-    gs, errs = singular_limit_experiment(gammas, args.T, base)
+    gs, errs = singular_limit_experiment(gammas, args.T, cfg)
     rows = [["gamma", "error", "ratio_to_previous"]]
     for i, (g, e) in enumerate(zip(gs, errs)):
         ratio = errs[i] / errs[i - 1] if i else ""

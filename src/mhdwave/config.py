@@ -1,10 +1,15 @@
 """Run configuration: parsing, validation, serialization.
 
 Configs are JSON documents with nested sections (grid, physics, scheme,
-time, initial_data, diagnostics, fit, output).  Numeric values may be
-written as pi-expressions like ``"32*pi"`` or ``"pi/4"``.  Unknown keys
+time, initial_data, diagnostics, fit, solver, output).  Numeric values may
+be written as pi-expressions like ``"32*pi"`` or ``"pi/4"``.  Unknown keys
 are rejected with the offending path; every default is materialized so
 the echoed config is complete.
+
+A document parses into a ``DecayExperimentConfig``, the one run
+description; this module checks JSON types, and the range checks live
+with the types that own the values (``GridSpec``, ``SolverConfig``,
+``DecayExperimentConfig``).
 """
 
 from __future__ import annotations
@@ -13,14 +18,12 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
 
+from .decay import DecayExperimentConfig
 from .errors import ConfigurationError
 from .grid import GridSpec
-from .initial import INITIAL_FAMILIES
-from .solver import SCHEMES
 
-__all__ = ["RunConfig", "parse_config", "parse_config_file", "serialize_config", "config_hash"]
+__all__ = ["parse_config", "parse_config_file", "serialize_config", "config_hash"]
 
 _PI_RE = re.compile(r"^\s*(?:(?P<coef>[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)\s*\*\s*)?pi"
                     r"(?:\s*/\s*(?P<div>\d+(?:\.\d+)?))?\s*$")
@@ -29,74 +32,32 @@ _PI_RE = re.compile(r"^\s*(?:(?P<coef>[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)\s*\*\
 def _number(value, path: str) -> float:
     if isinstance(value, bool):
         raise ConfigurationError("expected a number", path=path)
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, str):
         m = _PI_RE.match(value)
         if m:
             coef = float(m.group("coef")) if m.group("coef") else 1.0
             div = float(m.group("div")) if m.group("div") else 1.0
-            return coef * math.pi / div
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigurationError(f"cannot parse number {value!r}", path=path) from None
-    raise ConfigurationError(f"expected a number, got {type(value).__name__}", path=path)
+            value = coef * math.pi / div
+        else:
+            try:
+                value = float(value)
+            except ValueError:
+                raise ConfigurationError(f"cannot parse number {value!r}", path=path) from None
+    if not isinstance(value, (int, float)):
+        raise ConfigurationError(f"expected a number, got {type(value).__name__}", path=path)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigurationError(f"expected a finite number, got {value}", path=path)
+    return value
 
 
-@dataclass
-class RunConfig:
-    """Validated, fully-defaulted run description."""
-
-    n: int = 128
-    box_length: float = 32.0 * math.pi
-    gamma: float = 1.0
-    scheme: str = "exp_integrator"
-    dt: float = 0.05
-    t_end: float = 100.0
-    snapshot_every: int = 10
-    family: str = "random_band"
-    amplitude: float = 0.05
-    amplitude_b: float | None = None
-    width: float | None = None
-    separation: float | None = None
-    k_min: float | None = None
-    k_max: float | None = None
-    spectral_exponent: float = 0.0
-    a0_amplitude: float = 0.0
-    seed: int = 0
-    q_list: tuple = (2.0, 4.0)
-    s_list_u: tuple = (0.0, 1.0)
-    s_list_b: tuple = (0.0, 1.5)
-    m: float = 1.0
-    c_label: float = 1.0
-    window: tuple | None = None
-    nonlinear: bool = True
-    cfl_safety: float = 0.8
-    output_dir: str = "out"
-    formats: tuple = ("csv",)
-
-    def grid(self) -> GridSpec:
-        return GridSpec(self.n, self.box_length)
-
-    def initial_params(self) -> dict:
-        params = {"amplitude": self.amplitude, "seed": self.seed}
-        if self.amplitude_b is not None:
-            params["amplitude_b"] = self.amplitude_b
-        if self.family == "gaussian_vortex_pair":
-            if self.width is not None:
-                params["width"] = self.width
-            if self.separation is not None:
-                params["separation"] = self.separation
-        if self.family == "random_band":
-            if self.k_min is not None:
-                params["k_min"] = self.k_min
-            if self.k_max is not None:
-                params["k_max"] = self.k_max
-            params["spectral_exponent"] = self.spectral_exponent
-            if self.a0_amplitude:
-                params["a0_amplitude"] = self.a0_amplitude
-        return params
+def _integer(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError("expected an integer", path=path)
+    return value
 
 
 _SECTIONS = {
@@ -108,12 +69,43 @@ _SECTIONS = {
     "diagnostics": {"q_list", "s_list_u", "s_list_b", "m", "c_label"},
     "fit": {"window"},
     "solver": {"nonlinear", "cfl_safety"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 _TOP_LEVEL = set(_SECTIONS) | {"scheme"}
 
+# initial-data keys each family reads; the rest are accepted and ignored
+_FAMILY_KEYS = {
+    "taylor_green": set(),
+    "gaussian_vortex_pair": {"width", "separation"},
+    "random_band": {"k_min", "k_max", "spectral_exponent", "a0_amplitude"},
+}
 
-def parse_config(text: str) -> RunConfig:
+
+def _initial_params(i: dict, family) -> dict:
+    """The ``make_initial_data`` params of an ``initial_data`` section."""
+    used = {"amplitude", "amplitude_b"}
+    if isinstance(family, str):
+        used |= _FAMILY_KEYS.get(family, set())
+    params = {"amplitude": 0.05, "seed": 0}
+    for key in ("amplitude", "amplitude_b", "width", "separation", "k_min", "k_max",
+                "spectral_exponent", "a0_amplitude"):
+        if i.get(key) is None:
+            continue
+        val = _number(i[key], f"initial_data.{key}")
+        if key in ("amplitude", "a0_amplitude") and val < 0:
+            raise ConfigurationError(f"{key} must be >= 0", path=f"initial_data.{key}")
+        if key in used:
+            params[key] = val
+    if "seed" in i:
+        seed = i["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigurationError("seed must be a nonnegative integer",
+                                     path="initial_data.seed")
+        params["seed"] = seed
+    return params
+
+
+def parse_config(text: str) -> DecayExperimentConfig:
     """Parse and validate a JSON config document."""
     try:
         doc = json.loads(text)
@@ -132,148 +124,72 @@ def parse_config(text: str) -> RunConfig:
         if bad:
             k = sorted(bad)[0]
             raise ConfigurationError(f"unknown key {k!r}", path=f"{section}.{k}")
+    g, p, t, i, d, f, s, o = (doc.get(section, {}) for section in _SECTIONS)
 
-    cfg = RunConfig()
-    g = doc.get("grid", {})
-    if "n" in g:
-        n = g["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ConfigurationError("n must be an integer", path="grid.n")
-        cfg.n = n
-    if "box_length" in g:
-        cfg.box_length = _number(g["box_length"], "grid.box_length")
-
-    p = doc.get("physics", {})
+    kw = {}
     if "gamma" in p:
-        cfg.gamma = _number(p["gamma"], "physics.gamma")
-        if cfg.gamma <= 0 and doc.get("scheme") != "mhd_baseline":
-            raise ConfigurationError(f"gamma must be > 0, got {cfg.gamma}", path="physics.gamma")
-
+        kw["gamma"] = _number(p["gamma"], "physics.gamma")
     if "scheme" in doc:
-        if doc["scheme"] not in SCHEMES:
-            raise ConfigurationError(f"scheme must be one of {SCHEMES}", path="scheme")
-        cfg.scheme = doc["scheme"]
-
-    t = doc.get("time", {})
-    if "dt" in t:
-        cfg.dt = _number(t["dt"], "time.dt")
-        if cfg.dt <= 0:
-            raise ConfigurationError("dt must be > 0", path="time.dt")
-    if "t_end" in t:
-        cfg.t_end = _number(t["t_end"], "time.t_end")
-        if cfg.t_end < 0:
-            raise ConfigurationError("t_end must be >= 0", path="time.t_end")
+        kw["scheme"] = doc["scheme"]
+    for key in ("dt", "t_end"):
+        if key in t:
+            kw[key] = _number(t[key], f"time.{key}")
     if "snapshot_every" in t:
-        se = t["snapshot_every"]
-        if not isinstance(se, int) or isinstance(se, bool) or se < 1:
-            raise ConfigurationError("snapshot_every must be a positive integer",
-                                     path="time.snapshot_every")
-        cfg.snapshot_every = se
-
-    i = doc.get("initial_data", {})
-    if "family" in i:
-        if i["family"] not in INITIAL_FAMILIES:
-            raise ConfigurationError(f"family must be one of {INITIAL_FAMILIES}",
-                                     path="initial_data.family")
-        cfg.family = i["family"]
-    for key in ("amplitude", "amplitude_b", "width", "separation", "k_min", "k_max",
-                "spectral_exponent", "a0_amplitude"):
-        if key in i and i[key] is not None:
-            val = _number(i[key], f"initial_data.{key}")
-            if key in ("amplitude", "a0_amplitude") and val < 0:
-                raise ConfigurationError(f"{key} must be >= 0", path=f"initial_data.{key}")
-            setattr(cfg, key, val)
-    if "seed" in i:
-        s = i["seed"]
-        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-            raise ConfigurationError("seed must be a nonnegative integer",
-                                     path="initial_data.seed")
-        cfg.seed = s
-
-    d = doc.get("diagnostics", {})
-    for key, attr in (("q_list", "q_list"), ("s_list_u", "s_list_u"), ("s_list_b", "s_list_b")):
+        kw["snapshot_every"] = _integer(t["snapshot_every"], "time.snapshot_every")
+    kw["family"] = i.get("family", "random_band")
+    kw["params"] = _initial_params(i, kw["family"])
+    for key in ("q_list", "s_list_u", "s_list_b"):
         if key in d:
-            vals = d[key]
-            if not isinstance(vals, list):
+            if not isinstance(d[key], list):
                 raise ConfigurationError(f"{key} must be a list", path=f"diagnostics.{key}")
-            parsed = tuple(_number(v, f"diagnostics.{key}") for v in vals)
-            if key == "q_list" and any(v < 1 for v in parsed):
-                raise ConfigurationError("q values must be >= 1", path="diagnostics.q_list")
-            setattr(cfg, attr, parsed)
-    if "m" in d:
-        cfg.m = _number(d["m"], "diagnostics.m")
-        if cfg.m < 0:
-            raise ConfigurationError("m must be >= 0", path="diagnostics.m")
-    if "c_label" in d:
-        cfg.c_label = _number(d["c_label"], "diagnostics.c_label")
-        if not 1 <= cfg.c_label < 2:
-            raise ConfigurationError("c_label must lie in [1, 2)", path="diagnostics.c_label")
-
-    f = doc.get("fit", {})
-    if "window" in f and f["window"] is not None:
+            kw[key] = tuple(_number(v, f"diagnostics.{key}") for v in d[key])
+    for key in ("m", "c_label"):
+        if key in d:
+            kw[key] = _number(d[key], f"diagnostics.{key}")
+    if f.get("window") is not None:
         w = f["window"]
         if not isinstance(w, list) or len(w) != 2:
             raise ConfigurationError("window must be [t_lo, t_hi]", path="fit.window")
-        lo = _number(w[0], "fit.window")
-        hi = _number(w[1], "fit.window")
-        if not lo < hi:
-            raise ConfigurationError("window must satisfy t_lo < t_hi", path="fit.window")
-        cfg.window = (lo, hi)
-
-    s = doc.get("solver", {})
+        kw["window"] = (_number(w[0], "fit.window"), _number(w[1], "fit.window"))
     if "nonlinear" in s:
         if not isinstance(s["nonlinear"], bool):
             raise ConfigurationError("nonlinear must be a boolean", path="solver.nonlinear")
-        cfg.nonlinear = s["nonlinear"]
+        kw["nonlinear"] = s["nonlinear"]
     if "cfl_safety" in s:
-        cfg.cfl_safety = _number(s["cfl_safety"], "solver.cfl_safety")
-        if not 0 < cfg.cfl_safety <= 1:
-            raise ConfigurationError("cfl_safety must lie in (0, 1]", path="solver.cfl_safety")
-
-    o = doc.get("output", {})
+        kw["cfl_safety"] = _number(s["cfl_safety"], "solver.cfl_safety")
     if "directory" in o:
         if not isinstance(o["directory"], str):
             raise ConfigurationError("directory must be a string", path="output.directory")
-        cfg.output_dir = o["directory"]
-    if "formats" in o:
-        fmts = o["formats"]
-        if not isinstance(fmts, list) or any(x != "csv" for x in fmts):
-            raise ConfigurationError("only the csv format is supported", path="output.formats")
-        cfg.formats = tuple(fmts)
+        kw["output_dir"] = o["directory"]
 
-    cfg.grid()  # validates n / box_length jointly
-    return cfg
+    n = _integer(g.get("n", 128), "grid.n")
+    box_length = _number(g.get("box_length", 32.0 * math.pi), "grid.box_length")
+    return DecayExperimentConfig(grid=GridSpec(n, box_length), **kw)
 
 
-def parse_config_file(path) -> RunConfig:
+def parse_config_file(path) -> DecayExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
 
 
-def serialize_config(cfg: RunConfig) -> str:
+def serialize_config(cfg: DecayExperimentConfig) -> str:
     """Canonical JSON echo with every default filled in."""
     doc = {
-        "grid": {"n": cfg.n, "box_length": cfg.box_length},
+        "grid": {"n": cfg.grid.n, "box_length": cfg.grid.box_length},
         "physics": {"gamma": cfg.gamma},
         "scheme": cfg.scheme,
         "time": {"dt": cfg.dt, "t_end": cfg.t_end, "snapshot_every": cfg.snapshot_every},
-        "initial_data": {
-            "family": cfg.family, "amplitude": cfg.amplitude,
-            "amplitude_b": cfg.amplitude_b, "width": cfg.width,
-            "separation": cfg.separation, "k_min": cfg.k_min, "k_max": cfg.k_max,
-            "spectral_exponent": cfg.spectral_exponent,
-            "a0_amplitude": cfg.a0_amplitude, "seed": cfg.seed,
-        },
+        "initial_data": {"family": cfg.family, **cfg.params},
         "diagnostics": {
             "q_list": list(cfg.q_list), "s_list_u": list(cfg.s_list_u),
             "s_list_b": list(cfg.s_list_b), "m": cfg.m, "c_label": cfg.c_label,
         },
         "fit": {"window": list(cfg.window) if cfg.window else None},
         "solver": {"nonlinear": cfg.nonlinear, "cfl_safety": cfg.cfl_safety},
-        "output": {"directory": cfg.output_dir, "formats": list(cfg.formats)},
+        "output": {"directory": cfg.output_dir},
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def config_hash(cfg: RunConfig) -> str:
+def config_hash(cfg: DecayExperimentConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, DomainError, WindowError
 from .diagnostics import lq_norm, norm_observer
 from .grid import GridSpec, spectral_l2, transform_inverse
-from .initial import make_initial_data
+from .initial import INITIAL_FAMILIES, make_initial_data
 from .kernels import kernel_pair
 from .solver import SolverConfig, Trajectory, run
 
@@ -162,6 +162,12 @@ def default_fit_window(t_end: float, grid: GridSpec):
 
 @dataclass
 class DecayExperimentConfig:
+    """The validated run description shared by the library and the CLI.
+
+    ``params`` is the initial-data dict handed to ``make_initial_data``.
+    Validation errors name the JSON path of the offending config entry.
+    """
+
     grid: GridSpec
     gamma: float = 1.0
     dt: float = 0.05
@@ -176,12 +182,41 @@ class DecayExperimentConfig:
     c_label: float = 1.0
     window: tuple | None = None
     snapshot_every: int = 10
+    nonlinear: bool = True
+    cfl_safety: float = 0.8
+    output_dir: str = "out"
+
+    def __post_init__(self):
+        self.solver_config()  # validates the solver fields
+        if not self.dt > 0:
+            raise ConfigurationError("dt must be > 0", path="time.dt")
+        if self.family not in INITIAL_FAMILIES:
+            raise ConfigurationError(f"family must be one of {INITIAL_FAMILIES}",
+                                     path="initial_data.family")
+        if any(q < 1 for q in self.q_list):
+            raise ConfigurationError("q values must be >= 1", path="diagnostics.q_list")
+        if self.m < 0:
+            raise ConfigurationError("m must be >= 0", path="diagnostics.m")
+        if not 1 <= self.c_label < 2:
+            raise ConfigurationError("c_label must lie in [1, 2)", path="diagnostics.c_label")
+        if self.window is not None and not self.window[0] < self.window[1]:
+            raise ConfigurationError("window must satisfy t_lo < t_hi", path="fit.window")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
             gamma=self.gamma, dt=self.dt, t_end=self.t_end, grid=self.grid,
-            scheme=self.scheme, snapshot_every=self.snapshot_every,
+            scheme=self.scheme, cfl_safety=self.cfl_safety, nonlinear=self.nonlinear,
+            snapshot_every=self.snapshot_every,
         )
+
+    def norm_ids(self) -> list:
+        """Column ids of the tracked norms, in series order."""
+        ids = []
+        for q in self.q_list:
+            ids += [f"u_L{q:g}", f"b_L{q:g}"]
+        ids += [f"u_H{s:g}" for s in self.s_list_u]
+        ids += [f"b_H{s:g}" for s in self.s_list_b]
+        return ids
 
 
 @dataclass
@@ -253,28 +288,17 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
 
     window = cfg.window if cfg.window is not None else default_fit_window(cfg.t_end, grid)
     if spectral_l2(u0) == 0.0 and spectral_l2(b0) == 0.0:
-        ids = [f"{f}_L{q:g}" for q in cfg.q_list for f in ("u", "b")]
-        ids += [f"u_H{s:g}" for s in cfg.s_list_u] + [f"b_H{s:g}" for s in cfg.s_list_b]
-        comps = [FitComparison(i, None, None, trivial=True) for i in ids]
+        comps = [FitComparison(i, None, None, trivial=True) for i in cfg.norm_ids()]
         return DecayResult(traj, comps, window, lc, trivial=True)
 
     comps = []
     t = np.asarray(traj.times)
-    for norm_id in _norm_ids(cfg):
+    for norm_id in cfg.norm_ids():
         vals = traj.series(norm_id)
         primary, lq = _theory_pair(norm_id, cfg)
         fit = fit_power_law(zip(t, vals), window)
         comps.append(FitComparison(norm_id, fit, primary, lq))
     return DecayResult(traj, comps, window, lc)
-
-
-def _norm_ids(cfg: DecayExperimentConfig):
-    ids = []
-    for q in cfg.q_list:
-        ids += [f"u_L{q:g}", f"b_L{q:g}"]
-    ids += [f"u_H{s:g}" for s in cfg.s_list_u]
-    ids += [f"b_H{s:g}" for s in cfg.s_list_b]
-    return ids
 
 
 @dataclass
@@ -349,9 +373,9 @@ def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
     u0, b0, a0 = make_initial_data(base.family, base.params, grid)
 
     def final_state(scheme, gamma):
-        cfg = SolverConfig(gamma=gamma, dt=base.dt, t_end=T, grid=grid, scheme=scheme,
-                           snapshot_every=max(1, int(round(T / base.dt))))
-        traj = run(cfg, (u0, b0, a0), observer=None, keep_states=True)
+        cfg = replace(base, scheme=scheme, gamma=gamma, t_end=T,
+                      snapshot_every=max(1, int(round(T / base.dt))))
+        traj = run(cfg.solver_config(), (u0, b0, a0), observer=None, keep_states=True)
         return traj.states[-1]
 
     ref = final_state("mhd_baseline", 0.0)

@@ -69,20 +69,14 @@ def sobolev_seminorm(f: SpectralVectorField, s: float) -> float:
         mean = np.max(np.abs(f.mean_coefficient()))
         if s < 0 and mean != 0.0:
             raise DomainError("negative-order seminorm requires a mean-zero field")
-        mult = np.where(g.k2 > 0, np.where(g.k2 > 0, g.kmag, 1.0) ** (2.0 * s), 0.0)
-        mult = np.where(g.nyquist_free, mult, 0.0)
-        total = np.sum(mult * np.abs(f.coeffs) ** 2)
+        total = np.sum(g.abs_k_power(2.0 * s) * np.abs(f.coeffs) ** 2)
     return float(g.box_length * np.sqrt(total))
 
 
 def sobolev_inner(f: SpectralVectorField, h: SpectralVectorField, s: float) -> float:
     """Real inner product <L^s f, L^s h> in Parseval form."""
     g = f.grid
-    if s == 0:
-        mult = 1.0
-    else:
-        mult = np.where(g.k2 > 0, np.where(g.k2 > 0, g.kmag, 1.0) ** (2.0 * s), 0.0)
-        mult = np.where(g.nyquist_free, mult, 0.0)
+    mult = 1.0 if s == 0 else g.abs_k_power(2.0 * s)
     return float(g.box_length**2 * np.sum(mult * np.real(f.coeffs * np.conj(h.coeffs))))
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "fractional_laplacian_apply",
     "leray_project",
     "dealias",
-    "gradient",
     "divergence",
     "spectral_l2",
     "spectral_inner",
@@ -61,9 +60,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ConfigurationError(f"n must be even and >= 8, got {self.n}", path="grid.n")
-        if not self.box_length > 0:
+        if not 0 < self.box_length < np.inf:
             raise ConfigurationError(
-                f"box_length must be positive, got {self.box_length}", path="grid.box_length"
+                f"box_length must be positive and finite, got {self.box_length}",
+                path="grid.box_length",
             )
 
     @cached_property
@@ -86,6 +86,11 @@ class GridSpec:
     @cached_property
     def kmag(self) -> np.ndarray:
         return np.sqrt(self.k2)
+
+    def abs_k_power(self, s: float) -> np.ndarray:
+        """The multiplier |k|^s, zero at k = 0 and on the Nyquist modes."""
+        return np.where(self.nyquist_free & (self.k2 > 0),
+                        np.where(self.k2 > 0, self.kmag, 1.0) ** s, 0.0)
 
     @cached_property
     def nyquist_free(self) -> np.ndarray:
@@ -252,9 +257,7 @@ def fractional_laplacian_apply(f: SpectralVectorField, s: float) -> SpectralVect
     mean = np.max(np.abs(f.mean_coefficient()))
     if s < 0 and mean != 0.0:
         raise DomainError(f"negative-order multiplier on a field with nonzero mean ({mean:.3e})")
-    kmag = np.where(g.k2 > 0, g.kmag, 1.0)
-    mult = np.where(g.k2 > 0, kmag**s, 0.0)
-    return _apply_multiplier(f, mult)
+    return _apply_multiplier(f, g.abs_k_power(s))
 
 
 def leray_project(f: SpectralVectorField) -> SpectralVectorField:
@@ -277,17 +280,6 @@ def dealias(f: SpectralVectorField) -> SpectralVectorField:
     """Zero every mode with max(|kx|,|ky|) at or beyond the 2/3 cutoff."""
     g = f.grid
     return SpectralVectorField(f.coeffs * g.dealias_mask, g, f.divergence_free)
-
-
-def gradient(f: SpectralVectorField, component: int = 0) -> SpectralVectorField:
-    """Spectral gradient (d/dx, d/dy) of one component, Nyquist zeroed."""
-    g = f.grid
-    ny = g.nyquist_free
-    comp = f.coeffs[component]
-    out = np.empty((2, g.n, g.n), dtype=np.complex128)
-    out[0] = 1j * g.kx * comp * ny
-    out[1] = 1j * g.ky * comp * ny
-    return SpectralVectorField(out, g)
 
 
 def divergence(f: SpectralVectorField) -> np.ndarray:

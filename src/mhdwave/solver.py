@@ -31,7 +31,7 @@ only removes round-off drift.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,18 +40,6 @@ import scipy.fft as _fft
 from .errors import BlowUpError, ConfigurationError, StepSizeError
 from .grid import GridSpec, SpectralVectorField, dealias, expand_half_spectrum
 from .kernels import heat_weight, propagator_tables
-
-# Transform worker threads for the pseudo-spectral products.  pocketfft is
-# bit-deterministic for any worker count (each 1D pass is computed
-# identically regardless of how rows are distributed), so results do not
-# depend on this setting.
-_FFT_WORKERS = int(os.environ.get("MHDWAVE_FFT_WORKERS", "2"))
-
-
-def set_fft_workers(n: int) -> None:
-    global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(n))
-
 
 __all__ = [
     "SCHEMES",
@@ -63,7 +51,6 @@ __all__ = [
     "step_imex",
     "step_mhd_baseline",
     "run",
-    "set_fft_workers",
 ]
 
 SCHEMES = ("exp_integrator", "imex_reference", "mhd_baseline")
@@ -109,14 +96,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}", path="scheme")
+        if not math.isfinite(self.gamma):
+            raise ConfigurationError("gamma must be finite", path="physics.gamma")
         if self.scheme != "mhd_baseline" and not self.gamma > 0:
             raise ConfigurationError("gamma must be > 0", path="physics.gamma")
-        if self.dt < 0:
-            raise ConfigurationError("dt must be >= 0", path="time.dt")
-        if self.t_end < 0:
-            raise ConfigurationError("t_end must be >= 0", path="time.t_end")
+        if not 0 <= self.dt < math.inf:
+            raise ConfigurationError("dt must be finite and >= 0", path="time.dt")
+        if not 0 <= self.t_end < math.inf:
+            raise ConfigurationError("t_end must be finite and >= 0", path="time.t_end")
         if not 0 < self.cfl_safety <= 1:
-            raise ConfigurationError("cfl_safety must lie in (0, 1]", path="cfl_safety")
+            raise ConfigurationError("cfl_safety must lie in (0, 1]", path="solver.cfl_safety")
         if self.snapshot_every < 1:
             raise ConfigurationError("snapshot_every must be >= 1", path="time.snapshot_every")
 
@@ -178,7 +167,7 @@ def _nonlinear_terms(state: State):
     np.multiply(iky, bh[1], out=spec[11])
     # physical values carry an n^-2 scale here; it cancels against the
     # quadratic product and the forward normalization as a single n^2 below
-    phys = _fft.irfft2(spec, s=(n, n), axes=(-2, -1), workers=_FFT_WORKERS)
+    phys = _fft.irfft2(spec, s=(n, n), axes=(-2, -1))
     u, b, du, db = phys[0:2], phys[2:4], phys[4:8], phys[8:12]
     vmax = float(max(u.max(), -u.min()) + max(b.max(), -b.min())) * n**2
 
@@ -192,7 +181,7 @@ def _nonlinear_terms(state: State):
     if not np.all(np.isfinite(prod)):
         raise BlowUpError("non-finite nonlinear products", t=state.t)
 
-    hat = _fft.rfft2(prod, axes=(-2, -1), workers=_FFT_WORKERS)
+    hat = _fft.rfft2(prod, axes=(-2, -1))
     hat *= g.dealias_mask_half
     hat *= n**2
     # Leray projection of the N_u pair

@@ -22,8 +22,8 @@ MINIMAL = """
 class TestParseConfig:
     def test_minimal_document_fills_defaults(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.n == 128
-        assert cfg.box_length == pytest.approx(32 * math.pi)
+        assert cfg.grid.n == 128
+        assert cfg.grid.box_length == pytest.approx(32 * math.pi)
         assert cfg.gamma == 1.0
         assert cfg.dt == 0.005
         assert cfg.t_end == 50.0
@@ -33,9 +33,9 @@ class TestParseConfig:
 
     def test_pi_literals(self):
         cfg = parse_config('{"grid": {"box_length": "pi/4"}}')
-        assert cfg.box_length == pytest.approx(math.pi / 4)
+        assert cfg.grid.box_length == pytest.approx(math.pi / 4)
         cfg = parse_config('{"grid": {"box_length": "2.5*pi"}}')
-        assert cfg.box_length == pytest.approx(2.5 * math.pi)
+        assert cfg.grid.box_length == pytest.approx(2.5 * math.pi)
 
     def test_negative_gamma_names_path(self):
         with pytest.raises(ConfigurationError) as err:
@@ -82,6 +82,17 @@ SMALL_RUN = {
     "initial_data": {"family": "random_band", "amplitude": 0.05,
                      "k_max": 2.0, "seed": 7},
     "diagnostics": {"q_list": [2], "s_list_u": [0, 1], "s_list_b": [0, 1.5]},
+}
+
+
+# the document of test_sweep_and_compare_mhd
+SWEEP_RUN = {
+    "grid": {"n": 32, "box_length": "8*pi"},
+    "time": {"dt": 0.05, "t_end": 12, "snapshot_every": 2},
+    "initial_data": {"family": "random_band", "amplitude": 0.02,
+                     "k_max": 1.5, "seed": 3},
+    "diagnostics": {"q_list": [2], "s_list_u": [0], "s_list_b": [0]},
+    "fit": {"window": [1.0, 11.0]},
 }
 
 
@@ -173,6 +184,48 @@ class TestCli:
         rows = (out2 / "singular_limit.csv").read_text().strip().splitlines()
         assert rows[0] == "gamma,error,ratio_to_previous"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("time", "dt", "nan"),
+        ("time", "dt", "inf"),
+        ("grid", "box_length", "inf"),
+        ("time", "t_end", 10**400),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, section, key, value):
+        doc = dict(SMALL_RUN, time={"dt": 0.02, "t_end": 1})
+        doc[section] = dict(doc[section], **{key: value})
+        cfgp = write_config(tmp_path, doc)
+        rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")])
+        assert rc == 2
+
+    def test_output_formats_key_rejected(self, tmp_path):
+        doc = dict(SMALL_RUN, output={"formats": ["csv"]})
+        cfgp = write_config(tmp_path, doc)
+        rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")])
+        assert rc == 2
+
+    def test_sweep_and_compare_mhd_honour_cfl_safety(self, tmp_path):
+        doc = dict(SWEEP_RUN, solver={"cfl_safety": 0.001})
+        cfgp = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
+                     "--gammas", "0.5,1.0"]) == 3
+        assert main(["compare-mhd", "--config", cfgp, "--output", str(tmp_path / "c"),
+                     "--gammas", "0.1,0.05", "--T", "1.0"]) == 3
+
+    def test_sweep_honours_nonlinear_false(self, tmp_path):
+        doc = dict(SWEEP_RUN, solver={"nonlinear": False})
+        cfgp = write_config(tmp_path, doc)
+        sim, sweep = tmp_path / "sim", tmp_path / "sweep"
+        assert main(["simulate", "--config", cfgp, "--output", str(sim)]) == 0
+        assert main(["sweep", "--config", cfgp, "--output", str(sweep),
+                     "--gammas", "1.0"]) == 0
+        series = (sim / "series.csv").read_text().strip().splitlines()
+        b_h0 = series[-1].split(",")[series[0].split(",").index("b_H0")]
+        rows = [r.split(",") for r in (sweep / "sweep.csv").read_text().strip().splitlines()]
+        header = rows[0]
+        final = [r[header.index("final_value")] for r in rows[1:]
+                 if r[header.index("norm_id")] == "b_H0"]
+        assert final == [b_h0]
 
     def test_env_var_override(self, tmp_path, monkeypatch):
         doc = dict(SMALL_RUN, time={"dt": 0.02, "t_end": 0})

@@ -30,6 +30,11 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(16, -1.0)
 
+    @pytest.mark.parametrize("box_length", [float("inf"), float("nan")])
+    def test_rejects_non_finite_box_length(self, box_length):
+        with pytest.raises(ConfigurationError, match="grid.box_length"):
+            GridSpec(16, box_length)
+
     def test_wavenumber_lattice(self):
         g = GridSpec(8, 4 * np.pi)
         assert g.k1d[0] == 0.0

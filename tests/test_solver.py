@@ -270,6 +270,15 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             SolverConfig(gamma=1.0, dt=0.1, t_end=1.0, grid=grid16, scheme="leapfrog")
 
+    @pytest.mark.parametrize("field,path", [
+        ("gamma", "physics.gamma"), ("dt", "time.dt"), ("t_end", "time.t_end"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, grid16, field, path, value):
+        kw = dict(dict(gamma=1.0, dt=0.1, t_end=1.0, grid=grid16), **{field: value})
+        with pytest.raises(ConfigurationError, match=path):
+            SolverConfig(**kw)
+
     def test_small_amplitude_run_stays_bounded(self, grid16):
         # sup_t of the energy functional never exceeds its initial value by
         # more than a small reported factor (no growth for small data)
