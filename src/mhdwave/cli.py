@@ -129,7 +129,10 @@ def cmd_simulate(args) -> int:
     else:
         initial = make_initial_data(cfg.family, cfg.params, cfg.grid)
         t_offset = 0.0
-    solver_cfg = replace(cfg, t_end=max(0.0, cfg.t_end - t_offset)).solver_config()
+    # a checkpoint at t_end, up to round-off, leaves no step to take
+    remaining = cfg.t_end - t_offset
+    solver_cfg = replace(cfg, t_end=remaining if remaining > 1e-9 * cfg.t_end else 0.0)
+    solver_cfg = solver_cfg.solver_config()
 
     ck_paths = []
 
@@ -193,16 +196,26 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _read_series(path):
+    """Header and float rows of a series CSV; anything unusable is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *body = csv.reader(fh)
+        data = np.array([[float(x) for x in row] for row in body])
+    except (OSError, ValueError, csv.Error) as exc:
+        raise DataError(f"unreadable series {path}: {exc}") from exc
+    if header[:1] != ["t"]:
+        raise DataError("series CSV must have a leading t column")
+    if len(body) < 2 or data.shape[1] != len(header) or not np.all(np.isfinite(data)):
+        raise DataError(f"series {path} needs >= 2 rows of {len(header)} finite numbers")
+    return header, data
+
+
 def cmd_fit_decay(args) -> int:
     cfg = _load_run_config(args)
     outdir = Path(cfg.output_dir)
     manifest = _Manifest(outdir, cfg, {"command": "fit-decay", "series": args.series})
-    with open(args.series, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(x) for x in row] for row in reader])
-    if header[0] != "t":
-        raise DataError("series CSV must have a leading t column")
+    header, data = _read_series(args.series)
     t = data[:, 0]
     window = cfg.window if cfg.window else (float(t[1]), float(t[-1]))
     rows = [["norm_id", "exponent", "theory", "delta", "r2", "window_lo", "window_hi"]]

@@ -119,16 +119,19 @@ class GridSpec:
         return np.ascontiguousarray(self.ky[:, : self.half])
 
     @cached_property
-    def nyquist_free_half(self) -> np.ndarray:
-        return np.ascontiguousarray(self.nyquist_free[:, : self.half])
-
-    @cached_property
     def dealias_mask_half(self) -> np.ndarray:
         return np.ascontiguousarray(self.dealias_mask[:, : self.half])
 
     @cached_property
-    def k2_half(self) -> np.ndarray:
-        return np.ascontiguousarray(self.k2[:, : self.half])
+    def inv_k2(self) -> np.ndarray:
+        """The Leray table 1/|k|^2, zero at k = 0 and on the Nyquist modes."""
+        inv = np.zeros_like(self.k2)
+        np.divide(1.0, self.k2, out=inv, where=self.nyquist_free & (self.k2 > 0))
+        return inv
+
+    @cached_property
+    def inv_k2_half(self) -> np.ndarray:
+        return np.ascontiguousarray(self.inv_k2[:, : self.half])
 
     @cached_property
     def x1d(self) -> np.ndarray:
@@ -265,12 +268,10 @@ def leray_project(f: SpectralVectorField) -> SpectralVectorField:
     if f.ncomp != 2:
         raise ConfigurationError("Leray projection requires a 2-component field")
     g = f.grid
-    k2safe = np.where(g.k2 > 0, g.k2, 1.0)
-    kdotf = g.kx * f.coeffs[0] + g.ky * f.coeffs[1]
-    frac = np.where((g.k2 > 0) & g.nyquist_free, kdotf / k2safe, 0.0)
-    out = np.empty_like(f.coeffs)
-    out[0] = np.where(g.nyquist_free, f.coeffs[0], 0.0) - g.kx * frac
-    out[1] = np.where(g.nyquist_free, f.coeffs[1], 0.0) - g.ky * frac
+    frac = (g.kx * f.coeffs[0] + g.ky * f.coeffs[1]) * g.inv_k2
+    out = np.where(g.nyquist_free, f.coeffs, 0.0)
+    out[0] -= g.kx * frac
+    out[1] -= g.ky * frac
     # k=0 mode passes through unchanged
     out[:, 0, 0] = f.coeffs[:, 0, 0]
     return SpectralVectorField(out, g, divergence_free=True)

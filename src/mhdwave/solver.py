@@ -77,7 +77,8 @@ class State:
 class SolverConfig:
     """Integration parameters.
 
-    ``dt`` must respect ``cfl_safety * (L/n) / max(1, max|u| + max|b|)``,
+    ``dt`` must respect ``cfl_safety * (L/n) / max(1, max|u| + max|b|)``
+    (pointwise magnitudes ``|u| = sqrt(u1^2 + u2^2)``),
     re-checked every step while the nonlinear terms are active (the exact
     linear propagators carry no step-size restriction, so purely linear
     runs skip the check).  ``nonlinear=False`` switches the quadratic
@@ -139,59 +140,39 @@ def _check_cfl(vmax: float, config: SolverConfig, t: float) -> None:
 
 
 def _nonlinear_terms(state: State):
-    """Internal: (N_u, N_b, max|u| + max|b|) in one batched transform pass.
+    """Internal: (N_u, N_b, max|u| + max|b|) in divergence/curl form.
 
-    All transforms run on the rfft2 half spectrum (the state is Hermitian,
-    so the half spectrum is lossless); outputs are mirrored back to the
-    full layout exactly.
+    For divergence-free, 2/3-dealiased fields u.grad u - b.grad b =
+    div(u (x) u - b (x) b) on the retained band, and in 2D
+    b.grad u - u.grad b = (d_y E, -d_x E) with E = u1 b2 - u2 b1.  So only
+    u and b are transformed: 4 inverse and 4 forward transforms on the
+    rfft2 half spectrum (lossless for the Hermitian state); outputs are
+    mirrored back to the full layout exactly.
     """
     g = state.grid
     n, half = g.n, g.half
-    ny = g.nyquist_free_half
-    ikx = 1j * g.kx_half * ny
-    iky = 1j * g.ky_half * ny
-
-    # batch: u1, u2, b1, b2 and their eight first derivatives
-    spec = np.empty((12, n, half), dtype=np.complex128)
-    uh = state.u_hat.coeffs[:, :, :half]
-    bh = state.b_hat.coeffs[:, :, :half]
-    spec[0:2] = uh
-    spec[2:4] = bh
-    np.multiply(ikx, uh[0], out=spec[4])
-    np.multiply(iky, uh[0], out=spec[5])
-    np.multiply(ikx, uh[1], out=spec[6])
-    np.multiply(iky, uh[1], out=spec[7])
-    np.multiply(ikx, bh[0], out=spec[8])
-    np.multiply(iky, bh[0], out=spec[9])
-    np.multiply(ikx, bh[1], out=spec[10])
-    np.multiply(iky, bh[1], out=spec[11])
+    spec = np.concatenate((state.u_hat.coeffs[:, :, :half], state.b_hat.coeffs[:, :, :half]))
     # physical values carry an n^-2 scale here; it cancels against the
     # quadratic product and the forward normalization as a single n^2 below
-    phys = _fft.irfft2(spec, s=(n, n), axes=(-2, -1))
-    u, b, du, db = phys[0:2], phys[2:4], phys[4:8], phys[8:12]
-    vmax = float(max(u.max(), -u.min()) + max(b.max(), -b.min())) * n**2
+    u1, u2, b1, b2 = _fft.irfft2(spec, s=(n, n), axes=(-2, -1))
+    vmax = float(np.sqrt(np.max(u1 * u1 + u2 * u2)) + np.sqrt(np.max(b1 * b1 + b2 * b2))) * n**2
 
-    prod = np.empty((4, n, n))
-    # N_u components: (b.grad)b - (u.grad)u
-    prod[0] = b[0] * db[0] + b[1] * db[1] - (u[0] * du[0] + u[1] * du[1])
-    prod[1] = b[0] * db[2] + b[1] * db[3] - (u[0] * du[2] + u[1] * du[3])
-    # N_b components: (b.grad)u - (u.grad)b
-    prod[2] = b[0] * du[0] + b[1] * du[1] - (u[0] * db[0] + u[1] * db[1])
-    prod[3] = b[0] * du[2] + b[1] * du[3] - (u[0] * db[2] + u[1] * db[3])
+    # the stress T = u (x) u - b (x) b (entries 11, 12, 22) and E
+    prod = np.stack([u1 * u1 - b1 * b1, u1 * u2 - b1 * b2, u2 * u2 - b2 * b2, u1 * b2 - u2 * b1])
     if not np.all(np.isfinite(prod)):
         raise BlowUpError("non-finite nonlinear products", t=state.t)
 
     hat = _fft.rfft2(prod, axes=(-2, -1))
     hat *= g.dealias_mask_half
     hat *= n**2
-    # Leray projection of the N_u pair
-    k2safe = np.where(g.k2_half > 0, g.k2_half, 1.0)
-    frac = np.where(g.k2_half > 0, (g.kx_half * hat[0] + g.ky_half * hat[1]) / k2safe, 0.0)
-    hat[0] -= g.kx_half * frac
-    hat[1] -= g.ky_half * frac
-    hat[:, 0, 0] = 0.0
+    # N_u = -P(ik.T) and N_b = (ik_y E, -ik_x E); both vanish at k = 0
+    kx, ky = g.kx_half, g.ky_half
+    div1 = kx * hat[0] + ky * hat[1]
+    div2 = kx * hat[1] + ky * hat[2]
+    frac = (kx * div1 + ky * div2) * g.inv_k2_half
+    out = -1j * np.stack([div1 - kx * frac, div2 - ky * frac, -ky * hat[3], kx * hat[3]])
 
-    full = expand_half_spectrum(hat, n)
+    full = expand_half_spectrum(out, n)
     n_u = SpectralVectorField(full[0:2], g, divergence_free=True)
     n_b = SpectralVectorField(full[2:4], g, divergence_free=False)
     return n_u, n_b, vmax
@@ -332,19 +313,17 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
     u0, b0, a0 = initial
     state = State(dealias(u0), dealias(b0), dealias(a0), 0.0)
     stepper = _STEPPERS[config.scheme]
-    if config.t_end > 0 and config.dt == 0:
-        raise ConfigurationError("dt must be > 0 to integrate to t_end > 0", path="time.dt")
+    ratio = config.t_end / config.dt if config.t_end > 0 and config.dt > 0 else 0.0
+    n_steps = int(round(ratio))
+    if config.t_end > 0 and n_steps < 1:
+        raise ConfigurationError(
+            f"dt={config.dt} must be > 0 and at most t_end={config.t_end}", path="time.dt")
+    if abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
+        raise ConfigurationError(
+            f"t_end={config.t_end} is not a whole number of steps at dt={config.dt}",
+            path="time",
+        )
     cache = _StepperCache(config)
-    if config.t_end > 0:
-        ratio = config.t_end / config.dt
-        n_steps = int(round(ratio))
-        if abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
-            raise ConfigurationError(
-                f"t_end={config.t_end} is not a whole number of steps at dt={config.dt}",
-                path="time",
-            )
-    else:
-        n_steps = 0
 
     traj = Trajectory(nonlinear=config.nonlinear)
     traj.append(0.0, observer(state) if observer else {})

@@ -146,6 +146,47 @@ class TestCli:
         delta = float(row[header.index("delta")])
         assert abs(delta) < 1e-9  # fitted -0.5 against the Hbeta(0, c=1) rate
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("t,u_L2\n1.0,0.5\n", id="one_row_no_window"),
+        pytest.param("t,u_L2\n", id="header_only"),
+        pytest.param("t,u_L2\n1.0,0.5\n2.0,abc\n", id="non_numeric"),
+        pytest.param("t,u_L2\n1.0,0.5\n2.0\n", id="ragged"),
+        pytest.param("", id="empty"),
+        pytest.param(None, id="missing"),
+        pytest.param("t,u_L2\n" + "".join(f"{t}.0,{'nan' if t == 9 else 1 / t}\n"
+                                          for t in range(1, 31)), id="non_finite"),
+    ])
+    def test_fit_decay_bad_series_exit_code(self, tmp_path, capsys, text):
+        series = tmp_path / "series.csv"
+        if text is not None:
+            series.write_text(text)
+        rc = main(["fit-decay", "--output", str(tmp_path / "fit"), str(series)])
+        assert rc == 4
+        assert '"error": "data"' in capsys.readouterr().err
+
+    def test_dt_beyond_t_end_exit_code(self, tmp_path, capsys):
+        doc = dict(SMALL_RUN, time={"dt": 1e10, "t_end": 1})
+        cfgp = write_config(tmp_path, doc)
+        rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")])
+        assert rc == 2
+        assert "time.dt" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "series.csv").exists()
+
+    def test_resume_from_final_checkpoint(self, tmp_path):
+        # 11 * 0.03 falls one ulp short of 0.33: the resumed run has nothing
+        # left to integrate and writes the checkpoint's row only
+        doc = dict(SMALL_RUN, time={"dt": 0.03, "t_end": 0.33, "snapshot_every": 11})
+        cfgp = write_config(tmp_path, doc)
+        ck = tmp_path / "ck"
+        assert main(["simulate", "--config", cfgp, "--output", str(ck),
+                     "--checkpoint-every", "11"]) == 0
+        (final,) = ck.glob("checkpoint_*.mhdw")
+        res = tmp_path / "res"
+        assert main(["simulate", "--config", cfgp, "--output", str(res),
+                     "--resume", str(final)]) == 0
+        rows = (res / "series.csv").read_text().strip().splitlines()
+        assert rows[1:] == (ck / "series.csv").read_text().strip().splitlines()[-1:]
+
     def test_verify_lemmas_outputs(self, tmp_path):
         out = tmp_path / "lem"
         rc = main(["verify-lemmas", "--output", str(out)])

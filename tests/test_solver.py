@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings, strategies as hst
 
+from mhdwave import solver
 from mhdwave.errors import BlowUpError, ConfigurationError, StepSizeError
 from mhdwave.grid import (
     GridSpec,
+    RealField,
     SpectralVectorField,
     dealias,
     divergence,
@@ -11,6 +15,8 @@ from mhdwave.grid import (
     leray_project,
     spectral_inner,
     spectral_l2,
+    transform_forward,
+    transform_inverse,
 )
 from mhdwave.initial import make_initial_data
 from mhdwave.kernels import mode_propagator
@@ -36,6 +42,29 @@ def mode_state(grid, kindex, b_amp=1.0, u_amp=0.0, a_amp=0.0):
     )
 
 
+def advective_reference(st):
+    """(N_u, N_b) in advective form, composed from the public operators on
+    the full spectrum: P(b.grad b - u.grad u) and b.grad u - u.grad b."""
+    g = st.grid
+
+    def values_and_gradients(f):
+        grads = [transform_inverse(SpectralVectorField(
+            np.stack([1j * g.kx * f.coeffs[i], 1j * g.ky * f.coeffs[i]])
+            * g.nyquist_free, g)).values for i in range(2)]
+        return transform_inverse(f).values, grads
+
+    def advect(a, grads):  # (a.grad) c from the gradients of c
+        return np.stack([a[0] * grads[i][0] + a[1] * grads[i][1] for i in range(2)])
+
+    u, du = values_and_gradients(st.u_hat)
+    b, db = values_and_gradients(st.b_hat)
+    n_u = leray_project(dealias(transform_forward(RealField(advect(b, db) - advect(u, du), g))))
+    n_b = dealias(transform_forward(RealField(advect(b, du) - advect(u, db), g)))
+    n_u.coeffs[:, 0, 0] = 0
+    n_b.coeffs[:, 0, 0] = 0
+    return n_u, n_b
+
+
 class TestNonlinear:
     def test_u_equals_b_kills_magnetic_term(self, grid16):
         u = random_divfree(grid16, 1)
@@ -50,20 +79,48 @@ class TestNonlinear:
         assert np.max(np.abs(n_b.coeffs)) == 0.0
         # N_u = -P(u.grad u): compare against an independent composition
         # of the public spectral operators
-        from mhdwave.grid import RealField, transform_forward, transform_inverse
-
-        g = grid16
-        uphys = transform_inverse(u).values
-        grads = []
-        for i in range(2):
-            gx = transform_inverse(SpectralVectorField(
-                np.stack([1j * g.kx * u.coeffs[i], 1j * g.ky * u.coeffs[i]])
-                * g.nyquist_free, g)).values
-            grads.append(gx)
-        adv = np.stack([uphys[0] * grads[i][0] + uphys[1] * grads[i][1] for i in range(2)])
-        ref = leray_project(dealias(transform_forward(RealField(-adv, g))))
-        ref.coeffs[:, 0, 0] = 0
+        ref, _ = advective_reference(st)
         assert np.max(np.abs(n_u.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=hst.sampled_from([16, 32]), seed=hst.integers(0, 2**32 - 1),
+           scale=hst.floats(1e-3, 1e3))
+    def test_divergence_form_properties(self, n, seed, scale):
+        g = GridSpec(n, 2 * np.pi)
+        st = random_state(g, seed)
+        st.u_hat.coeffs *= scale
+        st.b_hat.coeffs *= scale
+        n_u, n_b = compute_nonlinear(st)
+        # matches the advective form built from the public operators
+        ref_u, ref_b = advective_reference(st)
+        for got, ref in ((n_u, ref_u), (n_b, ref_b)):
+            assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
+        assert np.max(np.abs(divergence(n_u))) <= 1e-12 * spectral_l2(n_u)
+        assert np.all(n_u.coeffs[:, 0, 0] == 0) and np.all(n_b.coeffs[:, 0, 0] == 0)
+        power = abs(spectral_inner(n_u, st.u_hat) + spectral_inner(n_b, st.b_hat))
+        assert power <= 1e-12 * (spectral_l2(st.u_hat) + spectral_l2(st.b_hat)) ** 3
+
+    def test_one_step_makes_eight_transforms(self, grid16, monkeypatch):
+        batches = []
+
+        class CountingFFT:
+            """scipy.fft, counting the 2D transforms of each batch."""
+
+            def __getattr__(self, name):
+                fn = getattr(scipy.fft, name)
+                if not name.endswith("fft2"):
+                    return fn
+
+                def counted(x, *args, **kwargs):
+                    batches.append(int(np.prod(np.shape(x)[:-2])))
+                    return fn(x, *args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(solver, "_fft", CountingFFT())
+        cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.01, grid=grid16)
+        step_exp(random_state(grid16, 3), cfg)
+        assert sum(batches) == 8
 
     def test_single_mode_pair_convolution(self, grid16):
         # two single modes: the advective products live on the four sum
@@ -254,6 +311,18 @@ class TestRun:
         cfg = SolverConfig(gamma=0.5, dt=0.05, t_end=1.0, grid=grid16)
         with pytest.raises(StepSizeError):
             run(cfg, (u0, b0, zero_field(grid16)))
+
+    def test_cfl_uses_pointwise_speed(self, grid16):
+        # u = a (cos y, cos x) has max|u_i| = a but max|u| = a sqrt(2) at the
+        # origin, so the limit is 0.8 (L/n) / (a sqrt(2)) = 0.0222 and not 0.0314
+        a = 10.0
+        u0 = SpectralVectorField(single_mode_field(grid16, (0, 1), a, component=0).coeffs
+                                 + single_mode_field(grid16, (1, 0), a, component=1).coeffs,
+                                 grid16, divergence_free=True)
+        initial = (u0, zero_field(grid16), zero_field(grid16))
+        run(SolverConfig(gamma=1.0, dt=0.02, t_end=0.02, grid=grid16), initial)
+        with pytest.raises(StepSizeError):
+            run(SolverConfig(gamma=1.0, dt=0.025, t_end=0.025, grid=grid16), initial)
 
     def test_energy_monotone_under_exp_integrator(self, grid16):
         u0, b0, a0 = make_initial_data(
