@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .grid import GridSpec, SpectralVectorField
 from .solver import State
 
@@ -33,8 +33,13 @@ def save_checkpoint(path, state: State, gamma: float) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (state, gamma)."""
-    with open(path, "rb") as fh:
+    """Returns (state, gamma).  A path that cannot be opened is a
+    ``DataError``; a malformed file is a ``ConfigurationError``."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
+    with fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise ConfigurationError(f"truncated checkpoint {path}")

@@ -1,9 +1,12 @@
 """Norms, energy functionals, and inequality spot checks.
 
 L^q norms are midpoint grid quadrature, spectrally accurate for
-band-limited integrands up to the aliasing inherent in |f|^q; Sobolev
-seminorms are Parseval sums with the |k|^s multiplier.  The energy
-functionals of the damped-wave system are
+band-limited integrands up to the aliasing inherent in |f|^q.  The
+observer takes q = 2 from Parseval instead, ||f||_L2 = L sqrt(sum |f_hat|^2),
+exact for the discrete transform, and transforms the fields back to the
+grid only for the other q.  Sobolev seminorms are Parseval sums with the
+|k|^s multiplier, cached per grid and s.  The energy functionals of the
+damped-wave system are
 
     X_m = ||L^m u||^2 + ||L^m b||^2 + 2 g^2 ||d_t L^m b||^2 + 2 g ||L^{m+1} b||^2
     Y_m = 2 g <d_t L^m b, L^m b>
@@ -62,14 +65,19 @@ def lq_norm(f: RealField, q: float, grid: GridSpec | None = None) -> float:
 
 def sobolev_seminorm(f: SpectralVectorField, s: float) -> float:
     """Homogeneous Sobolev seminorm (sum_k |k|^{2s} |f_hat|^2)^(1/2) * L."""
+    return _seminorm(f, s, np.abs(f.coeffs) ** 2)
+
+
+def _seminorm(f: SpectralVectorField, s: float, power: np.ndarray) -> float:
+    """``sobolev_seminorm`` from the precomputed power spectrum |f_hat|^2."""
     g = f.grid
     if s == 0:
-        total = np.sum(np.abs(f.coeffs) ** 2)
+        total = np.sum(power)
     else:
         mean = np.max(np.abs(f.mean_coefficient()))
         if s < 0 and mean != 0.0:
             raise DomainError("negative-order seminorm requires a mean-zero field")
-        total = np.sum(g.abs_k_power(2.0 * s) * np.abs(f.coeffs) ** 2)
+        total = np.sum(g.abs_k_power(2.0 * s) * power)
     return float(g.box_length * np.sqrt(total))
 
 
@@ -80,16 +88,23 @@ def sobolev_inner(f: SpectralVectorField, h: SpectralVectorField, s: float) -> f
     return float(g.box_length**2 * np.sum(mult * np.real(f.coeffs * np.conj(h.coeffs))))
 
 
-def energy_functionals(state: State, m: float, gamma: float):
-    """The triple (X_m, Y_m, Z_m); X_m, Z_m >= 0, Y_m any sign."""
+def energy_functionals(state: State, m: float, gamma: float, *, _powers=None):
+    """The triple (X_m, Y_m, Z_m); X_m, Z_m >= 0, Y_m any sign.
+
+    ``_powers`` lets the norm observer pass the |c|^2 arrays of
+    (u, b, d_t b) it has already computed.
+    """
     if m < 0:
         raise DomainError("m must be >= 0")
     u, b, bt = state.u_hat, state.b_hat, state.bt_hat
-    um = sobolev_seminorm(u, m)
-    bm = sobolev_seminorm(b, m)
-    btm = sobolev_seminorm(bt, m)
-    um1 = sobolev_seminorm(u, m + 1)
-    bm1 = sobolev_seminorm(b, m + 1)
+    if _powers is None:
+        _powers = [np.abs(f.coeffs) ** 2 for f in (u, b, bt)]
+    pu, pb, pbt = _powers
+    um = _seminorm(u, m, pu)
+    bm = _seminorm(b, m, pb)
+    btm = _seminorm(bt, m, pbt)
+    um1 = _seminorm(u, m + 1, pu)
+    bm1 = _seminorm(b, m + 1, pb)
     x = um**2 + bm**2 + 2.0 * gamma**2 * btm**2 + 2.0 * gamma * bm1**2
     y = 2.0 * gamma * sobolev_inner(bt, b, m)
     z = um1**2 + bm1**2 + gamma * btm**2
@@ -121,17 +136,31 @@ class NormSnapshot:
 
 def norm_observer(q_list=(2.0,), s_list_u=(0.0,), s_list_b=(0.0,), m: float = 1.0,
                   gamma: float = 1.0):
-    """Observer returning a flat dict of the configured norms per state."""
+    """Observer returning a flat dict of the configured norms per state.
+
+    Each field's |c|^2 is computed once and feeds every Sobolev column, the
+    energy triple and the q = 2 norms (Parseval); the fields are transformed
+    back to the grid only for the other q.
+    """
 
     def observe(state: State) -> dict:
-        u_phys = transform_inverse(state.u_hat)
-        b_phys = transform_inverse(state.b_hat)
+        u, b = state.u_hat, state.b_hat
+        powers = [np.abs(f.coeffs) ** 2 for f in (u, b, state.bt_hat)]
+        pu, pb, _ = powers
+        phys = None
+        lq = {}
+        for q in q_list:
+            if q == 2:
+                lq[q] = (_seminorm(u, 0.0, pu), _seminorm(b, 0.0, pb))
+            else:
+                phys = phys or (transform_inverse(u), transform_inverse(b))
+                lq[q] = (lq_norm(phys[0], q), lq_norm(phys[1], q))
         snap = NormSnapshot(
             t=state.t,
-            lq={q: (lq_norm(u_phys, q), lq_norm(b_phys, q)) for q in q_list},
-            hdot_u={s: sobolev_seminorm(state.u_hat, s) for s in s_list_u},
-            hdot_b={s: sobolev_seminorm(state.b_hat, s) for s in s_list_b},
-            energy=energy_functionals(state, m, gamma),
+            lq=lq,
+            hdot_u={s: _seminorm(u, s, pu) for s in s_list_u},
+            hdot_b={s: _seminorm(b, s, pb) for s in s_list_b},
+            energy=energy_functionals(state, m, gamma, _powers=powers),
         )
         return snap.as_row()
 

@@ -87,10 +87,22 @@ class GridSpec:
     def kmag(self) -> np.ndarray:
         return np.sqrt(self.k2)
 
+    @cached_property
+    def _abs_k_powers(self) -> dict:
+        return {}
+
     def abs_k_power(self, s: float) -> np.ndarray:
-        """The multiplier |k|^s, zero at k = 0 and on the Nyquist modes."""
-        return np.where(self.nyquist_free & (self.k2 > 0),
-                        np.where(self.k2 > 0, self.kmag, 1.0) ** s, 0.0)
+        """The multiplier |k|^s, zero at k = 0 and on the Nyquist modes.
+
+        Built once per grid and ``s``; the shared table is read-only.
+        """
+        table = self._abs_k_powers.get(s)
+        if table is None:
+            table = np.where(self.nyquist_free & (self.k2 > 0),
+                             np.where(self.k2 > 0, self.kmag, 1.0) ** s, 0.0)
+            table.flags.writeable = False
+            self._abs_k_powers[s] = table
+        return table
 
     @cached_property
     def nyquist_free(self) -> np.ndarray:

@@ -211,18 +211,14 @@ class _StepperCache:
             self.u_imp = 1.0 / (1.0 + dt / 2.0 * g.k2)
 
 
-def _zero_like(f: SpectralVectorField) -> SpectralVectorField:
-    return SpectralVectorField(np.zeros_like(f.coeffs), f.grid, divergence_free=True)
-
-
 def _forcing(state: State, config: SolverConfig):
-    """Nonlinear terms plus the per-step CFL re-check; zeros in linear mode
+    """Nonlinear terms plus the per-step CFL re-check; None in linear mode
     (the exact propagators carry no advective step restriction)."""
-    if config.nonlinear:
-        n_u, n_b, vmax = _nonlinear_terms(state)
-        _check_cfl(vmax, config, state.t)
-        return n_u, n_b
-    return _zero_like(state.u_hat), _zero_like(state.u_hat)
+    if not config.nonlinear:
+        return None
+    n_u, n_b, vmax = _nonlinear_terms(state)
+    _check_cfl(vmax, config, state.t)
+    return n_u, n_b
 
 
 def _finalize(coeffs_u, coeffs_b, coeffs_bt, state: State, t: float) -> State:
@@ -245,10 +241,15 @@ def step_exp(state: State, config: SolverConfig, cache: _StepperCache | None = N
     """One exponential-Euler step: exact linear part, frozen forcing."""
     if cache is None:
         cache = _StepperCache(config)
-    n_u, n_b = _forcing(state, config)
-    u = cache.heat_mult * state.u_hat.coeffs + cache.heat_w * n_u.coeffs
-    b = cache.m00 * state.b_hat.coeffs + cache.m01 * state.bt_hat.coeffs + cache.w * n_b.coeffs
-    bt = cache.m10 * state.b_hat.coeffs + cache.m11 * state.bt_hat.coeffs + cache.k1 * n_b.coeffs
+    forcing = _forcing(state, config)
+    u = cache.heat_mult * state.u_hat.coeffs
+    b = cache.m00 * state.b_hat.coeffs + cache.m01 * state.bt_hat.coeffs
+    bt = cache.m10 * state.b_hat.coeffs + cache.m11 * state.bt_hat.coeffs
+    if forcing is not None:
+        n_u, n_b = forcing
+        u += cache.heat_w * n_u.coeffs
+        b += cache.w * n_b.coeffs
+        bt += cache.k1 * n_b.coeffs
     return _finalize(u, b, bt, state, state.t + config.dt)
 
 
@@ -261,23 +262,32 @@ def step_imex(state: State, config: SolverConfig, cache: _StepperCache | None = 
         cache = _StepperCache(config)
     g = state.grid
     dt = config.dt
-    n_u, n_b = _forcing(state, config)
+    forcing = _forcing(state, config)
 
-    ru = state.u_hat.coeffs + 0.5 * dt * n_u.coeffs
+    ru = state.u_hat.coeffs
     rb = state.b_hat.coeffs
-    rbt = state.bt_hat.coeffs + 0.5 * dt * n_b.coeffs / config.gamma
+    rbt = state.bt_hat.coeffs
+    if forcing is not None:
+        n_u, n_b = forcing
+        ru = ru + 0.5 * dt * n_u.coeffs
+        rbt = rbt + 0.5 * dt * n_b.coeffs / config.gamma
     u_star = cache.u_imp * ru
     b_star = cache.i00 * rb + cache.i01 * rbt
     bt_star = cache.i10 * rb + cache.i11 * rbt
 
-    mid = _finalize(u_star, b_star, bt_star, state, state.t + 0.5 * dt)
-    n_u2, n_b2 = _forcing(mid, config)
+    if forcing is not None:
+        mid = _finalize(u_star, b_star, bt_star, state, state.t + 0.5 * dt)
+        forcing = _forcing(mid, config)
+    du = -g.k2 * u_star
+    dbt = -g.k2 * b_star - bt_star
+    if forcing is not None:
+        n_u2, n_b2 = forcing
+        du += n_u2.coeffs
+        dbt += n_b2.coeffs
 
-    u = state.u_hat.coeffs + dt * (-g.k2 * u_star + n_u2.coeffs)
+    u = state.u_hat.coeffs + dt * du
     b = state.b_hat.coeffs + dt * bt_star
-    bt = state.bt_hat.coeffs + dt * (
-        (-g.k2 * b_star - bt_star + n_b2.coeffs) / config.gamma
-    )
+    bt = state.bt_hat.coeffs + dt * (dbt / config.gamma)
     return _finalize(u, b, bt, state, state.t + dt)
 
 
@@ -286,9 +296,13 @@ def step_mhd_baseline(state: State, config: SolverConfig,
     """One step of the gamma = 0 MHD system; bt_hat is ignored (kept zero)."""
     if cache is None:
         cache = _StepperCache(config)
-    n_u, n_b = _forcing(state, config)
-    u = cache.heat_mult * state.u_hat.coeffs + cache.heat_w * n_u.coeffs
-    b = cache.heat_mult * state.b_hat.coeffs + cache.heat_w * n_b.coeffs
+    forcing = _forcing(state, config)
+    u = cache.heat_mult * state.u_hat.coeffs
+    b = cache.heat_mult * state.b_hat.coeffs
+    if forcing is not None:
+        n_u, n_b = forcing
+        u += cache.heat_w * n_u.coeffs
+        b += cache.heat_w * n_b.coeffs
     bt = np.zeros_like(state.bt_hat.coeffs)
     return _finalize(u, b, bt, state, state.t + config.dt)
 

@@ -187,6 +187,17 @@ class TestCli:
         rows = (res / "series.csv").read_text().strip().splitlines()
         assert rows[1:] == (ck / "series.csv").read_text().strip().splitlines()[-1:]
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_resume_unreadable_path_exit_code(self, tmp_path, capsys, kind):
+        ck = tmp_path / "ck.mhdw"
+        if kind == "directory":
+            ck.mkdir()
+        cfgp = write_config(tmp_path, SMALL_RUN)
+        rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x"),
+                   "--resume", str(ck)])
+        assert rc == 4
+        assert '"error": "data"' in capsys.readouterr().err
+
     def test_verify_lemmas_outputs(self, tmp_path):
         out = tmp_path / "lem"
         rc = main(["verify-lemmas", "--output", str(out)])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from mhdwave import diagnostics
 from mhdwave.diagnostics import (
     GNCheck,
     HeatCheck,
@@ -233,3 +235,52 @@ def test_snapshot_row_consistency(grid16):
     assert row["u_H0"] == pytest.approx(row["u_L2"], rel=1e-10)
     assert set(row) >= {"t", "u_L2", "b_L2", "u_L4", "b_L4", "u_H0", "u_H1",
                         "b_H0", "b_H1.5", "X_m", "Y_m", "Z_m"}
+
+
+class TestNormObserver:
+    @pytest.mark.parametrize("q_list, calls", [((2.0,), 0), ((2.0, 4.0), 2)])
+    def test_inverse_transforms_per_observe(self, grid16, monkeypatch, q_list, calls):
+        count = []
+        inverse = diagnostics.transform_inverse
+
+        def counted(f):
+            count.append(1)
+            return inverse(f)
+
+        monkeypatch.setattr(diagnostics, "transform_inverse", counted)
+        norm_observer(q_list, (0.0, 1.0), (0.0, 1.5), m=1.0, gamma=0.5)(random_state(grid16, 1))
+        assert len(count) == calls
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=hst.sampled_from([16, 32]), seed=hst.integers(0, 2**32 - 1),
+           scale=hst.floats(1e-3, 1e3), m=hst.floats(0.0, 2.0),
+           gamma=hst.floats(1e-2, 10.0))
+    def test_matches_reference_functions(self, n, seed, scale, m, gamma):
+        g = GridSpec(n, 2 * np.pi)
+        st = random_state(g, seed)
+        for f in (st.u_hat, st.b_hat, st.bt_hat):
+            f.coeffs *= scale
+        s_u, s_b = (0.0, -0.5, 1.0), (0.0, 0.75, 1.5)
+        row = norm_observer((2.0, 4.0), s_u, s_b, m=m, gamma=gamma)(st)
+        for name, f in (("u", st.u_hat), ("b", st.b_hat)):
+            phys = transform_inverse(f)
+            assert row[f"{name}_L2"] == pytest.approx(lq_norm(phys, 2), rel=1e-12)
+            assert row[f"{name}_L4"] == lq_norm(phys, 4)
+        for s in s_u:
+            assert row[f"u_H{s:g}"] == sobolev_seminorm(st.u_hat, s)
+        for s in s_b:
+            assert row[f"b_H{s:g}"] == sobolev_seminorm(st.b_hat, s)
+        assert (row["X_m"], row["Y_m"], row["Z_m"]) == energy_functionals(st, m, gamma)
+
+    def test_negative_order_needs_mean_zero(self, grid16):
+        st = random_state(grid16, 2)
+        st.u_hat.coeffs[0, 0, 0] = 1.0
+        with pytest.raises(DomainError):
+            norm_observer((2.0,), (-1.0,), (0.0,))(st)
+
+
+def test_abs_k_power_cached_read_only(grid16):
+    table = grid16.abs_k_power(1.5)
+    assert grid16.abs_k_power(1.5) is table
+    with pytest.raises(ValueError):
+        table[1, 1] = 0.0

@@ -3,10 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 from scipy.integrate import quad
 
 from mhdwave.errors import ConfigurationError, DomainError
 from mhdwave.kernels import (
+    DEGENERATE_D,
     BoundSampleSpec,
     FrequencyRegion,
     KernelParams,
@@ -148,6 +150,51 @@ class TestKernelSymbols:
                         resid = abs(gamma * d2 + d1 + k2 * f[2]) / max(1.0, k2)
                         worst = max(worst, resid)
         assert worst <= 1e-6
+
+
+def _branch_k2(branch, gamma, x):
+    """k2 whose discriminant D = 1 - 4 gamma k2 lies in the named branch;
+    ``x`` in [0, 1] places it inside the branch."""
+    if branch == "hyperbolic":
+        D = 1.001e-6 + x * (1.0 - 1.001e-6)
+    elif branch == "oscillatory":
+        D = -(10.0 ** (-5.9 + 6.9 * x))
+    else:
+        D = (2.0 * x - 1.0) * 0.999e-6
+    k2 = (1.0 - D) / (4.0 * gamma)
+    D = 1.0 - 4.0 * gamma * k2
+    assert {"hyperbolic": D >= DEGENERATE_D, "oscillatory": D <= -DEGENERATE_D,
+            "degenerate": abs(D) < DEGENERATE_D}[branch]
+    return k2
+
+
+@pytest.mark.parametrize("branch", ["hyperbolic", "oscillatory", "degenerate"])
+class TestKernelPairProperties:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(gamma=hst.floats(0.05, 4.0), x=hst.floats(0.0, 1.0),
+           t=hst.floats(1e-3 + 2e-4, 10.0))
+    def test_ode_residual_and_reference(self, branch, gamma, x, t):
+        k2 = _branch_k2(branch, gamma, x)
+        # the C02 residual |gamma K'' + K' + k2 K| / max(1, k2), 4th-order differences
+        h = 1e-4
+        K0s, K1s = kernel_pair(gamma, k2, t + np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h)
+        for f in (K0s, K1s):
+            d1 = (-f[4] + 8 * f[3] - 8 * f[1] + f[0]) / (12 * h)
+            d2 = (-f[4] + 16 * f[3] - 30 * f[2] + 16 * f[1] - f[0]) / (12 * h * h)
+            assert abs(gamma * d2 + d1 + k2 * f[2]) / max(1.0, k2) <= 1e-6
+        # extended-precision values, relative to the non-oscillating envelope
+        # (the oscillatory kernels cross zero, where a pure relative error is undefined)
+        K0o, K1o = mp_kernels(gamma, k2, t)
+        env = math.exp(-t / (2.0 * gamma))
+        assert abs(float(K0s[2]) - K0o) <= 1e-11 * max(abs(K0o), env)
+        assert abs(float(K1s[2]) - K1o) <= 1e-11 * max(abs(K1o), env * t / gamma)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(gamma=hst.floats(0.01, 100.0), x=hst.floats(0.0, 1.0))
+    def test_initial_values(self, branch, gamma, x):
+        K0, K1 = kernel_pair(gamma, _branch_k2(branch, gamma, x), 0.0)
+        assert float(K0) == 1.0
+        assert float(K1) == 0.0
 
 
 class TestModePropagator:
