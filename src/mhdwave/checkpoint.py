@@ -2,12 +2,19 @@
 
 Layout (little-endian): header ``magic "MHDW" | version u32 | n u32 |
 L f64 | gamma f64 | t f64`` followed by the three coefficient arrays
-u_hat, b_hat, d_t b_hat, each a (2, n, n) complex128 block in row-major
-full-spectrum order.
+u_hat, b_hat, d_t b_hat.  Version 2 (written) stores each as a
+(2, n, n//2 + 1) complex128 block in row-major half-spectrum order.
+Version 1 files hold (2, n, n) full-spectrum blocks; they are still read,
+keeping the first n//2 + 1 columns of each block.
+
+A checkpoint is written to a temporary file beside the target and renamed
+over it, so a write that fails part-way leaves the previous one intact.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -19,43 +26,45 @@ from .solver import State
 __all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"MHDW"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sIIddd")
 
 
 def save_checkpoint(path, state: State, gamma: float) -> None:
     g = state.grid
     header = _HEADER.pack(MAGIC, VERSION, g.n, g.box_length, gamma, state.t)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for f in (state.u_hat, state.b_hat, state.bt_hat):
-            fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for f in (state.u_hat, state.b_hat, state.bt_hat):
+                fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
     """Returns (state, gamma).  A path that cannot be opened is a
     ``DataError``; a malformed file is a ``ConfigurationError``."""
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
-    with fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ConfigurationError(f"truncated checkpoint {path}")
-        magic, version, n, box_length, gamma, t = _HEADER.unpack(raw)
-        if magic != MAGIC:
-            raise ConfigurationError(f"bad checkpoint magic {magic!r}")
-        if version != VERSION:
-            raise ConfigurationError(f"unsupported checkpoint version {version}")
-        grid = GridSpec(n, box_length)
-        fields = []
-        count = 2 * n * n
-        for _ in range(3):
-            buf = fh.read(count * 16)
-            if len(buf) != count * 16:
-                raise ConfigurationError(f"truncated checkpoint {path}")
-            arr = np.frombuffer(buf, dtype="<c16").astype(np.complex128).reshape(2, n, n)
-            fields.append(SpectralVectorField(arr, grid, divergence_free=True))
-    state = State(fields[0], fields[1], fields[2], t)
-    return state, gamma
+    if len(raw) < _HEADER.size:
+        raise ConfigurationError(f"truncated checkpoint {path}")
+    magic, version, n, box_length, gamma, t = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise ConfigurationError(f"bad checkpoint magic {magic!r}")
+    if version not in (1, VERSION):
+        raise ConfigurationError(f"unsupported checkpoint version {version}")
+    grid = GridSpec(n, box_length)
+    shape = (3, 2, n, n if version == 1 else grid.half)
+    if len(raw) != _HEADER.size + 16 * math.prod(shape):
+        raise ConfigurationError(f"checkpoint {path} does not hold three {shape[1:]} blocks")
+    blocks = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(shape)
+    u, b, bt = (SpectralVectorField(c[:, :, : grid.half].astype(np.complex128), grid,
+                                    divergence_free=True) for c in blocks)
+    return State(u, b, bt, t), gamma

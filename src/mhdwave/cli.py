@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -61,6 +62,33 @@ ENV_PREFIX = "MHDWAVE_"
 
 def _env_default(name: str):
     return os.environ.get(ENV_PREFIX + name.upper())
+
+
+def _integer_arg(path: str, minimum: int):
+    """argparse type: an integer >= ``minimum``.  Anything else, also from an
+    environment default, is a ``ConfigurationError`` at ``path``, which
+    argparse lets through to ``main``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise ConfigurationError(f"expected an integer >= {minimum}, got {text!r}",
+                                     path=path)
+        return value
+
+    return parse
+
+
+def _gamma_list(text: str) -> list:
+    """argparse type for ``--gammas``: comma-separated numbers."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"expected comma-separated numbers, got {text!r}",
+                                 path="gammas") from None
 
 
 class _Manifest:
@@ -161,7 +189,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     outdir = Path(cfg.output_dir)
     manifest = _Manifest(outdir, cfg, {"command": "sweep", "gammas": args.gammas})
-    gammas = sorted(float(x) for x in args.gammas.split(","))
+    gammas = sorted(args.gammas)
     executor = ThreadPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
     try:
         sweep = gamma_prefactor_scan(gammas, cfg, executor)
@@ -279,15 +307,16 @@ def cmd_verify_lemmas(args) -> int:
 def cmd_compare_mhd(args) -> int:
     cfg = _load_run_config(args)
     outdir = Path(cfg.output_dir)
-    gammas = [float(x) for x in args.gammas.split(",")]
-    manifest = _Manifest(outdir, cfg, {"command": "compare-mhd", "gammas": gammas,
+    if not 0 < args.T < math.inf:
+        raise ConfigurationError(f"must be positive and finite, got {args.T}", path="T")
+    manifest = _Manifest(outdir, cfg, {"command": "compare-mhd", "gammas": args.gammas,
                                        "T": args.T})
-    gs, errs = singular_limit_experiment(gammas, args.T, cfg)
+    gs, errs = singular_limit_experiment(args.gammas, args.T, cfg)
     rows = [["gamma", "error", "ratio_to_previous"]]
     for i, (g, e) in enumerate(zip(gs, errs)):
-        ratio = errs[i] / errs[i - 1] if i else ""
-        rows.append([_float_cell(g), _float_cell(e),
-                     _float_cell(ratio) if ratio != "" else ""])
+        # no ratio for the first row, nor after a zero error
+        ratio = _float_cell(e / errs[i - 1]) if i and errs[i - 1] else ""
+        rows.append([_float_cell(g), _float_cell(e), ratio])
     out = outdir / "singular_limit.csv"
     _write_csv(out, rows)
     manifest.add_file(out, "singular_limit")
@@ -308,25 +337,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config file (MHDWAVE_CONFIG)")
         p.add_argument("--output", default=_env_default("output"),
                        help="output directory (MHDWAVE_OUTPUT)")
-        seed_env = _env_default("seed")
-        p.add_argument("--seed", type=int,
-                       default=int(seed_env) if seed_env else None,
+        # string defaults from the environment go through ``type`` as well
+        p.add_argument("--seed", type=_integer_arg("seed", 0),
+                       default=_env_default("seed") or None,
                        help="seed override (MHDWAVE_SEED)")
-        threads_env = _env_default("threads")
-        p.add_argument("--threads", type=int,
-                       default=int(threads_env) if threads_env else 1,
+        p.add_argument("--threads", type=_integer_arg("threads", 1),
+                       default=_env_default("threads") or 1,
                        help="sweep concurrency; results identical per N (MHDWAVE_THREADS)")
 
     p = sub.add_parser("simulate", help="run one simulation, emit the norm series")
     common(p)
     p.add_argument("--resume", help="checkpoint file to continue from")
-    p.add_argument("--checkpoint-every", type=int, default=None,
-                   help="write a checkpoint every N steps")
+    p.add_argument("--checkpoint-every", type=_integer_arg("checkpoint_every", 1),
+                   help="write a checkpoint every N steps (N >= 1)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="gamma sweep of the decay experiment")
     common(p)
-    p.add_argument("--gammas", default="0.25,0.5,1.0", help="comma-separated gamma list")
+    p.add_argument("--gammas", type=_gamma_list, default="0.25,0.5,1.0",
+                   help="comma-separated gamma list")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit-decay", help="fit power laws to an existing series CSV")
@@ -344,16 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-mhd", help="singular-limit comparison against gamma = 0")
     common(p)
-    p.add_argument("--gammas", default="0.1,0.05,0.025")
+    p.add_argument("--gammas", type=_gamma_list, default="0.1,0.05,0.025")
     p.add_argument("--T", type=float, default=5.0)
     p.set_defaults(func=cmd_compare_mhd)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import math
 import re
 
 from .decay import DecayExperimentConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .grid import GridSpec
 
 __all__ = ["parse_config", "parse_config_file", "serialize_config", "config_hash"]
@@ -168,8 +168,13 @@ def parse_config(text: str) -> DecayExperimentConfig:
 
 
 def parse_config_file(path) -> DecayExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """``parse_config`` of a file; a file that cannot be read is a ``DataError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"unreadable config {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def serialize_config(cfg: DecayExperimentConfig) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, DomainError, WindowError
 from .diagnostics import lq_norm, norm_observer
-from .grid import GridSpec, spectral_l2, transform_inverse
+from .grid import GridSpec, SpectralVectorField, spectral_l2, transform_inverse
 from .initial import INITIAL_FAMILIES, make_initial_data
 from .kernels import kernel_pair
 from .solver import SolverConfig, Trajectory, run
@@ -353,8 +353,7 @@ def linear_singular_limit_error(gamma: float, T: float, u0, b0, a0) -> float:
     heat = np.exp(-g.k2 * T)
     db = (m00 - heat) * b0.coeffs + m01 * a0.coeffs
     # u decouples entirely at the linear level: identical heat flow
-    eb = g.box_length * math.sqrt(float(np.sum(np.abs(db) ** 2)))
-    return eb
+    return spectral_l2(SpectralVectorField(db, g))
 
 
 def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
@@ -382,13 +381,9 @@ def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
     errors = []
     for g in gammas:
         st = final_state("exp_integrator", g)
-        du = st.u_hat.coeffs - ref.u_hat.coeffs
-        db = st.b_hat.coeffs - ref.b_hat.coeffs
-        e = grid.box_length * (
-            math.sqrt(float(np.sum(np.abs(du) ** 2)))
-            + math.sqrt(float(np.sum(np.abs(db) ** 2)))
-        )
-        errors.append(e)
+        du = SpectralVectorField(st.u_hat.coeffs - ref.u_hat.coeffs, grid)
+        db = SpectralVectorField(st.b_hat.coeffs - ref.b_hat.coeffs, grid)
+        errors.append(spectral_l2(du) + spectral_l2(db))
     return gammas, errors
 
 

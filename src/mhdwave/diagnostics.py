@@ -2,10 +2,11 @@
 
 L^q norms are midpoint grid quadrature, spectrally accurate for
 band-limited integrands up to the aliasing inherent in |f|^q.  The
-observer takes q = 2 from Parseval instead, ||f||_L2 = L sqrt(sum |f_hat|^2),
-exact for the discrete transform, and transforms the fields back to the
-grid only for the other q.  Sobolev seminorms are Parseval sums with the
-|k|^s multiplier, cached per grid and s.  The energy functionals of the
+observer takes q = 2 from Parseval instead, ||f||_L2 = L sqrt(sum w |f_hat|^2)
+over the half spectrum (w the grid's Parseval weight), exact for the
+discrete transform, and transforms the fields back to the grid only for
+the other q.  Sobolev seminorms are Parseval sums with the |k|^s
+multiplier, cached per grid and s.  The energy functionals of the
 damped-wave system are
 
     X_m = ||L^m u||^2 + ||L^m b||^2 + 2 g^2 ||d_t L^m b||^2 + 2 g ||L^{m+1} b||^2
@@ -65,11 +66,16 @@ def lq_norm(f: RealField, q: float, grid: GridSpec | None = None) -> float:
 
 def sobolev_seminorm(f: SpectralVectorField, s: float) -> float:
     """Homogeneous Sobolev seminorm (sum_k |k|^{2s} |f_hat|^2)^(1/2) * L."""
-    return _seminorm(f, s, np.abs(f.coeffs) ** 2)
+    return _seminorm(f, s, _power(f))
+
+
+def _power(f: SpectralVectorField) -> np.ndarray:
+    """The Parseval-weighted power spectrum w |f_hat|^2 of the half layout."""
+    return f.grid.parseval_weight * np.abs(f.coeffs) ** 2
 
 
 def _seminorm(f: SpectralVectorField, s: float, power: np.ndarray) -> float:
-    """``sobolev_seminorm`` from the precomputed power spectrum |f_hat|^2."""
+    """``sobolev_seminorm`` from the precomputed power spectrum ``_power(f)``."""
     g = f.grid
     if s == 0:
         total = np.sum(power)
@@ -84,21 +90,21 @@ def _seminorm(f: SpectralVectorField, s: float, power: np.ndarray) -> float:
 def sobolev_inner(f: SpectralVectorField, h: SpectralVectorField, s: float) -> float:
     """Real inner product <L^s f, L^s h> in Parseval form."""
     g = f.grid
-    mult = 1.0 if s == 0 else g.abs_k_power(2.0 * s)
+    mult = g.parseval_weight if s == 0 else g.parseval_weight * g.abs_k_power(2.0 * s)
     return float(g.box_length**2 * np.sum(mult * np.real(f.coeffs * np.conj(h.coeffs))))
 
 
 def energy_functionals(state: State, m: float, gamma: float, *, _powers=None):
     """The triple (X_m, Y_m, Z_m); X_m, Z_m >= 0, Y_m any sign.
 
-    ``_powers`` lets the norm observer pass the |c|^2 arrays of
+    ``_powers`` lets the norm observer pass the weighted power spectra of
     (u, b, d_t b) it has already computed.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
     u, b, bt = state.u_hat, state.b_hat, state.bt_hat
     if _powers is None:
-        _powers = [np.abs(f.coeffs) ** 2 for f in (u, b, bt)]
+        _powers = [_power(f) for f in (u, b, bt)]
     pu, pb, pbt = _powers
     um = _seminorm(u, m, pu)
     bm = _seminorm(b, m, pb)
@@ -138,14 +144,14 @@ def norm_observer(q_list=(2.0,), s_list_u=(0.0,), s_list_b=(0.0,), m: float = 1.
                   gamma: float = 1.0):
     """Observer returning a flat dict of the configured norms per state.
 
-    Each field's |c|^2 is computed once and feeds every Sobolev column, the
-    energy triple and the q = 2 norms (Parseval); the fields are transformed
-    back to the grid only for the other q.
+    Each field's weighted |c|^2 is computed once and feeds every Sobolev
+    column, the energy triple and the q = 2 norms (Parseval); the fields are
+    transformed back to the grid only for the other q.
     """
 
     def observe(state: State) -> dict:
         u, b = state.u_hat, state.b_hat
-        powers = [np.abs(f.coeffs) ** 2 for f in (u, b, state.bt_hat)]
+        powers = [_power(f) for f in (u, b, state.bt_hat)]
         pu, pb, _ = powers
         phys = None
         lq = {}

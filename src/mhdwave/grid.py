@@ -1,13 +1,19 @@
 """Periodic-box spectral infrastructure.
 
 A square box of side ``L`` is discretized with ``n`` points per axis.
-Real fields live on the physical grid; spectral fields hold complex
-Fourier coefficients in numpy FFT layout (wavenumber ``2*pi*j/L`` at
-index ``j``, negative frequencies in the upper half).
+Real fields live on the physical grid.  Spectral fields hold the Fourier
+coefficients of a real field in the rfft2 half-spectrum layout, shape
+``(c, n, n//2 + 1)``: row ``i`` is the x wavenumber ``2*pi*i/L`` in numpy
+FFT order, column ``j = 0 .. n/2`` the y wavenumber.  The other half of
+the plane is the Hermitian mirror ``f_hat(-k) = conj(f_hat(k))`` and is
+never stored; every table of ``GridSpec`` has the half shape.
 
 Normalization: the forward transform divides by ``n**2`` and the inverse
 multiplies, so a coefficient is the amplitude of ``exp(i k.x)`` and
-Parseval reads ``||f||_L2^2 = L^2 * sum_k |f_hat(k)|^2``.
+Parseval reads ``||f||_L2^2 = L^2 * sum_k w_k |f_hat(k)|^2`` over the
+stored modes.  The weight ``GridSpec.parseval_weight`` is 1 on the
+self-conjugate columns 0 and n/2 and 2 on the others, which stand for
+their mirrors too.
 
 Nyquist modes (index ``n/2``) carry an ambiguous sign of k and are zeroed
 by every multiplier application to keep derivative operators
@@ -72,12 +78,17 @@ class GridSpec:
         return 2.0 * np.pi / self.box_length * np.fft.fftfreq(self.n, 1.0 / self.n)
 
     @cached_property
+    def half(self) -> int:
+        """Columns of the rfft2 half spectrum (n // 2 + 1)."""
+        return self.n // 2 + 1
+
+    @cached_property
     def kx(self) -> np.ndarray:
-        return self.k1d[:, None] * np.ones((1, self.n))
+        return self.k1d[:, None] * np.ones((1, self.half))
 
     @cached_property
     def ky(self) -> np.ndarray:
-        return np.ones((self.n, 1)) * self.k1d[None, :]
+        return np.ones((self.n, 1)) * self.k1d[None, : self.half]
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -86,6 +97,14 @@ class GridSpec:
     @cached_property
     def kmag(self) -> np.ndarray:
         return np.sqrt(self.k2)
+
+    @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """Per-column Parseval weight: 1 on columns 0 and n/2, 2 elsewhere."""
+        w = np.full(self.half, 2.0)
+        w[[0, -1]] = 1.0
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def _abs_k_powers(self) -> dict:
@@ -109,7 +128,7 @@ class GridSpec:
         """Mask selecting modes without a Nyquist index on either axis."""
         idx = np.fft.fftfreq(self.n, 1.0 / self.n)
         ok = np.abs(idx) != self.n // 2
-        return ok[:, None] & ok[None, :]
+        return ok[:, None] & ok[None, : self.half]
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -118,32 +137,11 @@ class GridSpec:
         return (np.abs(self.kx) < cutoff) & (np.abs(self.ky) < cutoff)
 
     @cached_property
-    def half(self) -> int:
-        """Columns of the rfft2 half spectrum (n // 2 + 1)."""
-        return self.n // 2 + 1
-
-    @cached_property
-    def kx_half(self) -> np.ndarray:
-        return np.ascontiguousarray(self.kx[:, : self.half])
-
-    @cached_property
-    def ky_half(self) -> np.ndarray:
-        return np.ascontiguousarray(self.ky[:, : self.half])
-
-    @cached_property
-    def dealias_mask_half(self) -> np.ndarray:
-        return np.ascontiguousarray(self.dealias_mask[:, : self.half])
-
-    @cached_property
     def inv_k2(self) -> np.ndarray:
         """The Leray table 1/|k|^2, zero at k = 0 and on the Nyquist modes."""
         inv = np.zeros_like(self.k2)
         np.divide(1.0, self.k2, out=inv, where=self.nyquist_free & (self.k2 > 0))
         return inv
-
-    @cached_property
-    def inv_k2_half(self) -> np.ndarray:
-        return np.ascontiguousarray(self.inv_k2[:, : self.half])
 
     @cached_property
     def x1d(self) -> np.ndarray:
@@ -201,11 +199,11 @@ class RealField:
 
 @dataclass
 class SpectralVectorField:
-    """Complex Fourier coefficients, shape (c, n, n) with c in {1, 2}.
+    """Half-spectrum Fourier coefficients, shape (c, n, n//2 + 1), c in {1, 2}.
 
-    Hermitian symmetry (coefficient at -k conjugate to the one at k) is an
-    invariant of every constructor in this package; ``hermitian_error``
-    measures violations.
+    The coefficients of a real field: the unstored half of the plane is the
+    Hermitian mirror of the stored one.  Only the self-conjugate columns 0
+    and n/2 hold both k and -k; ``hermitian_error`` measures violations there.
     """
 
     coeffs: np.ndarray
@@ -216,9 +214,10 @@ class SpectralVectorField:
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.ndim == 2:
             c = c[None, :, :]
-        if c.ndim != 3 or c.shape[0] not in (1, 2) or c.shape[1:] != (self.grid.n, self.grid.n):
+        if c.ndim != 3 or c.shape[0] not in (1, 2) or c.shape[1:] != (self.grid.n, self.grid.half):
             raise ConfigurationError(
-                f"coefficient shape {np.shape(self.coeffs)} does not match grid n={self.grid.n}"
+                f"coefficient shape {np.shape(self.coeffs)} is not the half spectrum "
+                f"of grid n={self.grid.n}"
             )
         self.coeffs = c
 
@@ -234,29 +233,19 @@ class SpectralVectorField:
 
 
 def transform_forward(f: RealField, grid: GridSpec | None = None) -> SpectralVectorField:
-    """Physical values -> Fourier coefficients (divides by n^2)."""
+    """Physical values -> half-spectrum Fourier coefficients (divides by n^2)."""
     if grid is not None and grid is not f.grid and grid != f.grid:
         raise ConfigurationError("field grid does not match the requested grid")
     g = f.grid
-    coeffs = np.fft.fft2(f.values, axes=(-2, -1)) / g.n**2
+    coeffs = np.fft.rfft2(f.values, axes=(-2, -1)) / g.n**2
     return SpectralVectorField(coeffs, g)
 
 
 def transform_inverse(f: SpectralVectorField) -> RealField:
-    """Fourier coefficients -> physical values (multiplies by n^2)."""
+    """Half-spectrum Fourier coefficients -> physical values (multiplies by n^2)."""
     g = f.grid
-    vals = np.real(np.fft.ifft2(f.coeffs, axes=(-2, -1))) * g.n**2
+    vals = np.fft.irfft2(f.coeffs, s=(g.n, g.n), axes=(-2, -1)) * g.n**2
     return RealField(vals, g)
-
-
-def _apply_multiplier(f: SpectralVectorField, mult: np.ndarray,
-                      divergence_free: bool | None = None) -> SpectralVectorField:
-    """Apply a scalar spectral multiplier, zeroing Nyquist modes."""
-    g = f.grid
-    out = f.coeffs * np.where(g.nyquist_free, mult, 0.0)
-    if divergence_free is None:
-        divergence_free = f.divergence_free
-    return SpectralVectorField(out, g, divergence_free)
 
 
 def fractional_laplacian_apply(f: SpectralVectorField, s: float) -> SpectralVectorField:
@@ -272,7 +261,8 @@ def fractional_laplacian_apply(f: SpectralVectorField, s: float) -> SpectralVect
     mean = np.max(np.abs(f.mean_coefficient()))
     if s < 0 and mean != 0.0:
         raise DomainError(f"negative-order multiplier on a field with nonzero mean ({mean:.3e})")
-    return _apply_multiplier(f, g.abs_k_power(s))
+    # the table is zero on the Nyquist modes already
+    return SpectralVectorField(f.coeffs * g.abs_k_power(s), g, f.divergence_free)
 
 
 def leray_project(f: SpectralVectorField) -> SpectralVectorField:
@@ -296,7 +286,7 @@ def dealias(f: SpectralVectorField) -> SpectralVectorField:
 
 
 def divergence(f: SpectralVectorField) -> np.ndarray:
-    """Spectral divergence i k . f_hat as a raw (n, n) array."""
+    """Spectral divergence i k . f_hat as a raw (n, n//2 + 1) array."""
     if f.ncomp != 2:
         raise ConfigurationError("divergence requires a 2-component field")
     g = f.grid
@@ -304,35 +294,21 @@ def divergence(f: SpectralVectorField) -> np.ndarray:
 
 
 def spectral_l2(f: SpectralVectorField) -> float:
-    """L2 norm via Parseval: L * sqrt(sum |f_hat|^2)."""
-    return float(f.grid.box_length * np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    """L2 norm via Parseval: L * sqrt(sum w |f_hat|^2) over the half spectrum."""
+    g = f.grid
+    return float(g.box_length * np.sqrt(np.sum(g.parseval_weight * np.abs(f.coeffs) ** 2)))
 
 
 def spectral_inner(f: SpectralVectorField, h: SpectralVectorField) -> float:
     """Real L2 inner product of the underlying real fields."""
-    return float(f.grid.box_length**2 * np.sum(np.real(f.coeffs * np.conj(h.coeffs))))
+    g = f.grid
+    return float(g.box_length**2
+                 * np.sum(g.parseval_weight * np.real(f.coeffs * np.conj(h.coeffs))))
 
 
 def hermitian_error(f: SpectralVectorField) -> float:
-    """Max |f_hat(-k) - conj(f_hat(k))| over all modes."""
-    c = f.coeffs
-    mirrored = np.conj(c[:, ::-1, ::-1])
-    mirrored = np.roll(mirrored, (1, 1), axis=(1, 2))
-    return float(np.max(np.abs(c - mirrored)))
-
-
-def expand_half_spectrum(half_arr: np.ndarray, n: int) -> np.ndarray:
-    """Rebuild the full (..., n, n) spectrum from an rfft2 half spectrum.
-
-    The redundant columns are filled by the Hermitian mirror
-    full[i, n-j] = conj(half[(n-i) % n, j]); the self-conjugate columns
-    (0 and n/2) are taken from the half spectrum as is.
-    """
-    half = n // 2 + 1
-    shape = half_arr.shape[:-2] + (n, n)
-    full = np.empty(shape, dtype=np.complex128)
-    full[..., :, :half] = half_arr
-    body = np.conj(half_arr[..., :, n // 2 - 1 : 0 : -1])  # cols n/2-1 .. 1
-    full[..., 0, half:] = body[..., 0, :]
-    full[..., 1:, half:] = body[..., :0:-1, :]
-    return full
+    """Max |f_hat(-k) - conj(f_hat(k))| on the self-conjugate columns 0 and n/2;
+    the layout implies the mirror of every other stored mode."""
+    cols = f.coeffs[:, :, [0, f.grid.n // 2]]
+    mirrored = np.conj(np.roll(cols[:, ::-1], 1, axis=1))
+    return float(np.max(np.abs(cols - mirrored)))

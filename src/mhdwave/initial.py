@@ -24,7 +24,8 @@ Families
     what makes algebraic decay rates observable on the torus.
 
 Randomness flows through a counter-based generator (numpy Philox keyed by
-the seed), so draws are reproducible across platforms.
+the seed), so draws are reproducible across platforms.  Every family is
+built directly in the half-spectrum layout of ``grid``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ INITIAL_FAMILIES = ("taylor_green", "gaussian_vortex_pair", "random_band")
 def _from_stream(psi_hat: np.ndarray, grid: GridSpec) -> SpectralVectorField:
     """Velocity u = grad^perp psi = (-d_y psi, d_x psi) from a spectral psi."""
     ny = grid.nyquist_free
-    coeffs = np.empty((2, grid.n, grid.n), dtype=np.complex128)
+    coeffs = np.empty((2, grid.n, grid.half), dtype=np.complex128)
     coeffs[0] = -1j * grid.ky * psi_hat * ny
     coeffs[1] = 1j * grid.kx * psi_hat * ny
     coeffs[:, 0, 0] = 0.0
@@ -52,7 +53,7 @@ def _from_stream(psi_hat: np.ndarray, grid: GridSpec) -> SpectralVectorField:
 
 def _zero_field(grid: GridSpec) -> SpectralVectorField:
     return SpectralVectorField(
-        np.zeros((2, grid.n, grid.n), dtype=np.complex128), grid, divergence_free=True
+        np.zeros((2, grid.n, grid.half), dtype=np.complex128), grid, divergence_free=True
     )
 
 
@@ -72,17 +73,17 @@ def _peak_normalized(field: SpectralVectorField, amplitude: float) -> SpectralVe
 def _taylor_green(grid: GridSpec, amplitude: float, amplitude_b: float):
     kappa = 2.0 * np.pi / grid.box_length
     # psi = -(1/kappa) sin(kx) sin(ky)  =>  u = (sin kx cos ky, -cos kx sin ky)
-    psi = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    i, j = 1, 1
-    # sin(kx)sin(ky) = -1/4 (e^{i(x+y)k} + e^{-i(x+y)k} - e^{i(x-y)k} - e^{-i(x-y)k})
-    psi[i, j] = psi[-i, -j] = -0.25
-    psi[i, -j] = psi[-i, j] = 0.25
+    psi = np.zeros((grid.n, grid.half), dtype=np.complex128)
+    # sin(kx)sin(ky) = -1/4 (e^{i(x+y)k} + e^{-i(x+y)k} - e^{i(x-y)k} - e^{-i(x-y)k});
+    # the half layout stores the modes (1, 1) and (-1, 1), the rest are mirrors
+    psi[1, 1] = -0.25
+    psi[-1, 1] = 0.25
     u0 = _from_stream(-psi / kappa, grid)
     u0 = SpectralVectorField(u0.coeffs * amplitude, grid, True)
     # b: quarter-box shift in y, sin(kx)sin(k(y+L/4)) = sin(kx)cos(ky)
     psi_b = np.zeros_like(psi)
-    psi_b[i, j] = psi_b[i, -j] = -0.25j
-    psi_b[-i, j] = psi_b[-i, -j] = 0.25j
+    psi_b[1, 1] = -0.25j
+    psi_b[-1, 1] = 0.25j
     b0 = _from_stream(-psi_b / kappa, grid)
     b0 = SpectralVectorField(b0.coeffs * amplitude_b, grid, True)
     return u0, b0
@@ -90,7 +91,7 @@ def _taylor_green(grid: GridSpec, amplitude: float, amplitude_b: float):
 
 def _gaussian_pair_stream(grid: GridSpec, width: float, centers, signs) -> np.ndarray:
     """Spectral stream function of signed Gaussian bumps exp(-|x-c|^2/(2 w^2))."""
-    psi = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    psi = np.zeros((grid.n, grid.half), dtype=np.complex128)
     envelope = (2.0 * np.pi * width**2 / grid.box_length**2) * np.exp(-0.5 * width**2 * grid.k2)
     for c, s in zip(centers, signs):
         phase = np.exp(-1j * (grid.kx * c[0] + grid.ky * c[1]))
@@ -118,7 +119,7 @@ def _gaussian_vortex_pair(grid: GridSpec, amplitude: float, amplitude_b: float,
 def _random_phases(grid: GridSpec, rng: Generator) -> np.ndarray:
     """Hermitian-symmetric unit-modulus phases (from the spectrum of real noise)."""
     noise = rng.standard_normal((grid.n, grid.n))
-    spec = np.fft.fft2(noise)
+    spec = np.fft.rfft2(noise)
     mag = np.abs(spec)
     return np.where(mag > 0, spec / np.where(mag > 0, mag, 1.0), 1.0)
 

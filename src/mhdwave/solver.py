@@ -38,7 +38,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .errors import BlowUpError, ConfigurationError, StepSizeError
-from .grid import GridSpec, SpectralVectorField, dealias, expand_half_spectrum
+from .grid import GridSpec, SpectralVectorField, dealias
 from .kernels import heat_weight, propagator_tables
 
 __all__ = [
@@ -145,13 +145,12 @@ def _nonlinear_terms(state: State):
     For divergence-free, 2/3-dealiased fields u.grad u - b.grad b =
     div(u (x) u - b (x) b) on the retained band, and in 2D
     b.grad u - u.grad b = (d_y E, -d_x E) with E = u1 b2 - u2 b1.  So only
-    u and b are transformed: 4 inverse and 4 forward transforms on the
-    rfft2 half spectrum (lossless for the Hermitian state); outputs are
-    mirrored back to the full layout exactly.
+    u and b are transformed: 4 inverse and 4 forward transforms, all in the
+    state's half-spectrum layout.
     """
     g = state.grid
-    n, half = g.n, g.half
-    spec = np.concatenate((state.u_hat.coeffs[:, :, :half], state.b_hat.coeffs[:, :, :half]))
+    n = g.n
+    spec = np.concatenate((state.u_hat.coeffs, state.b_hat.coeffs))
     # physical values carry an n^-2 scale here; it cancels against the
     # quadratic product and the forward normalization as a single n^2 below
     u1, u2, b1, b2 = _fft.irfft2(spec, s=(n, n), axes=(-2, -1))
@@ -163,18 +162,17 @@ def _nonlinear_terms(state: State):
         raise BlowUpError("non-finite nonlinear products", t=state.t)
 
     hat = _fft.rfft2(prod, axes=(-2, -1))
-    hat *= g.dealias_mask_half
+    hat *= g.dealias_mask
     hat *= n**2
     # N_u = -P(ik.T) and N_b = (ik_y E, -ik_x E); both vanish at k = 0
-    kx, ky = g.kx_half, g.ky_half
+    kx, ky = g.kx, g.ky
     div1 = kx * hat[0] + ky * hat[1]
     div2 = kx * hat[1] + ky * hat[2]
-    frac = (kx * div1 + ky * div2) * g.inv_k2_half
+    frac = (kx * div1 + ky * div2) * g.inv_k2
     out = -1j * np.stack([div1 - kx * frac, div2 - ky * frac, -ky * hat[3], kx * hat[3]])
 
-    full = expand_half_spectrum(out, n)
-    n_u = SpectralVectorField(full[0:2], g, divergence_free=True)
-    n_b = SpectralVectorField(full[2:4], g, divergence_free=False)
+    n_u = SpectralVectorField(out[0:2], g, divergence_free=True)
+    n_b = SpectralVectorField(out[2:4], g, divergence_free=False)
     return n_u, n_b, vmax
 
 

@@ -47,15 +47,35 @@ def random_state(grid, seed):
 
 def single_mode_field(grid, kindex, amplitude=1.0, component=1):
     """Hermitian pair at +-kindex in the given component (divergence-free
-    when the polarization is orthogonal to k)."""
-    c = np.zeros((2, grid.n, grid.n), dtype=np.complex128)
+    when the polarization is orthogonal to k); each of the two modes is set
+    where the half layout stores it."""
+    c = np.zeros((2, grid.n, grid.half), dtype=np.complex128)
     i, j = kindex
-    c[component, i % grid.n, j % grid.n] = amplitude / 2.0
-    c[component, (-i) % grid.n, (-j) % grid.n] = amplitude / 2.0
+    for p, q in ((i, j), (-i, -j)):
+        if q % grid.n < grid.half:
+            c[component, p % grid.n, q % grid.n] = amplitude / 2.0
     return SpectralVectorField(c, grid, divergence_free=True)
 
 
 def zero_field(grid):
     return SpectralVectorField(
-        np.zeros((2, grid.n, grid.n), dtype=np.complex128), grid, divergence_free=True
+        np.zeros((2, grid.n, grid.half), dtype=np.complex128), grid, divergence_free=True
     )
+
+
+def expand_half_spectrum(half_arr, n):
+    """Rebuild the full (..., n, n) spectrum from an rfft2 half spectrum.
+
+    The redundant columns are filled by the Hermitian mirror
+    full[i, n-j] = conj(half[(n-i) % n, j]); the self-conjugate columns
+    (0 and n/2) are taken from the half spectrum as is.  For brute-force
+    oracles that work on the full plane.
+    """
+    half = n // 2 + 1
+    shape = half_arr.shape[:-2] + (n, n)
+    full = np.empty(shape, dtype=np.complex128)
+    full[..., :, :half] = half_arr
+    body = np.conj(half_arr[..., :, n // 2 - 1 : 0 : -1])  # cols n/2-1 .. 1
+    full[..., 0, half:] = body[..., 0, :]
+    full[..., 1:, half:] = body[..., :0:-1, :]
+    return full

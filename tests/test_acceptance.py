@@ -26,7 +26,7 @@ from mhdwave.kernels import kernel_pair, mode_propagator
 from mhdwave.checkpoint import load_checkpoint, save_checkpoint
 from mhdwave.solver import SolverConfig, compute_nonlinear, run
 
-from conftest import random_state, single_mode_field, zero_field
+from conftest import expand_half_spectrum, random_state, single_mode_field, zero_field
 
 
 def _report(cid: str, name: str, ok: bool, detail: str) -> None:
@@ -171,12 +171,13 @@ def _brute_force_nonlinear(state):
                 out[1, s1 % n, s2 % n] += adotq * f_hat[1, i2, j2]
         return out
 
-    ku, kb = state.u_hat.coeffs, state.b_hat.coeffs
+    ku = expand_half_spectrum(state.u_hat.coeffs, n)
+    kb = expand_half_spectrum(state.b_hat.coeffs, n)
     nu = conv_adv(kb, kb) - conv_adv(ku, ku)
     nb = conv_adv(kb, ku) - conv_adv(ku, kb)
-    n_u = leray_project(dealias(SpectralVectorField(nu, g)))
+    n_u = leray_project(dealias(SpectralVectorField(nu[:, :, : g.half], g)))
     n_u.coeffs[:, 0, 0] = 0.0
-    n_b = dealias(SpectralVectorField(nb, g))
+    n_b = dealias(SpectralVectorField(nb[:, :, : g.half], g))
     n_b.coeffs[:, 0, 0] = 0.0
     return n_u, n_b
 

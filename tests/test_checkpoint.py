@@ -3,13 +3,14 @@ import struct
 import numpy as np
 import pytest
 
+from mhdwave import checkpoint
 from mhdwave.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from mhdwave.errors import ConfigurationError
 from mhdwave.grid import GridSpec
 from mhdwave.initial import make_initial_data
 from mhdwave.solver import SolverConfig, run
 
-from conftest import random_state
+from conftest import expand_half_spectrum, random_state
 
 
 def test_round_trip_exact(tmp_path, grid16):
@@ -33,10 +34,60 @@ def test_header_layout(tmp_path, grid16):
     raw = p.read_bytes()
     header = struct.Struct("<4sIIddd")  # 36 bytes, no padding
     magic, version, n, L, gamma, t = header.unpack(raw[: header.size])
-    assert magic == MAGIC and version == VERSION
+    assert magic == MAGIC and version == VERSION == 2
     assert n == 16 and gamma == 1.5 and t == 0.0
     assert L == grid16.box_length
-    assert len(raw) == header.size + 3 * 2 * 16 * 16 * 16
+    assert len(raw) == header.size + 3 * 2 * 16 * 9 * 16
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, grid16, monkeypatch):
+    p = tmp_path / "state.mhdw"
+    save_checkpoint(p, random_state(grid16, 5), gamma=1.0)
+    before = p.read_bytes()
+
+    class FailingFile:
+        """A real file whose second write raises, as a full disk would."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: FailingFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(p, random_state(grid16, 6), gamma=2.0)
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert load_checkpoint(p)[1] == 1.0
+    assert [f.name for f in tmp_path.iterdir()] == ["state.mhdw"]
+
+
+def test_version_1_file_loads(tmp_path, grid16):
+    st = random_state(grid16, 7)
+    st.t = 0.5
+    v2 = tmp_path / "v2.mhdw"
+    save_checkpoint(v2, st, gamma=0.25)
+    v1 = tmp_path / "v1.mhdw"
+    with open(v1, "wb") as fh:
+        fh.write(struct.pack("<4sIIddd", MAGIC, 1, 16, grid16.box_length, 0.25, 0.5))
+        for f in (st.u_hat, st.b_hat, st.bt_hat):
+            fh.write(expand_half_spectrum(f.coeffs, 16).astype("<c16").tobytes())
+    (old, g_old), (new, g_new) = load_checkpoint(v1), load_checkpoint(v2)
+    assert (g_old, old.t, old.grid) == (g_new, new.t, new.grid)
+    for a, b in ((old.u_hat, new.u_hat), (old.b_hat, new.b_hat), (old.bt_hat, new.bt_hat)):
+        assert a.coeffs.shape == b.coeffs.shape == (2, 16, 9)
+        assert np.all(a.coeffs == b.coeffs)
 
 
 def test_bad_magic_rejected(tmp_path, grid16):

@@ -198,6 +198,46 @@ class TestCli:
         assert rc == 4
         assert '"error": "data"' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,env,rc,where", [
+        pytest.param(["simulate", "--config", "missing.json"], {}, 4, '"error": "data"',
+                     id="missing_config"),
+        pytest.param(["sweep", "--gammas", "abc"], {}, 2, "gammas:", id="gammas_abc"),
+        pytest.param(["sweep", "--gammas", ""], {}, 2, "gammas:", id="gammas_empty"),
+        pytest.param(["compare-mhd", "--gammas", "0.1,x"], {}, 2, "gammas:",
+                     id="compare_gammas"),
+        pytest.param(["simulate"], {"MHDWAVE_SEED": "abc"}, 2, "seed:", id="env_seed"),
+        pytest.param(["simulate", "--seed", "-1"], {}, 2, "seed:", id="negative_seed"),
+        pytest.param(["sweep"], {"MHDWAVE_THREADS": "x"}, 2, "threads:", id="env_threads"),
+        pytest.param(["simulate", "--checkpoint-every", "-1"], {}, 2, "checkpoint_every:",
+                     id="checkpoint_every_negative"),
+        pytest.param(["simulate", "--checkpoint-every", "0"], {}, 2, "checkpoint_every:",
+                     id="checkpoint_every_zero"),
+    ])
+    def test_bad_cli_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, env, rc, where):
+        monkeypatch.chdir(tmp_path)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert main(argv + ["--output", str(tmp_path / "x")]) == rc
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "x" / "series.csv").exists()
+
+    def test_compare_mhd_rejects_non_positive_t(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, SWEEP_RUN)
+        rc = main(["compare-mhd", "--config", cfgp, "--output", str(tmp_path / "c"),
+                   "--gammas", "0.1,0.05", "--T", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert '"error": "configuration"' in err and "T: must be positive" in err
+
+    def test_compare_mhd_zero_errors_leave_ratio_empty(self, tmp_path):
+        doc = dict(SWEEP_RUN, initial_data=dict(SWEEP_RUN["initial_data"], amplitude=0))
+        cfgp = write_config(tmp_path, doc)
+        out = tmp_path / "c"
+        assert main(["compare-mhd", "--config", cfgp, "--output", str(out),
+                     "--gammas", "0.1,0.05", "--T", "0.5"]) == 0
+        rows = (out / "singular_limit.csv").read_text().strip().splitlines()
+        assert rows[1:] == ["0.1,0.0,", "0.05,0.0,"]
+
     def test_verify_lemmas_outputs(self, tmp_path):
         out = tmp_path / "lem"
         rc = main(["verify-lemmas", "--output", str(out)])

@@ -86,7 +86,7 @@ class TestSobolevSeminorm:
         )
 
     def test_negative_s_needs_mean_zero(self, grid16):
-        c = np.zeros((2, 16, 16), dtype=complex)
+        c = np.zeros((2, 16, 9), dtype=complex)
         c[0, 0, 0] = 1.0
         with pytest.raises(DomainError):
             sobolev_seminorm(SpectralVectorField(c, grid16), -1.0)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from mhdwave.diagnostics import lq_norm
 from mhdwave.errors import ConfigurationError, DomainError
 from mhdwave.grid import (
     GridSpec,
@@ -8,7 +10,6 @@ from mhdwave.grid import (
     SpectralVectorField,
     dealias,
     divergence,
-    expand_half_spectrum,
     fractional_laplacian_apply,
     hermitian_error,
     leray_project,
@@ -18,7 +19,7 @@ from mhdwave.grid import (
     transform_inverse,
 )
 
-from conftest import random_divfree, random_spectral, single_mode_field
+from conftest import expand_half_spectrum, random_divfree, random_spectral, single_mode_field
 
 
 class TestGridSpec:
@@ -90,6 +91,41 @@ class TestTransforms:
         assert hermitian_error(f) < 1e-14
 
 
+class TestHalfLayoutProperties:
+    """The half layout over random real fields: transforms, Parseval weights
+    and the self-conjugate columns 0 and n/2."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=hst.integers(4, 32).map(lambda h: 2 * h), box_length=hst.floats(0.1, 100.0),
+           ncomp=hst.sampled_from([1, 2]), seed=hst.integers(0, 2**32 - 1))
+    def test_transforms_and_parseval(self, n, box_length, ncomp, seed):
+        g = GridSpec(n, box_length)
+        vals, noise = np.random.default_rng(seed).standard_normal((2, ncomp, n, n))
+        f, h = RealField(vals, g), RealField(vals + noise, g)
+        fh, hh = transform_forward(f), transform_forward(h)
+        assert fh.coeffs.shape == (ncomp, n, n // 2 + 1)
+        back = transform_inverse(fh).values
+        assert np.max(np.abs(back - vals)) <= 1e-13 * np.max(np.abs(vals))
+        assert spectral_l2(fh) == pytest.approx(lq_norm(f, 2), rel=1e-12)
+        direct = np.sum(f.values * h.values) * g.cell_area
+        assert spectral_inner(fh, hh) == pytest.approx(direct, rel=1e-12)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=hst.integers(4, 32).map(lambda h: 2 * h), box_length=hst.floats(0.1, 100.0),
+           seed=hst.integers(0, 2**32 - 1), row=hst.integers(1, 2**16))
+    def test_hermitian_error_watches_self_conjugate_columns(self, n, box_length, seed, row):
+        g = GridSpec(n, box_length)
+        vals = np.random.default_rng(seed).standard_normal((2, n, n))
+        f = transform_forward(RealField(vals, g))
+        scale = np.max(np.abs(f.coeffs))
+        assert hermitian_error(f) <= 1e-15 * scale
+        defect = 1e-6 * scale
+        for col in (0, n // 2):
+            bad = f.copy()
+            bad.coeffs[1, row % n, col] += defect * (1 + 1j)
+            assert hermitian_error(bad) >= defect
+
+
 class TestFractionalLaplacian:
     def test_single_mode_scaling(self, grid16):
         f = single_mode_field(grid16, (2, 0))
@@ -109,7 +145,7 @@ class TestFractionalLaplacian:
         assert np.max(np.abs(out.coeffs - ref.coeffs)) <= 1e-12 * scale
 
     def test_negative_s_on_nonzero_mean_rejected(self, grid16):
-        c = np.zeros((1, 16, 16), dtype=complex)
+        c = np.zeros((1, 16, 9), dtype=complex)
         c[0, 0, 0] = 1.0
         with pytest.raises(DomainError):
             fractional_laplacian_apply(SpectralVectorField(c, grid16), -0.5)
@@ -126,7 +162,7 @@ class TestLeray:
         # f = grad(phi) for a random mean-zero phi
         phi = random_spectral(grid16, 8, ncomp=1)
         phi.coeffs[:, 0, 0] = 0.0
-        c = np.empty((2, 16, 16), dtype=complex)
+        c = np.empty((2, 16, 9), dtype=complex)
         c[0] = 1j * grid16.kx * phi.coeffs[0] * grid16.nyquist_free
         c[1] = 1j * grid16.ky * phi.coeffs[0] * grid16.nyquist_free
         out = leray_project(SpectralVectorField(c, grid16))
@@ -177,25 +213,30 @@ class TestDealias:
         prod = dealias(prod)
 
         idx = np.fft.fftfreq(g.n, 1.0 / g.n).astype(int)
+        fa = expand_half_spectrum(a.coeffs[0], g.n)
+        fb = expand_half_spectrum(b.coeffs[0], g.n)
         truth = np.zeros((g.n, g.n), dtype=complex)
-        supp = [(i, j) for i in range(g.n) for j in range(g.n) if a.coeffs[0, i, j] != 0]
-        suppb = [(i, j) for i in range(g.n) for j in range(g.n) if b.coeffs[0, i, j] != 0]
+        supp = [(i, j) for i in range(g.n) for j in range(g.n) if fa[i, j] != 0]
+        suppb = [(i, j) for i in range(g.n) for j in range(g.n) if fb[i, j] != 0]
         for i1, j1 in supp:
             for i2, j2 in suppb:
                 s1, s2 = idx[i1] + idx[i2], idx[j1] + idx[j2]
                 if abs(s1) >= g.n // 2 or abs(s2) >= g.n // 2:
                     continue
-                truth[s1 % g.n, s2 % g.n] += a.coeffs[0, i1, j1] * b.coeffs[0, i2, j2]
-        truth *= g.dealias_mask
+                truth[s1 % g.n, s2 % g.n] += fa[i1, j1] * fb[i2, j2]
+        truth = truth[:, : g.half] * g.dealias_mask
         scale = np.max(np.abs(truth))
         assert np.max(np.abs(prod.coeffs[0] - truth)) <= 1e-12 * scale
 
 
 def test_expand_half_spectrum_exact(grid16):
-    f = random_spectral(grid16, 15)
-    half = grid16.n // 2 + 1
-    rebuilt = expand_half_spectrum(f.coeffs[:, :, :half].copy(), grid16.n)
-    scale = np.max(np.abs(f.coeffs))
+    # the test-side helper behind the brute-force oracles, against a full fft2
+    n = grid16.n
+    full = np.fft.fft2(np.random.default_rng(15).standard_normal((2, n, n))) / n**2
+    half = n // 2 + 1
+    rebuilt = expand_half_spectrum(full[:, :, :half].copy(), n)
+    scale = np.max(np.abs(full))
     # same field up to the round-off already present in the redundant half
-    assert np.max(np.abs(rebuilt - f.coeffs)) < 1e-13 * scale
-    assert hermitian_error(SpectralVectorField(rebuilt, grid16)) < 1e-14 * scale
+    assert np.max(np.abs(rebuilt - full)) < 1e-13 * scale
+    mirrored = np.roll(np.conj(rebuilt[:, ::-1, ::-1]), (1, 1), axis=(1, 2))
+    assert np.max(np.abs(rebuilt - mirrored)) < 1e-14 * scale
