@@ -7,7 +7,6 @@ from .grid import (  # noqa: F401
     GridSpec,
     RealField,
     SpectralVectorField,
-    WaveVector,
     dealias,
     fractional_laplacian_apply,
     leray_project,
@@ -16,15 +15,8 @@ from .grid import (  # noqa: F401
 )
 from .initial import make_initial_data  # noqa: F401
 from .kernels import (  # noqa: F401
-    EigenPair,
-    FrequencyRegion,
-    KernelParams,
     ModePropagator,
     duhamel_k1_weight,
-    frequency_region,
-    k0_hat,
-    k1_hat,
-    lambda_pm,
     mode_propagator,
     verify_kernel_bounds,
 )
@@ -40,7 +32,6 @@ from .solver import (  # noqa: F401
 )
 from .diagnostics import (  # noqa: F401
     energy_functionals,
-    inequality_spot_checks,
     linear_energy_residual,
     lq_norm,
     sobolev_seminorm,

@@ -65,6 +65,6 @@ def load_checkpoint(path):
     if len(raw) != _HEADER.size + 16 * math.prod(shape):
         raise ConfigurationError(f"checkpoint {path} does not hold three {shape[1:]} blocks")
     blocks = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(shape)
-    u, b, bt = (SpectralVectorField(c[:, :, : grid.half].astype(np.complex128), grid,
-                                    divergence_free=True) for c in blocks)
+    u, b, bt = (SpectralVectorField(c[:, :, : grid.half].astype(np.complex128), grid)
+                for c in blocks)
     return State(u, b, bt, t), gamma

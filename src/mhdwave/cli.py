@@ -141,7 +141,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     outdir = Path(cfg.output_dir)
     manifest = _Manifest(outdir, cfg, {"command": "simulate"})
-    observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b, cfg.m, cfg.gamma)
+    observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b)
     if args.resume:
         state, gamma_ck = load_checkpoint(args.resume)
         if abs(gamma_ck - cfg.gamma) > 1e-15 * max(1.0, abs(cfg.gamma)):

@@ -98,9 +98,8 @@ def _initial_params(i: dict, family) -> dict:
             params[key] = val
     if "seed" in i:
         seed = i["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigurationError("seed must be a nonnegative integer",
-                                     path="initial_data.seed")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigurationError("seed must be an integer", path="initial_data.seed")
         params["seed"] = seed
     return params
 

@@ -10,21 +10,19 @@ integrable at order c (1 <= c < 2),
 with prefactors growing in gamma like gamma^(1 + 1/c - (1-beta)/2).  On a
 periodic box the algebraic decay window closes at t ~ (L/2pi)^2 when the
 spectral gap takes over, so fits are restricted to a window well inside
-that scale.  Localized data is labeled c = 1 for comparison; the box L^c
-norms of the data are reported alongside.
+that scale.  Localized data is labeled c = 1 for comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DomainError, WindowError
-from .diagnostics import lq_norm, norm_observer
-from .grid import GridSpec, SpectralVectorField, spectral_l2, transform_inverse
+from .diagnostics import norm_observer
+from .grid import GridSpec, SpectralVectorField, spectral_l2
 from .initial import INITIAL_FAMILIES, make_initial_data
 from .kernels import kernel_pair
 from .solver import SolverConfig, Trajectory, run
@@ -193,8 +191,18 @@ class DecayExperimentConfig:
         if self.family not in INITIAL_FAMILIES:
             raise ConfigurationError(f"family must be one of {INITIAL_FAMILIES}",
                                      path="initial_data.family")
+        if not 0 <= self.params.get("seed", 0) < 2**128:
+            raise ConfigurationError("seed must satisfy 0 <= seed < 2**128",
+                                     path="initial_data.seed")
         if any(q < 1 for q in self.q_list):
             raise ConfigurationError("q values must be >= 1", path="diagnostics.q_list")
+        for key in ("s_list_u", "s_list_b"):
+            # |k|^(2s) overflows for large |s|, and inf * 0 puts NaN in every cell
+            with np.errstate(over="ignore"):
+                if not all(np.all(np.isfinite(self.grid.abs_k_power(2.0 * s)))
+                           for s in getattr(self, key)):
+                    raise ConfigurationError("|k|^(2s) overflows on this grid",
+                                             path=f"diagnostics.{key}")
         if self.m < 0:
             raise ConfigurationError("m must be >= 0", path="diagnostics.m")
         if not 1 <= self.c_label < 2:
@@ -239,7 +247,6 @@ class DecayResult:
     trajectory: Trajectory
     comparisons: list
     window: tuple
-    initial_lc_norms: dict
     trivial: bool = False
 
     def comparison(self, norm_id: str) -> FitComparison:
@@ -279,17 +286,13 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
     """
     grid = cfg.grid
     u0, b0, a0 = make_initial_data(cfg.family, cfg.params, grid)
-    lc = {}
-    for cval in (1.0, cfg.c_label, 2.0):
-        lc[f"u_L{cval:g}"] = lq_norm(transform_inverse(u0), cval)
-        lc[f"b_L{cval:g}"] = lq_norm(transform_inverse(b0), cval)
-    observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b, cfg.m, cfg.gamma)
+    observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b)
     traj = run(cfg.solver_config(), (u0, b0, a0), observer)
 
     window = cfg.window if cfg.window is not None else default_fit_window(cfg.t_end, grid)
     if spectral_l2(u0) == 0.0 and spectral_l2(b0) == 0.0:
         comps = [FitComparison(i, None, None, trivial=True) for i in cfg.norm_ids()]
-        return DecayResult(traj, comps, window, lc, trivial=True)
+        return DecayResult(traj, comps, window, trivial=True)
 
     comps = []
     t = np.asarray(traj.times)
@@ -298,7 +301,7 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
         primary, lq = _theory_pair(norm_id, cfg)
         fit = fit_power_law(zip(t, vals), window)
         comps.append(FitComparison(norm_id, fit, primary, lq))
-    return DecayResult(traj, comps, window, lc)
+    return DecayResult(traj, comps, window)
 
 
 @dataclass
@@ -309,11 +312,6 @@ class SweepResult:
 
     def exponents(self, norm_id: str) -> np.ndarray:
         return np.array([self.fits[g][norm_id].fit.exponent for g in self.gammas])
-
-    def prefactors(self, norm_id: str) -> np.ndarray:
-        return np.array(
-            [math.exp(self.fits[g][norm_id].fit.log_prefactor) for g in self.gammas]
-        )
 
 
 def gamma_prefactor_scan(gammas, base: DecayExperimentConfig, executor=None) -> SweepResult:

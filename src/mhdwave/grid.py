@@ -23,7 +23,7 @@ are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "GridSpec",
     "RealField",
     "SpectralVectorField",
-    "WaveVector",
     "transform_forward",
     "transform_inverse",
     "fractional_laplacian_apply",
@@ -155,18 +154,6 @@ class GridSpec:
         return np.meshgrid(self.x1d, self.x1d, indexing="ij")
 
 
-@dataclass(frozen=True)
-class WaveVector:
-    """A single wavevector with its squared magnitude."""
-
-    kx: float
-    ky: float
-
-    @property
-    def k2(self) -> float:
-        return self.kx**2 + self.ky**2
-
-
 @dataclass
 class RealField:
     """Field values on the physical grid, shape (c, n, n) with c in {1, 2}."""
@@ -208,7 +195,6 @@ class SpectralVectorField:
 
     coeffs: np.ndarray
     grid: GridSpec
-    divergence_free: bool = field(default=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -226,16 +212,14 @@ class SpectralVectorField:
         return self.coeffs.shape[0]
 
     def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.coeffs.copy(), self.grid, self.divergence_free)
+        return SpectralVectorField(self.coeffs.copy(), self.grid)
 
     def mean_coefficient(self) -> np.ndarray:
         return self.coeffs[:, 0, 0]
 
 
-def transform_forward(f: RealField, grid: GridSpec | None = None) -> SpectralVectorField:
+def transform_forward(f: RealField) -> SpectralVectorField:
     """Physical values -> half-spectrum Fourier coefficients (divides by n^2)."""
-    if grid is not None and grid is not f.grid and grid != f.grid:
-        raise ConfigurationError("field grid does not match the requested grid")
     g = f.grid
     coeffs = np.fft.rfft2(f.values, axes=(-2, -1)) / g.n**2
     return SpectralVectorField(coeffs, g)
@@ -262,7 +246,7 @@ def fractional_laplacian_apply(f: SpectralVectorField, s: float) -> SpectralVect
     if s < 0 and mean != 0.0:
         raise DomainError(f"negative-order multiplier on a field with nonzero mean ({mean:.3e})")
     # the table is zero on the Nyquist modes already
-    return SpectralVectorField(f.coeffs * g.abs_k_power(s), g, f.divergence_free)
+    return SpectralVectorField(f.coeffs * g.abs_k_power(s), g)
 
 
 def leray_project(f: SpectralVectorField) -> SpectralVectorField:
@@ -276,13 +260,13 @@ def leray_project(f: SpectralVectorField) -> SpectralVectorField:
     out[1] -= g.ky * frac
     # k=0 mode passes through unchanged
     out[:, 0, 0] = f.coeffs[:, 0, 0]
-    return SpectralVectorField(out, g, divergence_free=True)
+    return SpectralVectorField(out, g)
 
 
 def dealias(f: SpectralVectorField) -> SpectralVectorField:
     """Zero every mode with max(|kx|,|ky|) at or beyond the 2/3 cutoff."""
     g = f.grid
-    return SpectralVectorField(f.coeffs * g.dealias_mask, g, f.divergence_free)
+    return SpectralVectorField(f.coeffs * g.dealias_mask, g)
 
 
 def divergence(f: SpectralVectorField) -> np.ndarray:

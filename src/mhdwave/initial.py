@@ -48,13 +48,11 @@ def _from_stream(psi_hat: np.ndarray, grid: GridSpec) -> SpectralVectorField:
     coeffs[0] = -1j * grid.ky * psi_hat * ny
     coeffs[1] = 1j * grid.kx * psi_hat * ny
     coeffs[:, 0, 0] = 0.0
-    return SpectralVectorField(coeffs, grid, divergence_free=True)
+    return SpectralVectorField(coeffs, grid)
 
 
 def _zero_field(grid: GridSpec) -> SpectralVectorField:
-    return SpectralVectorField(
-        np.zeros((2, grid.n, grid.half), dtype=np.complex128), grid, divergence_free=True
-    )
+    return SpectralVectorField(np.zeros((2, grid.n, grid.half), dtype=np.complex128), grid)
 
 
 def _peak_normalized(field: SpectralVectorField, amplitude: float) -> SpectralVectorField:
@@ -67,7 +65,7 @@ def _peak_normalized(field: SpectralVectorField, amplitude: float) -> SpectralVe
     if peak == 0.0:
         return field
     unit = field.coeffs * (1.0 / peak)
-    return SpectralVectorField(unit * amplitude, field.grid, True)
+    return SpectralVectorField(unit * amplitude, field.grid)
 
 
 def _taylor_green(grid: GridSpec, amplitude: float, amplitude_b: float):
@@ -79,13 +77,13 @@ def _taylor_green(grid: GridSpec, amplitude: float, amplitude_b: float):
     psi[1, 1] = -0.25
     psi[-1, 1] = 0.25
     u0 = _from_stream(-psi / kappa, grid)
-    u0 = SpectralVectorField(u0.coeffs * amplitude, grid, True)
+    u0 = SpectralVectorField(u0.coeffs * amplitude, grid)
     # b: quarter-box shift in y, sin(kx)sin(k(y+L/4)) = sin(kx)cos(ky)
     psi_b = np.zeros_like(psi)
     psi_b[1, 1] = -0.25j
     psi_b[-1, 1] = 0.25j
     b0 = _from_stream(-psi_b / kappa, grid)
-    b0 = SpectralVectorField(b0.coeffs * amplitude_b, grid, True)
+    b0 = SpectralVectorField(b0.coeffs * amplitude_b, grid)
     return u0, b0
 
 
@@ -102,6 +100,8 @@ def _gaussian_pair_stream(grid: GridSpec, width: float, centers, signs) -> np.nd
 def _gaussian_vortex_pair(grid: GridSpec, amplitude: float, amplitude_b: float,
                           width: float, separation: float):
     L = grid.box_length
+    if width <= 0:
+        raise ConfigurationError(f"width must be > 0, got {width}", path="initial_data.width")
     if width >= L / 4:
         raise ConfigurationError(
             f"width {width} too large for box {L}: data would not be localized",
@@ -128,6 +128,9 @@ def _random_band_field(grid: GridSpec, rng: Generator, k_min: float, k_max: floa
                        spectral_exponent: float) -> SpectralVectorField:
     kmag = grid.kmag
     band = (kmag >= k_min) & (kmag <= k_max) & (grid.k2 > 0) & grid.dealias_mask
+    if not band.any():
+        raise ConfigurationError(f"no retained mode has {k_min} <= |k| <= {k_max}",
+                                 path="initial_data.k_min")
     profile = np.where(band, np.where(grid.k2 > 0, kmag, 1.0) ** spectral_exponent, 0.0)
     psi_hat = _random_phases(grid, rng) * profile / np.where(grid.k2 > 0, kmag, 1.0)
     return _from_stream(psi_hat, grid)

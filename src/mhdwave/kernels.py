@@ -3,7 +3,7 @@
 Per mode with squared wavenumber ``k2``, the magnetic pair ``(b, d_t b)``
 obeys ``gamma b'' + b' + k2 b = forcing``.  The characteristic roots are
 
-    lambda_pm = (-1 +- sqrt(1 - 4 gamma k2)) / (2 gamma)
+    lambda_+- = (-1 +- sqrt(1 - 4 gamma k2)) / (2 gamma)
 
 and the two kernel symbols are
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,19 +35,12 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "DEGENERATE_D",
-    "KernelParams",
-    "EigenPair",
     "ModePropagator",
-    "FrequencyRegion",
-    "lambda_pm",
-    "k0_hat",
-    "k1_hat",
     "kernel_pair",
     "mode_propagator",
     "propagator_tables",
     "duhamel_k1_weight",
     "heat_weight",
-    "frequency_region",
     "BoundSampleSpec",
     "BoundReport",
     "verify_kernel_bounds",
@@ -59,51 +51,9 @@ DEGENERATE_D = 1e-6
 _SERIES_TERMS = 8
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Damping-wave parameter gamma (> 0; gamma = 0 is the MHD baseline)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigurationError(f"gamma must be > 0, got {self.gamma}", path="physics.gamma")
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Roots of gamma z^2 + z + k2 = 0 with their discriminant."""
-
-    lambda_plus: complex
-    lambda_minus: complex
-    discriminant: float
-
-
-class FrequencyRegion(Enum):
-    S1 = "S1"  # 4 gamma k2 >= 3/4: damping-dominated
-    S2 = "S2"  # complement: diffusion-dominated
-
-
 def _check_gamma(gamma: float) -> None:
     if not gamma > 0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
-
-
-def lambda_pm(gamma: float, k2: float) -> EigenPair:
-    """Characteristic roots; complex-conjugate branch has Im(lambda_plus) >= 0."""
-    _check_gamma(gamma)
-    if k2 < 0:
-        raise DomainError(f"k2 must be >= 0, got {k2}")
-    D = 1.0 - 4.0 * gamma * k2
-    if D >= 0:
-        sq = math.sqrt(D)
-        # rationalized: lambda_plus = -2 k2 / (1 + sqrt(D)) avoids cancellation
-        lam_p = -2.0 * k2 / (1.0 + sq)
-        lam_m = -(1.0 + sq) / (2.0 * gamma)
-        return EigenPair(complex(lam_p), complex(lam_m), D)
-    omega = math.sqrt(-D) / (2.0 * gamma)
-    re = -1.0 / (2.0 * gamma)
-    return EigenPair(complex(re, omega), complex(re, -omega), D)
 
 
 def _series_factorial_weights():
@@ -192,18 +142,6 @@ def _kernel_series(gamma: float, D, t, env):
         k1 += _ODD_W[j] * xp
         xp = xp * x
     return env * k0, env * (t / gamma) * k1
-
-
-def k0_hat(gamma: float, k2: float, t: float) -> float:
-    """Symbol K0 at a single (gamma, k2, t)."""
-    K0, _ = kernel_pair(gamma, np.float64(k2), np.float64(t))
-    return float(K0)
-
-
-def k1_hat(gamma: float, k2: float, t: float) -> float:
-    """Symbol K1 at a single (gamma, k2, t)."""
-    _, K1 = kernel_pair(gamma, np.float64(k2), np.float64(t))
-    return float(K1)
 
 
 @dataclass(frozen=True)
@@ -382,12 +320,6 @@ def propagator_tables(gamma: float, k2, dt: float):
         "w": np.asarray(duhamel_k1_weight(gamma, k2, dt)),
         "k1": K1,
     }
-
-
-def frequency_region(gamma: float, k2: float) -> FrequencyRegion:
-    """S1 iff 4 gamma k2 >= 3/4 (boundary inclusive)."""
-    _check_gamma(gamma)
-    return FrequencyRegion.S1 if 4.0 * gamma * k2 >= 0.75 else FrequencyRegion.S2
 
 
 # ---------------------------------------------------------------------------

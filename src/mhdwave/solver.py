@@ -171,9 +171,7 @@ def _nonlinear_terms(state: State):
     frac = (kx * div1 + ky * div2) * g.inv_k2
     out = -1j * np.stack([div1 - kx * frac, div2 - ky * frac, -ky * hat[3], kx * hat[3]])
 
-    n_u = SpectralVectorField(out[0:2], g, divergence_free=True)
-    n_b = SpectralVectorField(out[2:4], g, divergence_free=False)
-    return n_u, n_b, vmax
+    return SpectralVectorField(out[0:2], g), SpectralVectorField(out[2:4], g), vmax
 
 
 def compute_nonlinear(state: State):
@@ -227,12 +225,8 @@ def _finalize(coeffs_u, coeffs_b, coeffs_bt, state: State, t: float) -> State:
     if not (np.isfinite(probe.real) and np.isfinite(probe.imag)):
         raise BlowUpError("non-finite state", t=t)
     g = state.grid
-    return State(
-        SpectralVectorField(coeffs_u, g, divergence_free=True),
-        SpectralVectorField(coeffs_b, g, divergence_free=True),
-        SpectralVectorField(coeffs_bt, g, divergence_free=True),
-        t,
-    )
+    return State(SpectralVectorField(coeffs_u, g), SpectralVectorField(coeffs_b, g),
+                 SpectralVectorField(coeffs_bt, g), t)
 
 
 def step_exp(state: State, config: SolverConfig, cache: _StepperCache | None = None) -> State:

@@ -54,13 +54,11 @@ def single_mode_field(grid, kindex, amplitude=1.0, component=1):
     for p, q in ((i, j), (-i, -j)):
         if q % grid.n < grid.half:
             c[component, p % grid.n, q % grid.n] = amplitude / 2.0
-    return SpectralVectorField(c, grid, divergence_free=True)
+    return SpectralVectorField(c, grid)
 
 
 def zero_field(grid):
-    return SpectralVectorField(
-        np.zeros((2, grid.n, grid.half), dtype=np.complex128), grid, divergence_free=True
-    )
+    return SpectralVectorField(np.zeros((2, grid.n, grid.half), dtype=np.complex128), grid)
 
 
 def expand_half_spectrum(half_arr, n):

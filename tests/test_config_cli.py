@@ -221,6 +221,61 @@ class TestCli:
         assert where in capsys.readouterr().err
         assert not (tmp_path / "x" / "series.csv").exists()
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_seed_beyond_generator_key_exit_code(self, tmp_path, capsys, where):
+        # numpy's Philox takes keys below 2**128
+        seed = 2**130
+        doc, flag = SMALL_RUN, ["--seed", str(seed)]
+        if where == "config":
+            doc, flag = dict(SMALL_RUN, initial_data=dict(SMALL_RUN["initial_data"],
+                                                          seed=seed)), []
+        rc = main(["simulate", "--config", write_config(tmp_path, doc),
+                   "--output", str(tmp_path / "x")] + flag)
+        assert rc == 2
+        assert "initial_data.seed" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "series.csv").exists()
+
+    @pytest.mark.parametrize("key,s,box_length", [
+        ("s_list_u", 1e6, "2*pi"),     # |k| >= 1: |k|^(2s) overflows
+        ("s_list_b", -1e6, "32*pi"),   # |k| < 1 exists: the negative power overflows
+    ])
+    def test_overflowing_sobolev_order_exit_code(self, tmp_path, capsys, key, s, box_length):
+        doc = dict(SMALL_RUN, grid={"n": 32, "box_length": box_length},
+                   diagnostics=dict(SMALL_RUN["diagnostics"], **{key: [0, s]}))
+        rc = main(["simulate", "--config", write_config(tmp_path, doc),
+                   "--output", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"diagnostics.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "series.csv").exists()
+
+    @pytest.mark.parametrize("initial_data,path", [
+        pytest.param({"family": "random_band", "k_min": 3.0, "k_max": 2.0},
+                     "initial_data.k_min", id="k_min_above_k_max"),
+        pytest.param({"family": "random_band", "k_min": 0.3, "k_max": 0.4},
+                     "initial_data.k_min", id="band_between_modes"),
+        pytest.param({"family": "gaussian_vortex_pair", "width": 0},
+                     "initial_data.width", id="width_zero"),
+        pytest.param({"family": "gaussian_vortex_pair", "width": -1.0},
+                     "initial_data.width", id="width_negative"),
+    ])
+    def test_initial_data_without_modes_exit_code(self, tmp_path, capsys, initial_data, path):
+        # the 4*pi box of SMALL_RUN has its modes at multiples of |k| = 0.5
+        doc = dict(SMALL_RUN, initial_data=dict(initial_data, amplitude=0.05))
+        rc = main(["simulate", "--config", write_config(tmp_path, doc),
+                   "--output", str(tmp_path / "x")])
+        assert rc == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "x" / "series.csv").exists()
+
+    def test_huge_gamma_writes_finite_cells(self, tmp_path):
+        doc = dict(SMALL_RUN, physics={"gamma": 1e300})
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--output", str(out)]) == 0
+        header, *rows = (out / "series.csv").read_text().strip().splitlines()
+        assert len(rows) == 6
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
     def test_compare_mhd_rejects_non_positive_t(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, SWEEP_RUN)
         rc = main(["compare-mhd", "--config", cfgp, "--output", str(tmp_path / "c"),

@@ -4,16 +4,13 @@ from hypothesis import given, settings, strategies as hst
 
 from mhdwave import diagnostics
 from mhdwave.diagnostics import (
-    GNCheck,
-    HeatCheck,
     energy_functionals,
-    inequality_spot_checks,
     linear_energy_residual,
     lq_norm,
     norm_observer,
     sobolev_seminorm,
 )
-from mhdwave.errors import ConfigurationError, DomainError, UsageError
+from mhdwave.errors import DomainError, UsageError
 from mhdwave.grid import (
     GridSpec,
     RealField,
@@ -196,36 +193,14 @@ class TestLinearEnergyResidual:
         with pytest.raises(UsageError):
             linear_energy_residual(traj, 0.5, 1.0)
 
-
-class TestInequalityChecks:
-    def test_gn_scaling_violation_rejected(self, grid16):
-        with pytest.raises(ConfigurationError):
-            GNCheck(r=0.0, s1=1.0, s2=2.0, q=np.inf, p1=2.0, p2=2.0, theta=0.5).validate()
-
-    def test_gn_sup_norm_tuple(self, grid16):
-        # ||f||_inf <= C ||f||_2^{1/2} ||L^2 f||_2^{1/2} (r=0, s1=0, s2=2)
-        chk = GNCheck(r=0.0, s1=0.0, s2=2.0, q=np.inf, p1=2.0, p2=2.0, theta=0.5)
-        fields = [random_divfree(grid16, s) for s in range(8)]
-        out = inequality_spot_checks(fields, gn_checks=[chk])
-        assert 0 < out[chk] < np.inf
-
-    def test_heat_single_mode_maximum(self, grid16):
-        # ratio t^{1/2} e^{-t} peaks at sqrt(1/2) e^{-1/2} = 0.42888194248
-        chk = HeatCheck(s=1.0, p=2.0, q=2.0)
-        f = single_mode_field(grid16, (1, 0), 1.0)
-        tgrid = np.concatenate([[0.5], np.geomspace(0.02, 5.0, 40)])
-        out = inequality_spot_checks([f], heat_checks=[chk], t_grid=tgrid)
-        assert out[chk] == pytest.approx(0.42888194248035339824, rel=1e-10)
-
-    def test_heat_random_fields_stable(self, grid16):
-        chk = HeatCheck(s=1.0, p=2.0, q=2.0)
-        fields = [random_divfree(grid16, 100 + s) for s in range(5)]
-        coarse = inequality_spot_checks(fields, heat_checks=[chk],
-                                        t_grid=np.geomspace(0.05, 5, 20))
-        fine = inequality_spot_checks(fields, heat_checks=[chk],
-                                      t_grid=np.geomspace(0.05, 5, 40))
-        assert np.isfinite(coarse[chk])
-        assert abs(fine[chk] - coarse[chk]) <= 0.05 * coarse[chk]
+    def test_trajectory_without_energy_triple_rejected(self, grid16):
+        u0, b0, a0 = make_initial_data(
+            "random_band", {"amplitude": 1.0, "k_max": 3.0, "seed": 5}, grid16
+        )
+        cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.05, grid=grid16, nonlinear=False)
+        traj = run(cfg, (u0, b0, a0), norm_observer((2.0,), (0.0,), (0.0,)))
+        with pytest.raises(UsageError, match="energy triple"):
+            linear_energy_residual(traj, 0.5, 1.0)
 
 
 def test_snapshot_row_consistency(grid16):
@@ -271,6 +246,23 @@ class TestNormObserver:
         for s in s_b:
             assert row[f"b_H{s:g}"] == sobolev_seminorm(st.b_hat, s)
         assert (row["X_m"], row["Y_m"], row["Z_m"]) == energy_functionals(st, m, gamma)
+
+    def test_energy_triple_only_with_m(self, grid16, monkeypatch):
+        calls = []
+        energy = diagnostics.energy_functionals
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return energy(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "energy_functionals", counted)
+        st = random_state(grid16, 3)
+        row = norm_observer((2.0, 4.0), (0.0, 1.0), (0.0, 1.5))(st)
+        assert not {"X_m", "Y_m", "Z_m"} & set(row)
+        assert calls == []
+        row = norm_observer((2.0,), (0.0,), (0.0,), m=1.0, gamma=0.5)(st)
+        assert {"X_m", "Y_m", "Z_m"} <= set(row)
+        assert calls == [1]
 
     def test_negative_order_needs_mean_zero(self, grid16):
         st = random_state(grid16, 2)

@@ -48,12 +48,6 @@ class TestGridSpec:
         assert g.dealias_mask[7, 0]       # |k| = 7 < 8
         assert not g.dealias_mask[8, 0]   # |k| = 8 = n/3: zeroed
 
-    def test_wavevector(self):
-        from mhdwave.grid import WaveVector
-
-        k = WaveVector(3.0, -4.0)
-        assert k.k2 == 25.0
-
 
 class TestTransforms:
     def test_single_harmonic(self, grid32):
@@ -81,10 +75,10 @@ class TestTransforms:
         l2_phys = np.sqrt(np.sum(phys.magnitude() ** 2) * grid32.cell_area)
         assert spectral_l2(f) == pytest.approx(l2_phys, rel=1e-12)
 
-    def test_dimension_mismatch(self, grid16, grid32):
-        f = RealField(np.zeros((2, 16, 16)), grid16)
+    def test_dimension_mismatch(self, grid32):
+        # a field carries its grid, and the field checks its shape against it
         with pytest.raises(ConfigurationError):
-            transform_forward(f, grid32)
+            RealField(np.zeros((2, 16, 16)), grid32)
 
     def test_hermitian_symmetry_of_real_transforms(self, grid16):
         f = random_spectral(grid16, 4)

@@ -10,14 +10,8 @@ from mhdwave.errors import ConfigurationError, DomainError
 from mhdwave.kernels import (
     DEGENERATE_D,
     BoundSampleSpec,
-    FrequencyRegion,
-    KernelParams,
     duhamel_k1_weight,
-    frequency_region,
-    k0_hat,
-    k1_hat,
     kernel_pair,
-    lambda_pm,
     mode_propagator,
     propagator_tables,
     verify_kernel_bounds,
@@ -40,69 +34,30 @@ def mp_kernels(gamma, k2, t, dps=40):
         return float(mp.re(K0)), float(mp.re(K1))
 
 
-class TestEigenvalues:
-    def test_zero_discriminant(self):
-        pair = lambda_pm(0.25, 1.0)
-        assert pair.lambda_plus == pytest.approx(-2.0)
-        assert pair.lambda_minus == pytest.approx(-2.0)
-        assert pair.discriminant == 0.0
-
-    def test_k2_zero(self):
-        pair = lambda_pm(2.0, 0.0)
-        assert pair.lambda_plus == 0.0
-        assert pair.lambda_minus == pytest.approx(-0.5)
-
-    def test_oscillatory_branch(self):
-        pair = lambda_pm(1.0, 1.0)
-        # high-precision: -1/2 +- i sqrt(3)/2
-        assert pair.lambda_plus.real == pytest.approx(-0.5, rel=1e-14)
-        assert pair.lambda_plus.imag == pytest.approx(0.86602540378443864676, rel=1e-14)
-        assert pair.lambda_minus == pair.lambda_plus.conjugate()
-        assert pair.lambda_plus.imag >= 0
-
-    def test_sum_product_invariants(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            gamma = 10 ** rng.uniform(-2, 1)
-            k2 = 10 ** rng.uniform(-4, 3)
-            pair = lambda_pm(gamma, k2)
-            s = pair.lambda_plus + pair.lambda_minus
-            p = pair.lambda_plus * pair.lambda_minus
-            assert abs(s + 1.0 / gamma) <= 1e-12 * abs(s)
-            assert abs(p - k2 / gamma) <= 1e-12 * abs(p)
-            if pair.discriminant > 0:
-                assert pair.lambda_plus.real > pair.lambda_minus.real
-            elif pair.discriminant < 0:
-                assert pair.lambda_plus.real == pair.lambda_minus.real
-                assert pair.lambda_plus.real == pytest.approx(-0.5 / gamma, rel=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lambda_pm(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            lambda_pm(1.0, -1.0)
-        with pytest.raises(ConfigurationError):
-            KernelParams(0.0)
+def k0_k1(gamma, k2, t):
+    """``kernel_pair`` at a single (gamma, k2, t), as two floats."""
+    K0, K1 = kernel_pair(gamma, np.float64(k2), np.float64(t))
+    return float(K0), float(K1)
 
 
 class TestKernelSymbols:
     def test_t_zero(self):
         for gamma, k2 in [(0.3, 2.0), (1.0, 0.0), (2.0, 0.125)]:
-            assert k0_hat(gamma, k2, 0.0) == 1.0
-            assert k1_hat(gamma, k2, 0.0) == 0.0
+            assert k0_k1(gamma, k2, 0.0) == (1.0, 0.0)
 
     def test_initial_slope(self):
         # (K1(h) - K1(0))/h -> 1/gamma
         for gamma in (0.25, 1.0, 3.0):
             h = 1e-6
-            slope = k1_hat(gamma, 2.0, h) / h
+            slope = k0_k1(gamma, 2.0, h)[1] / h
             assert slope == pytest.approx(1.0 / gamma, rel=1e-4)
 
     def test_oscillatory_closed_form(self):
         # gamma=1, k2=1, t=1: K0 = e^{-1/2} cos(sqrt3/2), K1 = e^{-1/2} sin(sqrt3/2) 2/sqrt3
         # frozen from a 40-digit evaluation of the definition
-        assert k0_hat(1.0, 1.0, 1.0) == pytest.approx(0.39294655583435517059, rel=1e-13)
-        assert k1_hat(1.0, 1.0, 1.0) == pytest.approx(0.53350719511469298276, rel=1e-13)
+        K0, K1 = k0_k1(1.0, 1.0, 1.0)
+        assert K0 == pytest.approx(0.39294655583435517059, rel=1e-13)
+        assert K1 == pytest.approx(0.53350719511469298276, rel=1e-13)
 
     def test_against_extended_precision(self):
         cases = [
@@ -116,8 +71,9 @@ class TestKernelSymbols:
         ]
         for gamma, k2, t in cases:
             K0o, K1o = mp_kernels(gamma, k2, t)
-            assert k0_hat(gamma, k2, t) == pytest.approx(K0o, rel=1e-11, abs=1e-300)
-            assert k1_hat(gamma, k2, t) == pytest.approx(K1o, rel=1e-11, abs=1e-300)
+            K0, K1 = k0_k1(gamma, k2, t)
+            assert K0 == pytest.approx(K0o, rel=1e-11, abs=1e-300)
+            assert K1 == pytest.approx(K1o, rel=1e-11, abs=1e-300)
 
     def test_branch_continuity_across_degeneracy(self):
         # closed forms at D = +-1e-9 and the series path agree to 1e-8
@@ -132,7 +88,11 @@ class TestKernelSymbols:
 
     def test_negative_t_rejected(self):
         with pytest.raises(DomainError):
-            k0_hat(1.0, 1.0, -0.1)
+            k0_k1(1.0, 1.0, -0.1)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            kernel_pair(-1.0, 1.0, 0.0)
 
     def test_ode_residual(self):
         # |gamma K'' + K' + k2 K| <= 1e-6 max(1, k2), 4th-order differences
@@ -205,8 +165,7 @@ class TestModePropagator:
     def test_entries_from_kernel_symbols(self):
         gamma, k2, dt = 0.5, 2.0, 0.3
         m = mode_propagator(gamma, k2, dt)
-        K0 = k0_hat(gamma, k2, dt)
-        K1 = k1_hat(gamma, k2, dt)
+        K0, K1 = k0_k1(gamma, k2, dt)
         assert m.m00 == pytest.approx(K0 + 0.5 * K1, rel=1e-12)
         assert m.m01 == pytest.approx(gamma * K1, rel=1e-12)
         b, bt = m.apply(1.0 + 2.0j, -0.5j)
@@ -271,13 +230,13 @@ class TestDuhamelWeight:
     def test_against_adaptive_quadrature(self):
         for gamma, k2, dt in [(1.0, 4.0, 0.5), (0.5, 2.0, 0.3), (0.25, 1.0, 1.0),
                               (1.0, 0.25, 2.0), (3.0, 0.001, 0.7)]:
-            ref, err = quad(lambda s: k1_hat(gamma, k2, s), 0.0, dt, epsabs=1e-12)
+            ref, err = quad(lambda s: k0_k1(gamma, k2, s)[1], 0.0, dt, epsabs=1e-12)
             assert abs(duhamel_k1_weight(gamma, k2, dt) - ref) <= 1e-9
 
     def test_degenerate_branch_against_quadrature(self):
         gamma = 1.0
         k2 = 0.25 * (1 + 1e-8)  # |D| < 1e-6: series path
-        ref, _ = quad(lambda s: k1_hat(gamma, k2, s), 0.0, 1.7, epsabs=1e-13)
+        ref, _ = quad(lambda s: k0_k1(gamma, k2, s)[1], 0.0, 1.7, epsabs=1e-13)
         assert duhamel_k1_weight(gamma, k2, 1.7) == pytest.approx(ref, abs=1e-10)
 
     def test_vectorized_matches_scalar(self):
@@ -289,17 +248,6 @@ class TestDuhamelWeight:
     def test_negative_dt_rejected(self):
         with pytest.raises(DomainError):
             duhamel_k1_weight(1.0, 1.0, -0.5)
-
-
-class TestFrequencyRegion:
-    def test_boundary_inclusive(self):
-        assert frequency_region(0.25, 0.75) is FrequencyRegion.S1
-
-    def test_k2_zero_is_s2(self):
-        assert frequency_region(1.0, 0.0) is FrequencyRegion.S2
-
-    def test_order_one(self):
-        assert frequency_region(1.0, 1.0) is FrequencyRegion.S1
 
 
 class TestKernelBounds:
@@ -332,4 +280,4 @@ def test_propagator_tables_consistency():
         m = mode_propagator(1.0, float(val), 0.4)
         assert tab["m00"][i] == pytest.approx(m.m00, rel=1e-13)
         assert tab["m11"][i] == pytest.approx(m.m11, rel=1e-13)
-        assert tab["k1"][i] == pytest.approx(k1_hat(1.0, float(val), 0.4), rel=1e-13)
+        assert tab["k1"][i] == pytest.approx(k0_k1(1.0, float(val), 0.4)[1], rel=1e-13)

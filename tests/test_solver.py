@@ -197,8 +197,8 @@ class TestStepExp:
         cfg = SolverConfig(gamma=0.8, dt=0.01, t_end=0.5, grid=grid16)
         u0 = random_divfree(grid16, 20)
         b0 = random_divfree(grid16, 21)
-        u0 = SpectralVectorField(u0.coeffs * 0.05, grid16, True)
-        b0 = SpectralVectorField(b0.coeffs * 0.05, grid16, True)
+        u0 = SpectralVectorField(u0.coeffs * 0.05, grid16)
+        b0 = SpectralVectorField(b0.coeffs * 0.05, grid16)
         traj = run(cfg, (u0, b0, zero_field(grid16)), keep_states=True)
         for st in traj.states[-1:]:
             for f in (st.u_hat, st.b_hat, st.bt_hat):
@@ -318,7 +318,7 @@ class TestRun:
         a = 10.0
         u0 = SpectralVectorField(single_mode_field(grid16, (0, 1), a, component=0).coeffs
                                  + single_mode_field(grid16, (1, 0), a, component=1).coeffs,
-                                 grid16, divergence_free=True)
+                                 grid16)
         initial = (u0, zero_field(grid16), zero_field(grid16))
         run(SolverConfig(gamma=1.0, dt=0.02, t_end=0.02, grid=grid16), initial)
         with pytest.raises(StepSizeError):
