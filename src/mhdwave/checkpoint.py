@@ -1,11 +1,14 @@
 """Binary state checkpoints.
 
 Layout (little-endian): header ``magic "MHDW" | version u32 | n u32 |
-L f64 | gamma f64 | t f64`` followed by the three coefficient arrays
-u_hat, b_hat, d_t b_hat.  Version 2 (written) stores each as a
-(2, n, n//2 + 1) complex128 block in row-major half-spectrum order.
-Version 1 files hold (2, n, n) full-spectrum blocks; they are still read,
-keeping the first n//2 + 1 columns of each block.
+L f64 | gamma f64 | t f64`` (36 bytes) followed by three coefficient
+blocks.  Version 3 (written) stores the potentials psi, A and d_t A of the
+solver state, each a (n, n//2 + 1) complex128 block in row-major
+half-spectrum order, so a file is 36 + 3 * 16 * n * (n//2 + 1) bytes.
+Older files hold the fields u, b and d_t b and are still read, through the
+map ``State.from_vectors``: version 2 as (2, n, n//2 + 1) half-spectrum
+blocks, version 1 as (2, n, n) full-spectrum blocks, of which the first
+n//2 + 1 columns are kept.
 
 A checkpoint is written to a temporary file beside the target and renamed
 over it, so a write that fails part-way leaves the previous one intact.
@@ -26,7 +29,7 @@ from .solver import State
 __all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"MHDW"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<4sIIddd")
 
 
@@ -37,8 +40,8 @@ def save_checkpoint(path, state: State, gamma: float) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            for f in (state.u_hat, state.b_hat, state.bt_hat):
-                fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16"))
+            for c in (state.psi_hat, state.a_hat, state.at_hat):
+                fh.write(np.ascontiguousarray(c, dtype="<c16"))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -58,13 +61,15 @@ def load_checkpoint(path):
     magic, version, n, box_length, gamma, t = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise ConfigurationError(f"bad checkpoint magic {magic!r}")
-    if version not in (1, VERSION):
+    if version not in (1, 2, VERSION):
         raise ConfigurationError(f"unsupported checkpoint version {version}")
     grid = GridSpec(n, box_length)
-    shape = (3, 2, n, n if version == 1 else grid.half)
+    shape = {1: (3, 2, n, n), 2: (3, 2, n, grid.half), 3: (3, n, grid.half)}[version]
     if len(raw) != _HEADER.size + 16 * math.prod(shape):
         raise ConfigurationError(f"checkpoint {path} does not hold three {shape[1:]} blocks")
     blocks = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(shape)
-    u, b, bt = (SpectralVectorField(c[:, :, : grid.half].astype(np.complex128), grid)
-                for c in blocks)
-    return State(u, b, bt, t), gamma
+    if version == VERSION:
+        return State(*(c.astype(np.complex128) for c in blocks), grid, t), gamma
+    fields = (SpectralVectorField(c[:, :, : grid.half].astype(np.complex128), grid)
+              for c in blocks)
+    return State.from_vectors(*fields, t), gamma

@@ -152,7 +152,7 @@ def cmd_simulate(args) -> int:
         if state.grid != cfg.grid:
             raise ConfigurationError("checkpoint grid does not match config grid",
                                      path="grid")
-        initial = (state.u_hat, state.b_hat, state.bt_hat)
+        initial = state
         t_offset = state.t
     else:
         initial = make_initial_data(cfg.family, cfg.params, cfg.grid)

@@ -197,11 +197,12 @@ class DecayExperimentConfig:
         if any(q < 1 for q in self.q_list):
             raise ConfigurationError("q values must be >= 1", path="diagnostics.q_list")
         for key in ("s_list_u", "s_list_b"):
-            # |k|^(2s) overflows for large |s|, and inf * 0 puts NaN in every cell
+            # the observer weighs the potentials by |k|^(2s + 2), which overflows
+            # for large |s|, and inf * 0 puts NaN in every cell
             with np.errstate(over="ignore"):
-                if not all(np.all(np.isfinite(self.grid.abs_k_power(2.0 * s)))
+                if not all(np.all(np.isfinite(self.grid.abs_k_power(2.0 * s + 2.0)))
                            for s in getattr(self, key)):
-                    raise ConfigurationError("|k|^(2s) overflows on this grid",
+                    raise ConfigurationError("|k|^(2s + 2) overflows on this grid",
                                              path=f"diagnostics.{key}")
         if self.m < 0:
             raise ConfigurationError("m must be >= 0", path="diagnostics.m")

@@ -1,13 +1,18 @@
 """Norms, energy functionals and the norm observer.
 
 L^q norms are midpoint grid quadrature, spectrally accurate for
-band-limited integrands up to the aliasing inherent in |f|^q.  The
-observer takes q = 2 from Parseval instead, ||f||_L2 = L sqrt(sum w |f_hat|^2)
-over the half spectrum (w the grid's Parseval weight), exact for the
-discrete transform, and transforms the fields back to the grid only for
-the other q.  Sobolev seminorms are Parseval sums with the |k|^s
-multiplier, cached per grid and s.  The energy functionals of the
-damped-wave system are
+band-limited integrands up to the aliasing inherent in |f|^q.  They are
+evaluated as M (sum (|f|/M)^q dA)^(1/q) with M = max |f|, so that |f|^q
+cannot underflow at large q.  Sobolev seminorms are Parseval sums with the
+|k|^s multiplier, cached per grid and s.
+
+The solver state holds the potentials psi, A and d_t A of u, b and d_t b
+(u = grad^perp psi).  Since |grad^perp f_hat|^2 = |k|^2 |f_hat|^2, the
+H^s seminorm of u is the H^(s+1) seminorm of psi.  So the observer takes
+q = 2 and every Sobolev column from Parseval sums on the potentials,
+||u||_Hs = L sqrt(sum w |k|^(2s+2) |psi_hat|^2) over the half spectrum (w
+the grid's Parseval weight), and transforms u and b back to the grid only
+for the other q.  The energy functionals of the damped-wave system are
 
     X_m = ||L^m u||^2 + ||L^m b||^2 + 2 g^2 ||d_t L^m b||^2 + 2 g ||L^{m+1} b||^2
     Y_m = 2 g <d_t L^m b, L^m b>
@@ -15,7 +20,8 @@ damped-wave system are
 
 (L^s the fractional Laplacian, g the wave parameter); the linear system
 satisfies d/dt [ (X_m + Y_m)/2 ] + Z_m = 0 exactly.  The observer computes
-the triple only when it is given an order m.
+the triple only when it is given an order m, and then records m and g in
+the row, so that ``linear_energy_residual`` can check them.
 """
 
 from __future__ import annotations
@@ -25,13 +31,12 @@ import math
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .grid import RealField, SpectralVectorField, transform_inverse
+from .grid import GridSpec, RealField, SpectralVectorField, transform_inverse
 from .solver import State, Trajectory
 
 __all__ = [
     "lq_norm",
     "sobolev_seminorm",
-    "sobolev_inner",
     "energy_functionals",
     "norm_observer",
     "linear_energy_residual",
@@ -41,31 +46,24 @@ __all__ = [
 def lq_norm(f: RealField, q: float) -> float:
     """(sum |f|^q (L/n)^2)^(1/q); q = inf gives max |f|.
 
-    Vector fields use the pointwise Euclidean magnitude.  Norms with
-    1 <= q < 2 are supported for reporting the integrability of initial
-    data; q < 1 is rejected.
+    Evaluated as M (sum (|f|/M)^q (L/n)^2)^(1/q) with M = max |f|, which
+    cannot underflow or overflow at large q.  Vector fields use the
+    pointwise Euclidean magnitude.  Norms with 1 <= q < 2 are supported for
+    reporting the integrability of initial data; q < 1 is rejected.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1 or inf, got {q}")
     mag = f.magnitude()
-    if math.isinf(q):
-        return float(np.max(mag))
-    return float((np.sum(mag**q) * f.grid.cell_area) ** (1.0 / q))
+    peak = float(np.max(mag))
+    if math.isinf(q) or peak == 0.0:
+        return peak
+    return peak * float((np.sum((mag / peak) ** q) * f.grid.cell_area) ** (1.0 / q))
 
 
 def sobolev_seminorm(f: SpectralVectorField, s: float) -> float:
     """Homogeneous Sobolev seminorm (sum_k |k|^{2s} |f_hat|^2)^(1/2) * L."""
-    return _seminorm(f, s, _power(f))
-
-
-def _power(f: SpectralVectorField) -> np.ndarray:
-    """The Parseval-weighted power spectrum w |f_hat|^2 of the half layout."""
-    return f.grid.parseval_weight * np.abs(f.coeffs) ** 2
-
-
-def _seminorm(f: SpectralVectorField, s: float, power: np.ndarray) -> float:
-    """``sobolev_seminorm`` from the precomputed power spectrum ``_power(f)``."""
     g = f.grid
+    power = g.parseval_weight * np.abs(f.coeffs) ** 2
     if s == 0:
         total = np.sum(power)
     else:
@@ -76,32 +74,34 @@ def _seminorm(f: SpectralVectorField, s: float, power: np.ndarray) -> float:
     return float(g.box_length * np.sqrt(total))
 
 
-def sobolev_inner(f: SpectralVectorField, h: SpectralVectorField, s: float) -> float:
-    """Real inner product <L^s f, L^s h> in Parseval form."""
-    g = f.grid
-    mult = g.parseval_weight if s == 0 else g.parseval_weight * g.abs_k_power(2.0 * s)
-    return float(g.box_length**2 * np.sum(mult * np.real(f.coeffs * np.conj(h.coeffs))))
+def _power(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The Parseval-weighted power spectrum w |c|^2 of a half-layout scalar."""
+    return grid.parseval_weight * (c * c.conj()).real
+
+
+def _perp_seminorm(grid: GridSpec, power: np.ndarray, s: float) -> float:
+    """H^s seminorm of grad^perp f from the power spectrum ``_power(f)``."""
+    return float(grid.box_length * np.sqrt(np.sum(grid.abs_k_power(2.0 * s + 2.0) * power)))
 
 
 def energy_functionals(state: State, m: float, gamma: float, *, _powers=None):
     """The triple (X_m, Y_m, Z_m); X_m, Z_m >= 0, Y_m any sign.
 
     ``_powers`` lets the norm observer pass the weighted power spectra of
-    (u, b, d_t b) it has already computed.
+    (psi, A, d_t A) it has already computed.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    u, b, bt = state.u_hat, state.b_hat, state.bt_hat
+    g = state.grid
     if _powers is None:
-        _powers = [_power(f) for f in (u, b, bt)]
+        _powers = [_power(c, g) for c in (state.psi_hat, state.a_hat, state.at_hat)]
     pu, pb, pbt = _powers
-    um = _seminorm(u, m, pu)
-    bm = _seminorm(b, m, pb)
-    btm = _seminorm(bt, m, pbt)
-    um1 = _seminorm(u, m + 1, pu)
-    bm1 = _seminorm(b, m + 1, pb)
+    um, bm, btm = (_perp_seminorm(g, p, m) for p in _powers)
+    um1 = _perp_seminorm(g, pu, m + 1)
+    bm1 = _perp_seminorm(g, pb, m + 1)
     x = um**2 + bm**2 + 2.0 * gamma**2 * btm**2 + 2.0 * gamma * bm1**2
-    y = 2.0 * gamma * sobolev_inner(bt, b, m)
+    cross = g.parseval_weight * np.real(state.at_hat * np.conj(state.a_hat))
+    y = 2.0 * gamma * g.box_length**2 * float(np.sum(g.abs_k_power(2.0 * m + 2.0) * cross))
     z = um1**2 + bm1**2 + gamma * btm**2
     return x, y, z
 
@@ -110,31 +110,34 @@ def norm_observer(q_list=(2.0,), s_list_u=(0.0,), s_list_b=(0.0,), m: float | No
                   gamma: float = 1.0):
     """Observer returning a flat dict of the configured norms per state.
 
-    Each field's weighted |c|^2 is computed once and feeds every Sobolev
-    column, the energy triple and the q = 2 norms (Parseval); the fields are
+    The weighted |c|^2 of psi and A is computed once and feeds every Sobolev
+    column, the energy triple and the q = 2 norms (Parseval); u and b are
     transformed back to the grid only for the other q.  The energy triple
-    (columns ``X_m``, ``Y_m``, ``Z_m``) is computed only when ``m`` is given.
+    (columns ``X_m``, ``Y_m``, ``Z_m``, with ``m`` and ``gamma`` beside
+    them) is computed only when ``m`` is given.
     """
 
     def observe(state: State) -> dict:
-        u, b = state.u_hat, state.b_hat
-        pu, pb = _power(u), _power(b)
+        g = state.grid
+        pu, pb = _power(state.psi_hat, g), _power(state.a_hat, g)
         row = {"t": state.t}
         phys = None
         for q in q_list:
             if q == 2:
-                lq = (_seminorm(u, 0.0, pu), _seminorm(b, 0.0, pb))
+                lq = (_perp_seminorm(g, pu, 0.0), _perp_seminorm(g, pb, 0.0))
             else:
-                phys = phys or (transform_inverse(u), transform_inverse(b))
+                phys = phys or (transform_inverse(state.u_hat), transform_inverse(state.b_hat))
                 lq = (lq_norm(phys[0], q), lq_norm(phys[1], q))
             row[f"u_L{q:g}"], row[f"b_L{q:g}"] = lq
         for s in s_list_u:
-            row[f"u_H{s:g}"] = _seminorm(u, s, pu)
+            row[f"u_H{s:g}"] = _perp_seminorm(g, pu, s)
         for s in s_list_b:
-            row[f"b_H{s:g}"] = _seminorm(b, s, pb)
+            row[f"b_H{s:g}"] = _perp_seminorm(g, pb, s)
         if m is not None:
-            triple = energy_functionals(state, m, gamma, _powers=(pu, pb, _power(state.bt_hat)))
+            triple = energy_functionals(state, m, gamma,
+                                        _powers=(pu, pb, _power(state.at_hat, g)))
             row["X_m"], row["Y_m"], row["Z_m"] = triple
+            row["m"], row["gamma"] = m, gamma
         return row
 
     return observe
@@ -150,14 +153,22 @@ def linear_energy_residual(traj: Trajectory, gamma: float, m: float = None,
     integrator (O(dt^4) of the step size for the exact propagator).
     Returns residuals normalized by max Z.  The trajectory must have been
     produced with the nonlinearity disabled and snapshots at every step.
+    ``gamma`` and, when given, ``m`` must be those the observer used, and
+    ``dt`` the snapshot spacing; a mismatch is a ``UsageError``.
     """
     if traj.nonlinear:
         raise UsageError("linear energy residual requires a nonlinearity-free trajectory")
     t = np.asarray(traj.times)
     if len(t) < 3:
         raise UsageError("need at least three snapshots")
-    if "X_m" not in traj.snapshots[0]:
+    first = traj.snapshots[0]
+    if "X_m" not in first:
         raise UsageError("snapshots carry no energy triple: observe with norm_observer(m=...)")
+    if not math.isclose(first["gamma"], gamma, rel_tol=1e-12):
+        raise UsageError(
+            f"gamma={gamma} but the energy triple was observed at gamma={first['gamma']}")
+    if m is not None and not math.isclose(first["m"], m, rel_tol=1e-12):
+        raise UsageError(f"m={m} but the energy triple was observed at m={first['m']}")
     x = traj.series("X_m")
     y = traj.series("Y_m")
     z = traj.series("Z_m")
@@ -165,6 +176,8 @@ def linear_energy_residual(traj: Trajectory, gamma: float, m: float = None,
     if not np.allclose(h, h[0], rtol=1e-9, atol=0):
         raise UsageError("snapshots must be equally spaced")
     h = h[0]
+    if dt is not None and not math.isclose(h, dt, rel_tol=1e-9):
+        raise UsageError(f"dt={dt} does not match the snapshot spacing {h}")
     e = 0.5 * (x + y)
     dedt = (e[2:] - e[:-2]) / (2.0 * h)
     z_simpson = (z[:-2] + 4.0 * z[1:-1] + z[2:]) / 6.0

@@ -143,6 +143,14 @@ class GridSpec:
         return inv
 
     @cached_property
+    def grad_perp(self) -> np.ndarray:
+        """The (2, n, n//2 + 1) symbol (-i ky, i kx) of grad^perp = (-d_y, d_x),
+        zero on the Nyquist modes; read-only."""
+        perp = np.stack([-1j * self.ky, 1j * self.kx]) * self.nyquist_free
+        perp.flags.writeable = False
+        return perp
+
+    @cached_property
     def x1d(self) -> np.ndarray:
         return self.box_length / self.n * np.arange(self.n)
 

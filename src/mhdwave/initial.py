@@ -43,12 +43,7 @@ INITIAL_FAMILIES = ("taylor_green", "gaussian_vortex_pair", "random_band")
 
 def _from_stream(psi_hat: np.ndarray, grid: GridSpec) -> SpectralVectorField:
     """Velocity u = grad^perp psi = (-d_y psi, d_x psi) from a spectral psi."""
-    ny = grid.nyquist_free
-    coeffs = np.empty((2, grid.n, grid.half), dtype=np.complex128)
-    coeffs[0] = -1j * grid.ky * psi_hat * ny
-    coeffs[1] = 1j * grid.kx * psi_hat * ny
-    coeffs[:, 0, 0] = 0.0
-    return SpectralVectorField(coeffs, grid)
+    return SpectralVectorField(grid.grad_perp * psi_hat, grid)
 
 
 def _zero_field(grid: GridSpec) -> SpectralVectorField:

@@ -5,11 +5,22 @@ The system advanced per Fourier mode is
     d_t u = -k2 u + P(b.grad b - u.grad u)
     gamma d_tt b + d_t b + k2 b = b.grad u - u.grad b
 
-with unit viscosity and resistivity.  Three schemes:
+with unit viscosity and resistivity.  Both fields are divergence-free and
+mean-free, so in 2D each is grad^perp = (-d_y, d_x) of a scalar: the
+stream function psi (u = grad^perp psi) and the magnetic potential A
+(b = grad^perp A).  The solver advances the half spectra of (psi, A, d_t A)
+(the psi-A form of 2D MHD); the linear symbols depend on |k|^2 only, so
+psi obeys the heat equation and (A, d_t A) the damped wave equation, with
+the scalar forcings
+
+    F_psi = (kx ky D_hat + (ky^2 - kx^2) T12_hat) / |k|^2,   F_A = -E_hat,
+
+where T = u (x) u - b (x) b, D = T11 - T22 and E = u1 b2 - u2 b1.  Three
+schemes:
 
 ``exp_integrator``
-    Exponential Euler on the Duhamel forms: the heat multiplier for u and
-    the exact 2x2 damped-wave propagator for (b, d_t b), with the
+    Exponential Euler on the Duhamel forms: the heat multiplier for psi and
+    the exact 2x2 damped-wave propagator for (A, d_t A), with the
     nonlinear forcing frozen over the step and weighted by the exact
     integral of the propagator.  The linear flow is reproduced to
     round-off at any step size.
@@ -18,19 +29,25 @@ with unit viscosity and resistivity.  Three schemes:
     the linear part), formally second order.
 ``mhd_baseline``
     The gamma = 0 system: both equations parabolic, advanced by heat
-    multipliers with exponential-Euler forcing weights.  The d_t b slot is
+    multipliers with exponential-Euler forcing weights.  The d_t A slot is
     ignored.
 
-Nonlinear terms are pseudo-spectral (inverse transform, pointwise
-products, forward transform) with 2/3-rule dealiasing, so the retained
-band sees the exact Galerkin convolution and the quadratic energy
-cancellations hold to round-off.  The k = 0 mode is re-zeroed every step;
-nonlinear terms are divergence-form and mean-free analytically, so this
-only removes round-off drift.
+Nonlinear terms are pseudo-spectral (4 inverse transforms of u and b, the
+pointwise products D, T12 and E, 3 forward transforms) with 2/3-rule
+dealiasing, so the retained band sees the exact Galerkin convolution and
+the quadratic energy cancellations hold to round-off.  The k = 0 mode of
+each potential carries no field and is zeroed every step.
+
+``run`` also takes the vector triple (u0, b0, d_t b0) and maps it to the
+potentials with psi = (i ky u1 - i kx u2) / |k|^2.  That map is the Leray
+projection followed by the removal of the mean; on divergence-free,
+mean-free data (every initial-data family and checkpoint) it is exact up
+to round-off.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +55,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .errors import BlowUpError, ConfigurationError, StepSizeError
-from .grid import GridSpec, SpectralVectorField, dealias
+from .grid import GridSpec, SpectralVectorField
 from .kernels import heat_weight, propagator_tables
 
 __all__ = [
@@ -58,19 +75,58 @@ SCHEMES = ("exp_integrator", "imex_reference", "mhd_baseline")
 
 @dataclass
 class State:
-    """The advanced triple (u_hat, b_hat, d_t b_hat) at time t."""
+    """The advanced potentials (psi_hat, a_hat, at_hat) of (u, b, d_t b) at
+    time t, each a (n, n//2 + 1) half spectrum.
 
-    u_hat: SpectralVectorField
-    b_hat: SpectralVectorField
-    bt_hat: SpectralVectorField
+    ``u_hat``, ``b_hat`` and ``bt_hat`` are the fields grad^perp of the
+    potentials, built on each access as read-only ``SpectralVectorField``
+    views.
+    """
+
+    psi_hat: np.ndarray
+    a_hat: np.ndarray
+    at_hat: np.ndarray
+    grid: GridSpec
     t: float = 0.0
 
+    def __post_init__(self):
+        shape = (self.grid.n, self.grid.half)
+        if any(np.shape(c) != shape for c in (self.psi_hat, self.a_hat, self.at_hat)):
+            raise ConfigurationError(f"state potentials must have the half shape {shape}")
+
+    @classmethod
+    def from_vectors(cls, u: SpectralVectorField, b: SpectralVectorField,
+                     bt: SpectralVectorField, t: float = 0.0) -> "State":
+        """The potentials of the fields (u, b, d_t b); see the module notes."""
+        return cls(_potential(u), _potential(b), _potential(bt), u.grid, t)
+
     @property
-    def grid(self) -> GridSpec:
-        return self.u_hat.grid
+    def u_hat(self) -> SpectralVectorField:
+        return _grad_perp(self.psi_hat, self.grid)
+
+    @property
+    def b_hat(self) -> SpectralVectorField:
+        return _grad_perp(self.a_hat, self.grid)
+
+    @property
+    def bt_hat(self) -> SpectralVectorField:
+        return _grad_perp(self.at_hat, self.grid)
 
     def copy(self) -> "State":
-        return State(self.u_hat.copy(), self.b_hat.copy(), self.bt_hat.copy(), self.t)
+        return State(self.psi_hat.copy(), self.a_hat.copy(), self.at_hat.copy(), self.grid,
+                     self.t)
+
+
+def _potential(f: SpectralVectorField) -> np.ndarray:
+    """psi with grad^perp psi the divergence-free, mean-free part of f."""
+    g = f.grid
+    return (g.ky * f.coeffs[0] - g.kx * f.coeffs[1]) * (1j * g.inv_k2)
+
+
+def _grad_perp(c: np.ndarray, grid: GridSpec) -> SpectralVectorField:
+    view = SpectralVectorField(grid.grad_perp * c, grid)
+    view.coeffs.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -139,49 +195,65 @@ def _check_cfl(vmax: float, config: SolverConfig, t: float) -> None:
         )
 
 
-def _nonlinear_terms(state: State):
-    """Internal: (N_u, N_b, max|u| + max|b|) in divergence/curl form.
+@functools.lru_cache(maxsize=4)
+def _forcing_tables(grid: GridSpec):
+    """Real tables mapping the transforms of (D, T12, E) to the forcings of
+    psi and A; each carries the 2/3 mask and the n^2 of the normalization."""
+    n2_mask = grid.n**2 * grid.dealias_mask
+    c_d = n2_mask * grid.kx * grid.ky * grid.inv_k2
+    c_12 = n2_mask * (grid.ky**2 - grid.kx**2) * grid.inv_k2
+    c_e = -n2_mask
+    c_e[0, 0] = 0.0
+    for table in (c_d, c_12, c_e):
+        table.flags.writeable = False
+    return c_d, c_12, c_e
 
-    For divergence-free, 2/3-dealiased fields u.grad u - b.grad b =
-    div(u (x) u - b (x) b) on the retained band, and in 2D
-    b.grad u - u.grad b = (d_y E, -d_x E) with E = u1 b2 - u2 b1.  So only
-    u and b are transformed: 4 inverse and 4 forward transforms, all in the
-    state's half-spectrum layout.
+
+def _nonlinear_terms(state: State):
+    """Internal: (F_psi, F_A, max|u| + max|b|), the scalar forcings.
+
+    u and b come from 4 inverse transforms of grad^perp (psi, A); the
+    products D = T11 - T22, T12 and E = u1 b2 - u2 b1 take 3 forward
+    transforms, all in the half-spectrum layout.  The trace of T is a
+    gradient, which the projection removes, so it is never formed.
     """
     g = state.grid
     n = g.n
-    spec = np.concatenate((state.u_hat.coeffs, state.b_hat.coeffs))
+    spec = np.empty((4, n, g.half), dtype=np.complex128)
+    np.multiply(g.grad_perp, state.psi_hat, out=spec[0:2])
+    np.multiply(g.grad_perp, state.a_hat, out=spec[2:4])
     # physical values carry an n^-2 scale here; it cancels against the
-    # quadratic product and the forward normalization as a single n^2 below
-    u1, u2, b1, b2 = _fft.irfft2(spec, s=(n, n), axes=(-2, -1))
-    vmax = float(np.sqrt(np.max(u1 * u1 + u2 * u2)) + np.sqrt(np.max(b1 * b1 + b2 * b2))) * n**2
-
-    # the stress T = u (x) u - b (x) b (entries 11, 12, 22) and E
-    prod = np.stack([u1 * u1 - b1 * b1, u1 * u2 - b1 * b2, u2 * u2 - b2 * b2, u1 * b2 - u2 * b1])
-    if not np.all(np.isfinite(prod)):
+    # quadratic product and the forward normalization as the n^2 of the tables
+    phys = _fft.irfft2(spec, s=(n, n), axes=(-2, -1))
+    u1, u2, b1, b2 = phys
+    sq = phys * phys
+    vmax = float(np.sqrt(np.max(sq[0] + sq[1])) + np.sqrt(np.max(sq[2] + sq[3]))) * n**2
+    # a non-finite value anywhere makes vmax non-finite
+    if not math.isfinite(vmax):
         raise BlowUpError("non-finite nonlinear products", t=state.t)
 
+    prod = np.empty((3, n, n))
+    np.subtract(sq[0] - sq[2], sq[1] - sq[3], out=prod[0])
+    np.subtract(u1 * u2, b1 * b2, out=prod[1])
+    np.subtract(u1 * b2, u2 * b1, out=prod[2])
     hat = _fft.rfft2(prod, axes=(-2, -1))
-    hat *= g.dealias_mask
-    hat *= n**2
-    # N_u = -P(ik.T) and N_b = (ik_y E, -ik_x E); both vanish at k = 0
-    kx, ky = g.kx, g.ky
-    div1 = kx * hat[0] + ky * hat[1]
-    div2 = kx * hat[1] + ky * hat[2]
-    frac = (kx * div1 + ky * div2) * g.inv_k2
-    out = -1j * np.stack([div1 - kx * frac, div2 - ky * frac, -ky * hat[3], kx * hat[3]])
-
-    return SpectralVectorField(out[0:2], g), SpectralVectorField(out[2:4], g), vmax
+    c_d, c_12, c_e = _forcing_tables(g)
+    f_psi = c_d * hat[0]
+    f_psi += c_12 * hat[1]
+    return f_psi, c_e * hat[2], vmax
 
 
 def compute_nonlinear(state: State):
-    """N_u = P(b.grad b - u.grad u), N_b = b.grad u - u.grad b, dealiased.
+    """N_u = P(b.grad b - u.grad u), N_b = b.grad u - u.grad b, dealiased:
+    grad^perp of the scalar forcings.
 
-    Both outputs are mean-free; N_u is divergence-free.  Raises
-    ``BlowUpError`` if the products are not finite.
+    Both outputs are mean-free and divergence-free.  Raises ``BlowUpError``
+    if the fields are not finite.
     """
-    n_u, n_b, _ = _nonlinear_terms(state)
-    return n_u, n_b
+    f_psi, f_a, _ = _nonlinear_terms(state)
+    g = state.grid
+    return (SpectralVectorField(g.grad_perp * f_psi, g),
+            SpectralVectorField(g.grad_perp * f_a, g))
 
 
 class _StepperCache:
@@ -208,25 +280,23 @@ class _StepperCache:
 
 
 def _forcing(state: State, config: SolverConfig):
-    """Nonlinear terms plus the per-step CFL re-check; None in linear mode
+    """Scalar forcings plus the per-step CFL re-check; None in linear mode
     (the exact propagators carry no advective step restriction)."""
     if not config.nonlinear:
         return None
-    n_u, n_b, vmax = _nonlinear_terms(state)
+    f_psi, f_a, vmax = _nonlinear_terms(state)
     _check_cfl(vmax, config, state.t)
-    return n_u, n_b
+    return f_psi, f_a
 
 
-def _finalize(coeffs_u, coeffs_b, coeffs_bt, state: State, t: float) -> State:
-    for c in (coeffs_u, coeffs_b, coeffs_bt):
-        c[:, 0, 0] = 0.0
+def _finalize(psi, a, at, state: State, t: float) -> State:
+    for c in (psi, a, at):
+        c[0, 0] = 0.0
     # a NaN/inf anywhere poisons the sums
-    probe = coeffs_u.sum() + coeffs_b.sum()
+    probe = psi.sum() + a.sum()
     if not (np.isfinite(probe.real) and np.isfinite(probe.imag)):
         raise BlowUpError("non-finite state", t=t)
-    g = state.grid
-    return State(SpectralVectorField(coeffs_u, g), SpectralVectorField(coeffs_b, g),
-                 SpectralVectorField(coeffs_bt, g), t)
+    return State(psi, a, at, state.grid, t)
 
 
 def step_exp(state: State, config: SolverConfig, cache: _StepperCache | None = None) -> State:
@@ -234,15 +304,15 @@ def step_exp(state: State, config: SolverConfig, cache: _StepperCache | None = N
     if cache is None:
         cache = _StepperCache(config)
     forcing = _forcing(state, config)
-    u = cache.heat_mult * state.u_hat.coeffs
-    b = cache.m00 * state.b_hat.coeffs + cache.m01 * state.bt_hat.coeffs
-    bt = cache.m10 * state.b_hat.coeffs + cache.m11 * state.bt_hat.coeffs
+    psi = cache.heat_mult * state.psi_hat
+    a = cache.m00 * state.a_hat + cache.m01 * state.at_hat
+    at = cache.m10 * state.a_hat + cache.m11 * state.at_hat
     if forcing is not None:
-        n_u, n_b = forcing
-        u += cache.heat_w * n_u.coeffs
-        b += cache.w * n_b.coeffs
-        bt += cache.k1 * n_b.coeffs
-    return _finalize(u, b, bt, state, state.t + config.dt)
+        f_psi, f_a = forcing
+        psi += cache.heat_w * f_psi
+        a += cache.w * f_a
+        at += cache.k1 * f_a
+    return _finalize(psi, a, at, state, state.t + config.dt)
 
 
 def step_imex(state: State, config: SolverConfig, cache: _StepperCache | None = None) -> State:
@@ -256,47 +326,44 @@ def step_imex(state: State, config: SolverConfig, cache: _StepperCache | None = 
     dt = config.dt
     forcing = _forcing(state, config)
 
-    ru = state.u_hat.coeffs
-    rb = state.b_hat.coeffs
-    rbt = state.bt_hat.coeffs
+    rpsi, ra, rat = state.psi_hat, state.a_hat, state.at_hat
     if forcing is not None:
-        n_u, n_b = forcing
-        ru = ru + 0.5 * dt * n_u.coeffs
-        rbt = rbt + 0.5 * dt * n_b.coeffs / config.gamma
-    u_star = cache.u_imp * ru
-    b_star = cache.i00 * rb + cache.i01 * rbt
-    bt_star = cache.i10 * rb + cache.i11 * rbt
+        f_psi, f_a = forcing
+        rpsi = rpsi + 0.5 * dt * f_psi
+        rat = rat + 0.5 * dt * f_a / config.gamma
+    psi_star = cache.u_imp * rpsi
+    a_star = cache.i00 * ra + cache.i01 * rat
+    at_star = cache.i10 * ra + cache.i11 * rat
 
     if forcing is not None:
-        mid = _finalize(u_star, b_star, bt_star, state, state.t + 0.5 * dt)
+        mid = _finalize(psi_star, a_star, at_star, state, state.t + 0.5 * dt)
         forcing = _forcing(mid, config)
-    du = -g.k2 * u_star
-    dbt = -g.k2 * b_star - bt_star
+    dpsi = -g.k2 * psi_star
+    dat = -g.k2 * a_star - at_star
     if forcing is not None:
-        n_u2, n_b2 = forcing
-        du += n_u2.coeffs
-        dbt += n_b2.coeffs
+        f_psi, f_a = forcing
+        dpsi += f_psi
+        dat += f_a
 
-    u = state.u_hat.coeffs + dt * du
-    b = state.b_hat.coeffs + dt * bt_star
-    bt = state.bt_hat.coeffs + dt * (dbt / config.gamma)
-    return _finalize(u, b, bt, state, state.t + dt)
+    psi = state.psi_hat + dt * dpsi
+    a = state.a_hat + dt * at_star
+    at = state.at_hat + dt * (dat / config.gamma)
+    return _finalize(psi, a, at, state, state.t + dt)
 
 
 def step_mhd_baseline(state: State, config: SolverConfig,
                       cache: _StepperCache | None = None) -> State:
-    """One step of the gamma = 0 MHD system; bt_hat is ignored (kept zero)."""
+    """One step of the gamma = 0 MHD system; at_hat is ignored (kept zero)."""
     if cache is None:
         cache = _StepperCache(config)
     forcing = _forcing(state, config)
-    u = cache.heat_mult * state.u_hat.coeffs
-    b = cache.heat_mult * state.b_hat.coeffs
+    psi = cache.heat_mult * state.psi_hat
+    a = cache.heat_mult * state.a_hat
     if forcing is not None:
-        n_u, n_b = forcing
-        u += cache.heat_w * n_u.coeffs
-        b += cache.heat_w * n_b.coeffs
-    bt = np.zeros_like(state.bt_hat.coeffs)
-    return _finalize(u, b, bt, state, state.t + config.dt)
+        f_psi, f_a = forcing
+        psi += cache.heat_w * f_psi
+        a += cache.heat_w * f_a
+    return _finalize(psi, a, np.zeros_like(state.at_hat), state, state.t + config.dt)
 
 
 _STEPPERS = {
@@ -308,16 +375,22 @@ _STEPPERS = {
 
 def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
         checkpoint_every: int | None = None, checkpoint_sink=None) -> Trajectory:
-    """Integrate from ``initial = (u0, b0, a0)`` to ``t_end``.
+    """Integrate from ``initial`` to ``t_end``.
 
+    ``initial`` is a ``State`` (its time is reset to 0) or the vector triple
+    ``(u0, b0, a0)`` of u, b and d_t b, mapped to potentials by
+    ``State.from_vectors``; either is dealiased first.
     ``observer(state) -> dict`` is evaluated at t = 0 and then every
     ``snapshot_every`` steps; rows are collected into the returned
     ``Trajectory``.  Deterministic: identical config and initial data give
     bitwise-identical snapshots.  Step errors propagate with the failure
     time attached.
     """
-    u0, b0, a0 = initial
-    state = State(dealias(u0), dealias(b0), dealias(a0), 0.0)
+    if not isinstance(initial, State):
+        initial = State.from_vectors(*initial)
+    mask = initial.grid.dealias_mask
+    state = State(initial.psi_hat * mask, initial.a_hat * mask, initial.at_hat * mask,
+                  initial.grid, 0.0)
     stepper = _STEPPERS[config.scheme]
     ratio = config.t_end / config.dt if config.t_end > 0 and config.dt > 0 else 0.0
     n_steps = int(round(ratio))

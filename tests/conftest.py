@@ -36,13 +36,34 @@ def random_divfree(grid, seed):
     return f
 
 
-def random_state(grid, seed):
-    return State(
-        random_divfree(grid, seed),
-        random_divfree(grid, seed + 1000),
-        random_divfree(grid, seed + 2000),
-        0.0,
-    )
+def random_state(grid, seed, scale=1.0):
+    """A state whose fields (u, b, d_t b) are ``scale`` times independent
+    ``random_divfree`` fields."""
+    fields = (random_divfree(grid, seed + offset) for offset in (0, 1000, 2000))
+    return State.from_vectors(*(SpectralVectorField(f.coeffs * scale, grid) for f in fields))
+
+
+def vector_nonlinear(state):
+    """Oracle: (N_u, N_b) in the vector divergence/curl form, on the fields
+    u and b of the state.
+
+    For divergence-free, 2/3-dealiased fields u.grad u - b.grad b =
+    div(u (x) u - b (x) b) on the retained band, and in 2D
+    b.grad u - u.grad b = (d_y E, -d_x E) with E = u1 b2 - u2 b1; N_u is
+    the Leray projection of -div T.  4 inverse and 4 forward transforms.
+    """
+    g = state.grid
+    n = g.n
+    spec = np.concatenate((state.u_hat.coeffs, state.b_hat.coeffs))
+    u1, u2, b1, b2 = np.fft.irfft2(spec, s=(n, n), axes=(-2, -1))
+    prod = np.stack([u1 * u1 - b1 * b1, u1 * u2 - b1 * b2, u2 * u2 - b2 * b2, u1 * b2 - u2 * b1])
+    hat = np.fft.rfft2(prod, axes=(-2, -1)) * g.dealias_mask * n**2
+    kx, ky = g.kx, g.ky
+    div1 = kx * hat[0] + ky * hat[1]
+    div2 = kx * hat[1] + ky * hat[2]
+    frac = (kx * div1 + ky * div2) * g.inv_k2
+    out = -1j * np.stack([div1 - kx * frac, div2 - ky * frac, -ky * hat[3], kx * hat[3]])
+    return SpectralVectorField(out[0:2], g), SpectralVectorField(out[2:4], g)
 
 
 def single_mode_field(grid, kindex, amplitude=1.0, component=1):

@@ -34,10 +34,11 @@ def test_header_layout(tmp_path, grid16):
     raw = p.read_bytes()
     header = struct.Struct("<4sIIddd")  # 36 bytes, no padding
     magic, version, n, L, gamma, t = header.unpack(raw[: header.size])
-    assert magic == MAGIC and version == VERSION == 2
+    assert magic == MAGIC and version == VERSION == 3
     assert n == 16 and gamma == 1.5 and t == 0.0
     assert L == grid16.box_length
-    assert len(raw) == header.size + 3 * 2 * 16 * 9 * 16
+    # three scalar (n, n/2 + 1) complex128 blocks
+    assert len(raw) == 36 + 3 * 16 * 16 * 9
 
 
 def test_failed_write_keeps_previous_checkpoint(tmp_path, grid16, monkeypatch):
@@ -74,20 +75,25 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, grid16, monkeypatch):
 
 
 def test_version_1_file_loads(tmp_path, grid16):
+    # v1 (full-spectrum fields) and v2 (half-spectrum fields) files of the
+    # state load to the state of its v3 file (potentials) up to round-off
     st = random_state(grid16, 7)
     st.t = 0.5
-    v2 = tmp_path / "v2.mhdw"
-    save_checkpoint(v2, st, gamma=0.25)
-    v1 = tmp_path / "v1.mhdw"
-    with open(v1, "wb") as fh:
-        fh.write(struct.pack("<4sIIddd", MAGIC, 1, 16, grid16.box_length, 0.25, 0.5))
-        for f in (st.u_hat, st.b_hat, st.bt_hat):
-            fh.write(expand_half_spectrum(f.coeffs, 16).astype("<c16").tobytes())
-    (old, g_old), (new, g_new) = load_checkpoint(v1), load_checkpoint(v2)
-    assert (g_old, old.t, old.grid) == (g_new, new.t, new.grid)
-    for a, b in ((old.u_hat, new.u_hat), (old.b_hat, new.b_hat), (old.bt_hat, new.bt_hat)):
-        assert a.coeffs.shape == b.coeffs.shape == (2, 16, 9)
-        assert np.all(a.coeffs == b.coeffs)
+    v3 = tmp_path / "v3.mhdw"
+    save_checkpoint(v3, st, gamma=0.25)
+    new, g_new = load_checkpoint(v3)
+    for version, expand in ((1, lambda c: expand_half_spectrum(c, 16)), (2, lambda c: c)):
+        p = tmp_path / f"v{version}.mhdw"
+        with open(p, "wb") as fh:
+            fh.write(struct.pack("<4sIIddd", MAGIC, version, 16, grid16.box_length, 0.25, 0.5))
+            for f in (st.u_hat, st.b_hat, st.bt_hat):
+                fh.write(expand(f.coeffs).astype("<c16").tobytes())
+        old, g_old = load_checkpoint(p)
+        assert (g_old, old.t, old.grid) == (g_new, new.t, new.grid)
+        for a, b in ((old.psi_hat, new.psi_hat), (old.a_hat, new.a_hat),
+                     (old.at_hat, new.at_hat)):
+            assert a.shape == b.shape == (16, 9)
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
 
 def test_bad_magic_rejected(tmp_path, grid16):

@@ -51,6 +51,20 @@ class TestLqNorm:
         with pytest.raises(DomainError):
             lq_norm(f, 0.5)
 
+    def test_large_q_does_not_underflow(self):
+        # |u|^400 underflows at amplitude 0.05; the scaled sum does not.  On
+        # this box the cell area exceeds 1, so M <= ||u||_q <= M L^(2/q)
+        g = GridSpec(64, 32 * np.pi)
+        u0, _, _ = make_initial_data("random_band", {"amplitude": 0.05, "seed": 0}, g)
+        f = transform_inverse(u0)
+        peak = float(np.max(f.magnitude()))
+        assert peak <= lq_norm(f, 400) <= peak * g.box_length ** (2.0 / 400)
+
+    def test_zero_field(self):
+        g = GridSpec(16, 1.0)
+        f = RealField(np.zeros((2, 16, 16)), g)
+        assert lq_norm(f, 4) == 0.0 and lq_norm(f, np.inf) == 0.0
+
     def test_quadrature_refinement(self):
         # grid quadrature of |f|^q aliases above the band; refining the
         # grid of a fixed band-limited field must not move the value
@@ -108,14 +122,14 @@ class TestSobolevSeminorm:
 
 class TestEnergyFunctionals:
     def test_zero_state(self, grid16):
-        st = State(zero_field(grid16), zero_field(grid16), zero_field(grid16))
+        st = State.from_vectors(zero_field(grid16), zero_field(grid16), zero_field(grid16))
         assert energy_functionals(st, 1.0, 0.5) == (0.0, 0.0, 0.0)
 
     def test_single_mode_formula(self, grid16):
         # |k| = 1 makes every multiplier 1: X_1 = A_P^2 (1 + 2 gamma)
         gamma = 2.0
         b = single_mode_field(grid16, (1, 0), 0.7)
-        st = State(zero_field(grid16), b, zero_field(grid16))
+        st = State.from_vectors(zero_field(grid16), b, zero_field(grid16))
         a2 = sobolev_seminorm(b, 0.0) ** 2
         x, y, z = energy_functionals(st, 1.0, gamma)
         assert x == pytest.approx(a2 * (1 + 2 * gamma), rel=1e-12)
@@ -193,6 +207,16 @@ class TestLinearEnergyResidual:
         with pytest.raises(UsageError):
             linear_energy_residual(traj, 0.5, 1.0)
 
+    def test_mismatched_arguments_rejected(self, grid16):
+        traj = _linear_traj(grid16, gamma=0.5, dt=1e-2, t_end=0.05)
+        assert len(linear_energy_residual(traj, 0.5, 1.0, dt=1e-2)) == 4
+        with pytest.raises(UsageError, match="m=2.0"):
+            linear_energy_residual(traj, 0.5, 2.0)
+        with pytest.raises(UsageError, match="gamma=0.25"):
+            linear_energy_residual(traj, 0.25, 1.0)
+        with pytest.raises(UsageError, match="dt=0.02"):
+            linear_energy_residual(traj, 0.5, 1.0, dt=2e-2)
+
     def test_trajectory_without_energy_triple_rejected(self, grid16):
         u0, b0, a0 = make_initial_data(
             "random_band", {"amplitude": 1.0, "k_max": 3.0, "seed": 5}, grid16
@@ -232,19 +256,18 @@ class TestNormObserver:
            gamma=hst.floats(1e-2, 10.0))
     def test_matches_reference_functions(self, n, seed, scale, m, gamma):
         g = GridSpec(n, 2 * np.pi)
-        st = random_state(g, seed)
-        for f in (st.u_hat, st.b_hat, st.bt_hat):
-            f.coeffs *= scale
+        st = random_state(g, seed, scale)
         s_u, s_b = (0.0, -0.5, 1.0), (0.0, 0.75, 1.5)
         row = norm_observer((2.0, 4.0), s_u, s_b, m=m, gamma=gamma)(st)
         for name, f in (("u", st.u_hat), ("b", st.b_hat)):
             phys = transform_inverse(f)
             assert row[f"{name}_L2"] == pytest.approx(lq_norm(phys, 2), rel=1e-12)
             assert row[f"{name}_L4"] == lq_norm(phys, 4)
+        # the observer sums |k|^(2s+2) |psi_hat|^2, the reference |k|^(2s) |u_hat|^2
         for s in s_u:
-            assert row[f"u_H{s:g}"] == sobolev_seminorm(st.u_hat, s)
+            assert row[f"u_H{s:g}"] == pytest.approx(sobolev_seminorm(st.u_hat, s), rel=1e-13)
         for s in s_b:
-            assert row[f"b_H{s:g}"] == sobolev_seminorm(st.b_hat, s)
+            assert row[f"b_H{s:g}"] == pytest.approx(sobolev_seminorm(st.b_hat, s), rel=1e-13)
         assert (row["X_m"], row["Y_m"], row["Z_m"]) == energy_functionals(st, m, gamma)
 
     def test_energy_triple_only_with_m(self, grid16, monkeypatch):
@@ -264,11 +287,16 @@ class TestNormObserver:
         assert {"X_m", "Y_m", "Z_m"} <= set(row)
         assert calls == [1]
 
-    def test_negative_order_needs_mean_zero(self, grid16):
-        st = random_state(grid16, 2)
-        st.u_hat.coeffs[0, 0, 0] = 1.0
-        with pytest.raises(DomainError):
-            norm_observer((2.0,), (-1.0,), (0.0,))(st)
+    def test_negative_order_on_mean_free_state(self, grid16):
+        # a mean flow has no stream function: the map to potentials drops it,
+        # so negative orders are defined on every state
+        c = random_divfree(grid16, 2).coeffs
+        c[0, 0, 0] = 1.0
+        st = State.from_vectors(SpectralVectorField(c, grid16), zero_field(grid16),
+                                zero_field(grid16))
+        assert np.all(st.u_hat.coeffs[:, 0, 0] == 0)
+        row = norm_observer((2.0,), (-1.0,), (0.0,))(st)
+        assert row["u_H-1"] == pytest.approx(sobolev_seminorm(st.u_hat, -1.0), rel=1e-13)
 
 
 def test_abs_k_power_cached_read_only(grid16):

@@ -30,11 +30,18 @@ from mhdwave.solver import (
     step_mhd_baseline,
 )
 
-from conftest import random_divfree, random_state, single_mode_field, zero_field
+from conftest import (
+    random_divfree,
+    random_spectral,
+    random_state,
+    single_mode_field,
+    vector_nonlinear,
+    zero_field,
+)
 
 
 def mode_state(grid, kindex, b_amp=1.0, u_amp=0.0, a_amp=0.0):
-    return State(
+    return State.from_vectors(
         single_mode_field(grid, kindex, u_amp),
         single_mode_field(grid, kindex, b_amp),
         single_mode_field(grid, kindex, a_amp),
@@ -68,13 +75,13 @@ def advective_reference(st):
 class TestNonlinear:
     def test_u_equals_b_kills_magnetic_term(self, grid16):
         u = random_divfree(grid16, 1)
-        st = State(u, u.copy(), zero_field(grid16), 0.0)
+        st = State.from_vectors(u, u.copy(), zero_field(grid16), 0.0)
         _, n_b = compute_nonlinear(st)
         assert np.max(np.abs(n_b.coeffs)) == 0.0
 
     def test_b_zero(self, grid16):
         u = random_divfree(grid16, 2)
-        st = State(u, zero_field(grid16), zero_field(grid16), 0.0)
+        st = State.from_vectors(u, zero_field(grid16), zero_field(grid16), 0.0)
         n_u, n_b = compute_nonlinear(st)
         assert np.max(np.abs(n_b.coeffs)) == 0.0
         # N_u = -P(u.grad u): compare against an independent composition
@@ -87,9 +94,7 @@ class TestNonlinear:
            scale=hst.floats(1e-3, 1e3))
     def test_divergence_form_properties(self, n, seed, scale):
         g = GridSpec(n, 2 * np.pi)
-        st = random_state(g, seed)
-        st.u_hat.coeffs *= scale
-        st.b_hat.coeffs *= scale
+        st = random_state(g, seed, scale)
         n_u, n_b = compute_nonlinear(st)
         # matches the advective form built from the public operators
         ref_u, ref_b = advective_reference(st)
@@ -100,7 +105,17 @@ class TestNonlinear:
         power = abs(spectral_inner(n_u, st.u_hat) + spectral_inner(n_b, st.b_hat))
         assert power <= 1e-12 * (spectral_l2(st.u_hat) + spectral_l2(st.b_hat)) ** 3
 
-    def test_one_step_makes_eight_transforms(self, grid16, monkeypatch):
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=hst.sampled_from([16, 32]), seed=hst.integers(0, 2**32 - 1),
+           scale=hst.floats(1e-3, 1e3))
+    def test_matches_vector_divergence_form(self, n, seed, scale):
+        # the scalar forcings, mapped to vectors, against the vector form
+        # (8 transforms, Leray algebra) that the solver used before
+        st = random_state(GridSpec(n, 2 * np.pi), seed, scale)
+        for got, ref in zip(compute_nonlinear(st), vector_nonlinear(st)):
+            assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * np.max(np.abs(ref.coeffs))
+
+    def test_one_step_makes_seven_transforms(self, grid16, monkeypatch):
         batches = []
 
         class CountingFFT:
@@ -120,7 +135,7 @@ class TestNonlinear:
         monkeypatch.setattr(solver, "_fft", CountingFFT())
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.01, grid=grid16)
         step_exp(random_state(grid16, 3), cfg)
-        assert sum(batches) == 8
+        assert sum(batches) == 7
 
     def test_single_mode_pair_convolution(self, grid16):
         # two single modes: the advective products live on the four sum
@@ -128,7 +143,7 @@ class TestNonlinear:
         g = grid16
         u = single_mode_field(g, (1, 0), 1.0, component=1)   # u = (0, cos x)
         b = single_mode_field(g, (0, 1), 1.0, component=0)   # b = (cos y, 0)
-        st = State(u, b, zero_field(g), 0.0)
+        st = State.from_vectors(u, b, zero_field(g), 0.0)
         n_u, n_b = compute_nonlinear(st)
         # (b.grad)u = cos y d_x (0, cos x) = (0, -cos y sin x)
         # (u.grad)b = cos x d_y (cos y, 0) = (-cos x sin y, 0)
@@ -159,7 +174,7 @@ class TestNonlinear:
     def test_blowup_detection_carries_time(self, grid16):
         st = random_state(grid16, 8)
         st.t = 2.75
-        st.u_hat.coeffs[0, 1, 1] = np.nan
+        st.psi_hat[1, 1] = np.nan
         with pytest.raises(BlowUpError) as err:
             compute_nonlinear(st)
         assert err.value.t == 2.75
@@ -168,7 +183,7 @@ class TestNonlinear:
 class TestStepExp:
     def test_zero_data_stays_zero(self, grid16):
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16)
-        st = State(zero_field(grid16), zero_field(grid16), zero_field(grid16), 0.0)
+        st = State.from_vectors(zero_field(grid16), zero_field(grid16), zero_field(grid16))
         out = step_exp(st, cfg)
         assert np.all(out.u_hat.coeffs == 0) and np.all(out.b_hat.coeffs == 0)
 
@@ -257,7 +272,10 @@ class TestMhdBaseline:
     def test_single_mode_heat(self, grid16):
         cfg = SolverConfig(gamma=0.0, dt=0.05, t_end=1.0, grid=grid16,
                            scheme="mhd_baseline", nonlinear=False)
-        b0 = single_mode_field(grid16, (1, 1), 1.0)
+        # b = (-cos(x + y), cos(x + y)), divergence-free
+        b0 = SpectralVectorField(single_mode_field(grid16, (1, 1), 1.0).coeffs
+                                 - single_mode_field(grid16, (1, 1), 1.0, component=0).coeffs,
+                                 grid16)
         traj = run(cfg, (zero_field(grid16), b0, zero_field(grid16)), keep_states=True)
         got = traj.states[-1].b_hat.coeffs[1, 1, 1]
         assert got == pytest.approx(0.5 * np.exp(-2.0), rel=1e-12)
@@ -365,3 +383,43 @@ class TestRun:
         assert factor <= 1.05
         hm_u = traj.series(f"u_H{m:g}") ** 2
         assert np.max(hm_u) <= 1.05 * x[0]
+
+
+class TestState:
+    def test_vector_round_trip(self, grid32):
+        fields = [random_divfree(grid32, seed) for seed in (1, 2, 3)]
+        st = State.from_vectors(*fields)
+        for f, view in zip(fields, (st.u_hat, st.b_hat, st.bt_hat)):
+            assert np.max(np.abs(view.coeffs - f.coeffs)) <= 1e-15 * np.max(np.abs(f.coeffs))
+
+    def test_vector_map_projects(self, grid16):
+        # the map to potentials keeps the divergence-free, mean-free part
+        f = random_spectral(grid16, 4)
+        u = State.from_vectors(f, zero_field(grid16), zero_field(grid16)).u_hat
+        p = leray_project(f)
+        p.coeffs[:, 0, 0] = 0.0
+        assert np.max(np.abs(u.coeffs - p.coeffs)) <= 1e-15 * np.max(np.abs(p.coeffs))
+
+    def test_views_read_only(self, grid16):
+        st = random_state(grid16, 5)
+        for view in (st.u_hat, st.b_hat, st.bt_hat):
+            assert view.coeffs.shape == (2, 16, 9)
+            with pytest.raises(ValueError):
+                view.coeffs *= 2.0
+
+    def test_wrong_shape_rejected(self, grid16):
+        with pytest.raises(ConfigurationError):
+            State(np.zeros((16, 16), complex), np.zeros((16, 9), complex),
+                  np.zeros((16, 9), complex), grid16)
+
+    def test_run_accepts_state(self, grid16):
+        u0, b0, a0 = make_initial_data(
+            "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 7}, grid16)
+        cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16)
+        by_fields = run(cfg, (u0, b0, a0), keep_states=True).states[-1]
+        start = State.from_vectors(u0, b0, a0, t=3.0)
+        by_state = run(cfg, start, keep_states=True).states[-1]
+        assert by_state.t == by_fields.t == pytest.approx(0.1)
+        for a, b in ((by_fields.psi_hat, by_state.psi_hat), (by_fields.a_hat, by_state.a_hat),
+                     (by_fields.at_hat, by_state.at_hat)):
+            assert np.array_equal(a, b)
