@@ -82,18 +82,22 @@ def test_version_1_file_loads(tmp_path, grid16):
     v3 = tmp_path / "v3.mhdw"
     save_checkpoint(v3, st, gamma=0.25)
     new, g_new = load_checkpoint(v3)
+    old = {}
     for version, expand in ((1, lambda c: expand_half_spectrum(c, 16)), (2, lambda c: c)):
         p = tmp_path / f"v{version}.mhdw"
         with open(p, "wb") as fh:
             fh.write(struct.pack("<4sIIddd", MAGIC, version, 16, grid16.box_length, 0.25, 0.5))
             for f in (st.u_hat, st.b_hat, st.bt_hat):
                 fh.write(expand(f.coeffs).astype("<c16").tobytes())
-        old, g_old = load_checkpoint(p)
-        assert (g_old, old.t, old.grid) == (g_new, new.t, new.grid)
-        for a, b in ((old.psi_hat, new.psi_hat), (old.a_hat, new.a_hat),
-                     (old.at_hat, new.at_hat)):
+        old[version], g_old = load_checkpoint(p)
+        assert (g_old, old[version].t, old[version].grid) == (g_new, new.t, new.grid)
+        for name in ("psi_hat", "a_hat", "at_hat"):
+            a, b = getattr(old[version], name), getattr(new, name)
             assert a.shape == b.shape == (16, 9)
             assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+    # both vector layouts hold the same fields, so they load identically
+    for name in ("psi_hat", "a_hat", "at_hat"):
+        assert np.all(getattr(old[1], name) == getattr(old[2], name))
 
 
 def test_bad_magic_rejected(tmp_path, grid16):

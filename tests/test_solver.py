@@ -109,8 +109,8 @@ class TestNonlinear:
     @given(n=hst.sampled_from([16, 32]), seed=hst.integers(0, 2**32 - 1),
            scale=hst.floats(1e-3, 1e3))
     def test_matches_vector_divergence_form(self, n, seed, scale):
-        # the scalar forcings, mapped to vectors, against the vector form
-        # (8 transforms, Leray algebra) that the solver used before
+        # the scalar forcings, mapped to vectors, against the vector
+        # divergence/curl form (8 transforms and the Leray algebra)
         st = random_state(GridSpec(n, 2 * np.pi), seed, scale)
         for got, ref in zip(compute_nonlinear(st), vector_nonlinear(st)):
             assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * np.max(np.abs(ref.coeffs))
