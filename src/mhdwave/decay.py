@@ -287,11 +287,14 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
     """
     grid = cfg.grid
     u0, b0, a0 = make_initial_data(cfg.family, cfg.params, grid)
+    trivial = spectral_l2(u0) == 0.0 and spectral_l2(b0) == 0.0
+    # an order the theory does not cover fails here, before the integration
+    theory = {} if trivial else {i: _theory_pair(i, cfg) for i in cfg.norm_ids()}
     observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b)
     traj = run(cfg.solver_config(), (u0, b0, a0), observer)
 
     window = cfg.window if cfg.window is not None else default_fit_window(cfg.t_end, grid)
-    if spectral_l2(u0) == 0.0 and spectral_l2(b0) == 0.0:
+    if trivial:
         comps = [FitComparison(i, None, None, trivial=True) for i in cfg.norm_ids()]
         return DecayResult(traj, comps, window, trivial=True)
 
@@ -299,7 +302,7 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
     t = np.asarray(traj.times)
     for norm_id in cfg.norm_ids():
         vals = traj.series(norm_id)
-        primary, lq = _theory_pair(norm_id, cfg)
+        primary, lq = theory[norm_id]
         fit = fit_power_law(zip(t, vals), window)
         comps.append(FitComparison(norm_id, fit, primary, lq))
     return DecayResult(traj, comps, window)

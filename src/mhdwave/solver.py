@@ -38,6 +38,16 @@ dealiasing, so the retained band sees the exact Galerkin convolution and
 the quadratic energy cancellations hold to round-off.  The k = 0 mode of
 each potential carries no field and is zeroed every step.
 
+The nonlinear terms allocate only the two transform outputs.  The
+spectrum of (u, b) and the product array live in scratch arrays that
+``run`` builds once, with its step tables, when the nonlinear terms are
+on; the products are formed in place with ``out=``, in the same operation
+order as fresh temporaries would be, and the steppers scale the forcings
+in place, so results are bitwise unchanged.  The scratch arrays belong to
+one run, not to one grid: ``sweep --threads`` runs members on the same
+grid at the same time, and a per-grid buffer would let them overwrite
+each other's products.
+
 ``run`` also takes the vector triple (u0, b0, d_t b0) and maps it to the
 potentials with psi = (i ky u1 - i kx u2) / |k|^2.  That map is the Leray
 projection followed by the removal of the mean; on divergence-free,
@@ -209,38 +219,63 @@ def _forcing_tables(grid: GridSpec):
     return c_d, c_12, c_e
 
 
-def _nonlinear_terms(state: State):
+class _Workspace:
+    """Scratch arrays of the nonlinear terms on one grid: the (4, n, n/2+1)
+    spectrum of (u, b) and the (3, n, n) products (D, T12, E).  Every call
+    overwrites them completely."""
+
+    def __init__(self, grid: GridSpec):
+        self.spec = np.empty((4, grid.n, grid.half), dtype=np.complex128)
+        self.prod = np.empty((3, grid.n, grid.n))
+
+
+def _nonlinear_terms(state: State, work: _Workspace | None = None):
     """Internal: (F_psi, F_A, max|u| + max|b|), the scalar forcings.
 
     u and b come from 4 inverse transforms of grad^perp (psi, A); the
     products D = T11 - T22, T12 and E = u1 b2 - u2 b1 take 3 forward
     transforms, all in the half-spectrum layout.  The trace of T is a
     gradient, which the projection removes, so it is never formed.
+    ``work`` holds the scratch arrays (fresh ones when it is None).  The
+    forcings are views of the forward transform's output, which the caller
+    owns and may overwrite.
     """
     g = state.grid
     n = g.n
-    spec = np.empty((4, n, g.half), dtype=np.complex128)
+    if work is None:
+        work = _Workspace(g)
+    spec, prod = work.spec, work.prod
     np.multiply(g.grad_perp, state.psi_hat, out=spec[0:2])
     np.multiply(g.grad_perp, state.a_hat, out=spec[2:4])
     # physical values carry an n^-2 scale here; it cancels against the
     # quadratic product and the forward normalization as the n^2 of the tables
     phys = _fft.irfft2(spec, s=(n, n), axes=(-2, -1))
     u1, u2, b1, b2 = phys
-    sq = phys * phys
-    vmax = float(np.sqrt(np.max(sq[0] + sq[1])) + np.sqrt(np.max(sq[2] + sq[3]))) * n**2
+    # T12 and E need the raw values, so they come first, with prod[0] as
+    # scratch; then the squares overwrite the values
+    np.multiply(u1, u2, out=prod[1])
+    np.multiply(b1, b2, out=prod[2])
+    prod[1] -= prod[2]
+    np.multiply(u1, b2, out=prod[2])
+    np.multiply(u2, b1, out=prod[0])
+    prod[2] -= prod[0]
+    sq = np.multiply(phys, phys, out=phys)
+    vmax = float(np.sqrt(np.max(np.add(sq[0], sq[1], out=prod[0])))
+                 + np.sqrt(np.max(np.add(sq[2], sq[3], out=prod[0])))) * n**2
     # a non-finite value anywhere makes vmax non-finite
     if not math.isfinite(vmax):
         raise BlowUpError("non-finite nonlinear products", t=state.t)
+    sq[0] -= sq[2]
+    sq[1] -= sq[3]
+    np.subtract(sq[0], sq[1], out=prod[0])
 
-    prod = np.empty((3, n, n))
-    np.subtract(sq[0] - sq[2], sq[1] - sq[3], out=prod[0])
-    np.subtract(u1 * u2, b1 * b2, out=prod[1])
-    np.subtract(u1 * b2, u2 * b1, out=prod[2])
     hat = _fft.rfft2(prod, axes=(-2, -1))
     c_d, c_12, c_e = _forcing_tables(g)
-    f_psi = c_d * hat[0]
-    f_psi += c_12 * hat[1]
-    return f_psi, c_e * hat[2], vmax
+    f_psi, t12_hat, f_a = hat
+    np.multiply(c_d, f_psi, out=f_psi)
+    f_psi += np.multiply(c_12, t12_hat, out=t12_hat)
+    np.multiply(c_e, f_a, out=f_a)
+    return f_psi, f_a, vmax
 
 
 def compute_nonlinear(state: State):
@@ -257,10 +292,12 @@ def compute_nonlinear(state: State):
 
 
 class _StepperCache:
-    """Per-(gamma, dt, grid) tables shared across steps."""
+    """Per-(gamma, dt, grid) tables shared across the steps of one run, plus
+    the run's own nonlinear scratch arrays (None in linear runs)."""
 
     def __init__(self, config: SolverConfig):
         g = config.grid
+        self.work = _Workspace(g) if config.nonlinear else None
         self.heat_mult = np.exp(-g.k2 * config.dt)
         self.heat_w = heat_weight(g.k2, config.dt)
         if config.scheme == "exp_integrator":
@@ -279,12 +316,13 @@ class _StepperCache:
             self.u_imp = 1.0 / (1.0 + dt / 2.0 * g.k2)
 
 
-def _forcing(state: State, config: SolverConfig):
+def _forcing(state: State, config: SolverConfig, cache: _StepperCache):
     """Scalar forcings plus the per-step CFL re-check; None in linear mode
-    (the exact propagators carry no advective step restriction)."""
+    (the exact propagators carry no advective step restriction).  The step
+    owns the returned arrays and scales them in place."""
     if not config.nonlinear:
         return None
-    f_psi, f_a, vmax = _nonlinear_terms(state)
+    f_psi, f_a, vmax = _nonlinear_terms(state, cache.work)
     _check_cfl(vmax, config, state.t)
     return f_psi, f_a
 
@@ -303,15 +341,16 @@ def step_exp(state: State, config: SolverConfig, cache: _StepperCache | None = N
     """One exponential-Euler step: exact linear part, frozen forcing."""
     if cache is None:
         cache = _StepperCache(config)
-    forcing = _forcing(state, config)
+    forcing = _forcing(state, config, cache)
     psi = cache.heat_mult * state.psi_hat
     a = cache.m00 * state.a_hat + cache.m01 * state.at_hat
     at = cache.m10 * state.a_hat + cache.m11 * state.at_hat
     if forcing is not None:
         f_psi, f_a = forcing
-        psi += cache.heat_w * f_psi
-        a += cache.w * f_a
-        at += cache.k1 * f_a
+        psi += np.multiply(cache.heat_w, f_psi, out=f_psi)
+        # f_psi is spent, so it takes k1 F_A before w scales F_A in place
+        at += np.multiply(cache.k1, f_a, out=f_psi)
+        a += np.multiply(cache.w, f_a, out=f_a)
     return _finalize(psi, a, at, state, state.t + config.dt)
 
 
@@ -324,20 +363,21 @@ def step_imex(state: State, config: SolverConfig, cache: _StepperCache | None = 
         cache = _StepperCache(config)
     g = state.grid
     dt = config.dt
-    forcing = _forcing(state, config)
+    forcing = _forcing(state, config, cache)
 
     rpsi, ra, rat = state.psi_hat, state.a_hat, state.at_hat
     if forcing is not None:
         f_psi, f_a = forcing
-        rpsi = rpsi + 0.5 * dt * f_psi
-        rat = rat + 0.5 * dt * f_a / config.gamma
+        rpsi = rpsi + np.multiply(0.5 * dt, f_psi, out=f_psi)
+        np.multiply(0.5 * dt, f_a, out=f_a)
+        rat = rat + np.divide(f_a, config.gamma, out=f_a)
     psi_star = cache.u_imp * rpsi
     a_star = cache.i00 * ra + cache.i01 * rat
     at_star = cache.i10 * ra + cache.i11 * rat
 
     if forcing is not None:
         mid = _finalize(psi_star, a_star, at_star, state, state.t + 0.5 * dt)
-        forcing = _forcing(mid, config)
+        forcing = _forcing(mid, config, cache)
     dpsi = -g.k2 * psi_star
     dat = -g.k2 * a_star - at_star
     if forcing is not None:
@@ -356,13 +396,13 @@ def step_mhd_baseline(state: State, config: SolverConfig,
     """One step of the gamma = 0 MHD system; at_hat is ignored (kept zero)."""
     if cache is None:
         cache = _StepperCache(config)
-    forcing = _forcing(state, config)
+    forcing = _forcing(state, config, cache)
     psi = cache.heat_mult * state.psi_hat
     a = cache.heat_mult * state.a_hat
     if forcing is not None:
         f_psi, f_a = forcing
-        psi += cache.heat_w * f_psi
-        a += cache.heat_w * f_a
+        psi += np.multiply(cache.heat_w, f_psi, out=f_psi)
+        a += np.multiply(cache.heat_w, f_a, out=f_a)
     return _finalize(psi, a, np.zeros_like(state.at_hat), state, state.t + config.dt)
 
 
@@ -379,7 +419,8 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
 
     ``initial`` is a ``State`` (its time is reset to 0) or the vector triple
     ``(u0, b0, a0)`` of u, b and d_t b, mapped to potentials by
-    ``State.from_vectors``; either is dealiased first.
+    ``State.from_vectors``; either is dealiased first and must live on
+    ``config.grid``.
     ``observer(state) -> dict`` is evaluated at t = 0 and then every
     ``snapshot_every`` steps; rows are collected into the returned
     ``Trajectory``.  Deterministic: identical config and initial data give
@@ -388,6 +429,9 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
     """
     if not isinstance(initial, State):
         initial = State.from_vectors(*initial)
+    if initial.grid != config.grid:
+        raise ConfigurationError(
+            f"initial data lives on {initial.grid}, the config on {config.grid}", path="grid.n")
     mask = initial.grid.dealias_mask
     state = State(initial.psi_hat * mask, initial.a_hat * mask, initial.at_hat * mask,
                   initial.grid, 0.0)

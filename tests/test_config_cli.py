@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from mhdwave import solver
 from mhdwave.cli import main
 from mhdwave.config import config_hash, parse_config, serialize_config
 from mhdwave.errors import ConfigurationError
@@ -324,6 +325,12 @@ class TestCli:
         assert rc == 0
         assert (out / "sweep.csv").exists()
         assert (out / "prefactor_curve.csv").exists()
+        # members running concurrently write the bytes of a sequential sweep
+        seq = tmp_path / "sweep1"
+        assert main(["sweep", "--config", cfgp, "--output", str(seq),
+                     "--gammas", "0.5,1.0", "--threads", "1"]) == 0
+        for name in ("sweep.csv", "prefactor_curve.csv"):
+            assert (out / name).read_bytes() == (seq / name).read_bytes()
         out2 = tmp_path / "cmp"
         rc = main(["compare-mhd", "--config", cfgp, "--output", str(out2),
                    "--gammas", "0.1,0.05", "--T", "1.0"])
@@ -358,6 +365,26 @@ class TestCli:
                      "--gammas", "0.5,1.0"]) == 3
         assert main(["compare-mhd", "--config", cfgp, "--output", str(tmp_path / "c"),
                      "--gammas", "0.1,0.05", "--T", "1.0"]) == 3
+
+    def test_sweep_negative_order_fails_before_stepping(self, tmp_path, capsys, monkeypatch):
+        doc = dict(SWEEP_RUN, diagnostics=dict(SWEEP_RUN["diagnostics"], s_list_u=[0, -0.5]))
+        cfgp = write_config(tmp_path, doc)
+        steps = []
+        step = solver._STEPPERS["exp_integrator"]
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setitem(solver._STEPPERS, "exp_integrator", counted)
+        rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
+                   "--gammas", "0.5,1.0"])
+        assert rc == 4
+        assert "Hbeta rate requires a nonnegative order" in capsys.readouterr().err
+        assert steps == []
+        # simulate has no theory rate to resolve and writes the column
+        assert main(["simulate", "--config", cfgp, "--output", str(tmp_path / "sim")]) == 0
+        assert "u_H-0.5" in (tmp_path / "sim" / "series.csv").read_text().splitlines()[0]
 
     def test_sweep_honours_nonlinear_false(self, tmp_path):
         doc = dict(SWEEP_RUN, solver={"nonlinear": False})

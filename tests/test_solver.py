@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -136,6 +139,26 @@ class TestNonlinear:
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.01, grid=grid16)
         step_exp(random_state(grid16, 3), cfg)
         assert sum(batches) == 7
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_reused_workspace_matches_fresh(self, n):
+        # one set of scratch arrays across 5 different states in a row gives
+        # bitwise the result of fresh arrays: no call reads a stale buffer
+        g = GridSpec(n, 2 * np.pi)
+        work = solver._Workspace(g)
+        for seed, scale in zip(range(5), (1.0, 1e-3, 30.0, 0.5, 2e2)):
+            st = random_state(g, 10 * seed, scale)
+            *reused, vmax_reused = solver._nonlinear_terms(st, work)
+            *fresh, vmax_fresh = solver._nonlinear_terms(st)
+            assert vmax_reused == vmax_fresh
+            for got, ref in zip(reused, fresh):
+                assert got.tobytes() == ref.tobytes()
+
+    def test_linear_run_builds_no_workspace(self, grid16):
+        linear = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16, nonlinear=False)
+        assert solver._StepperCache(linear).work is None
+        nonlinear = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16)
+        assert solver._StepperCache(nonlinear).work.prod.shape == (3, 16, 16)
 
     def test_single_mode_pair_convolution(self, grid16):
         # two single modes: the advective products live on the four sum
@@ -352,6 +375,38 @@ class TestRun:
         traj = run(cfg, (u0, b0, a0), obs)
         vals = traj.series("u2")
         assert np.all(np.diff(vals) <= 1e-14)
+
+    @pytest.mark.parametrize("as_state", [True, False], ids=["state", "vectors"])
+    def test_initial_grid_must_match_config(self, grid16, grid32, as_state):
+        st = random_state(grid16, 9)
+        initial = st if as_state else (st.u_hat, st.b_hat, st.bt_hat)
+        cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid32)
+        with pytest.raises(ConfigurationError, match="grid.n"):
+            run(cfg, initial)
+
+    @pytest.mark.parametrize("scheme", ["exp_integrator", "imex_reference", "mhd_baseline"])
+    def test_concurrent_runs_match_sequential(self, grid16, scheme):
+        # each run owns its scratch arrays: more threads than cores, switching
+        # often, must reproduce the sequential final states bit for bit
+        gammas = [0.25, 0.5, 1.0, 2.0]
+        data = make_initial_data(
+            "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 11}, grid16)
+
+        def final(gamma):
+            cfg = SolverConfig(gamma=gamma, dt=0.01, t_end=1.0, grid=grid16, scheme=scheme,
+                               snapshot_every=100)
+            st = run(cfg, data, keep_states=True).states[-1]
+            return st.psi_hat.tobytes() + st.a_hat.tobytes() + st.at_hat.tobytes()
+
+        expect = [final(g) for g in gammas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(gammas)) as pool:
+                got = list(pool.map(final, gammas, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expect
 
     def test_unknown_scheme_rejected(self, grid16):
         with pytest.raises(ConfigurationError):
