@@ -28,7 +28,6 @@ from .solver import (  # noqa: F401
     run,
     step_exp,
     step_imex,
-    step_mhd_baseline,
 )
 from .diagnostics import (  # noqa: F401
     energy_functionals,

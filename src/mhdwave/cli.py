@@ -1,9 +1,11 @@
 """Command-line entry points.
 
 Subcommands: simulate, sweep, fit-decay, verify-kernels, verify-lemmas,
-compare-mhd.  Shared flags (--config, --output, --seed, --threads) may
-also be set through environment variables with the ``MHDWAVE_`` prefix
-(e.g. ``MHDWAVE_OUTPUT``); flags win over the environment.
+compare-mhd.  Shared flags (--config, --output, --seed) may also be set
+through environment variables with the ``MHDWAVE_`` prefix (e.g.
+``MHDWAVE_OUTPUT``); flags win over the environment.  ``sweep`` runs its
+gamma members concurrently, one thread each up to the CPU count; the
+output does not depend on how many run at once.
 
 Every invocation writes a ``manifest.jsonl`` naming the config hash and
 the emitted files.  CSV outputs are byte-deterministic for a fixed config
@@ -22,7 +24,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -189,13 +190,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     outdir = Path(cfg.output_dir)
     manifest = _Manifest(outdir, cfg, {"command": "sweep", "gammas": args.gammas})
-    gammas = sorted(args.gammas)
-    executor = ThreadPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
-    try:
-        sweep = gamma_prefactor_scan(gammas, cfg, executor)
-    finally:
-        if executor:
-            executor.shutdown()
+    sweep = gamma_prefactor_scan(args.gammas, cfg)
     ids = cfg.norm_ids()
     rows = [["gamma", "norm_id", "exponent", "theory", "r2", "prefactor", "final_value"]]
     for g in sweep.gammas:
@@ -251,14 +246,12 @@ def cmd_fit_decay(args) -> int:
         fit = fit_power_law(zip(t, data[:, j]), window)
         try:
             theory, _ = _theory_pair(nid, cfg)  # same pairing as the live experiment
-            theory_val = theory.exponent
-            delta = fit.exponent - theory_val
-            rows.append([nid, _float_cell(fit.exponent), _float_cell(theory_val),
-                         _float_cell(delta), _float_cell(fit.r2),
-                         _float_cell(window[0]), _float_cell(window[1])])
         except (ValueError, MhdWaveError):
-            rows.append([nid, _float_cell(fit.exponent), "", "", _float_cell(fit.r2),
-                         _float_cell(window[0]), _float_cell(window[1])])
+            theory = None
+        cells = ["", ""] if theory is None else [
+            _float_cell(theory.exponent), _float_cell(fit.exponent - theory.exponent)]
+        rows.append([nid, _float_cell(fit.exponent), *cells, _float_cell(fit.r2),
+                     _float_cell(window[0]), _float_cell(window[1])])
     out = outdir / "fit_summary.csv"
     _write_csv(out, rows)
     manifest.add_file(out, "fit_summary")
@@ -341,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_integer_arg("seed", 0),
                        default=_env_default("seed") or None,
                        help="seed override (MHDWAVE_SEED)")
-        p.add_argument("--threads", type=_integer_arg("threads", 1),
-                       default=_env_default("threads") or 1,
-                       help="sweep concurrency; results identical per N (MHDWAVE_THREADS)")
 
     p = sub.add_parser("simulate", help="run one simulation, emit the norm series")
     common(p)

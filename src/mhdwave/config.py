@@ -68,7 +68,7 @@ _SECTIONS = {
                      "k_min", "k_max", "spectral_exponent", "a0_amplitude", "seed"},
     "diagnostics": {"q_list", "s_list_u", "s_list_b", "m", "c_label"},
     "fit": {"window"},
-    "solver": {"nonlinear", "cfl_safety"},
+    "solver": {"nonlinear"},
     "output": {"directory"},
 }
 _TOP_LEVEL = set(_SECTIONS) | {"scheme"}
@@ -154,8 +154,6 @@ def parse_config(text: str) -> DecayExperimentConfig:
         if not isinstance(s["nonlinear"], bool):
             raise ConfigurationError("nonlinear must be a boolean", path="solver.nonlinear")
         kw["nonlinear"] = s["nonlinear"]
-    if "cfl_safety" in s:
-        kw["cfl_safety"] = _number(s["cfl_safety"], "solver.cfl_safety")
     if "directory" in o:
         if not isinstance(o["directory"], str):
             raise ConfigurationError("directory must be a string", path="output.directory")
@@ -189,7 +187,7 @@ def serialize_config(cfg: DecayExperimentConfig) -> str:
             "s_list_b": list(cfg.s_list_b), "m": cfg.m, "c_label": cfg.c_label,
         },
         "fit": {"window": list(cfg.window) if cfg.window else None},
-        "solver": {"nonlinear": cfg.nonlinear, "cfl_safety": cfg.cfl_safety},
+        "solver": {"nonlinear": cfg.nonlinear},
         "output": {"directory": cfg.output_dir},
     }
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -28,9 +28,9 @@ schemes:
     One-step implicit-midpoint / explicit-midpoint IMEX (trapezoidal in
     the linear part), formally second order.
 ``mhd_baseline``
-    The gamma = 0 system: both equations parabolic, advanced by heat
-    multipliers with exponential-Euler forcing weights.  The d_t A slot is
-    ignored.
+    The gamma = 0 system: both equations parabolic.  It is the
+    exponential-Euler step with the heat multiplier and weight in the A
+    row and zero tables for the d_t A coupling, so d_t A stays zero.
 
 Nonlinear terms are pseudo-spectral (4 inverse transforms of u and b, the
 pointwise products D, T12 and E, 3 forward transforms) with 2/3-rule
@@ -44,9 +44,9 @@ spectrum of (u, b) and the product array live in scratch arrays that
 on; the products are formed in place with ``out=``, in the same operation
 order as fresh temporaries would be, and the steppers scale the forcings
 in place, so results are bitwise unchanged.  The scratch arrays belong to
-one run, not to one grid: ``sweep --threads`` runs members on the same
-grid at the same time, and a per-grid buffer would let them overwrite
-each other's products.
+one run, not to one grid: a sweep runs its members on the same grid at
+the same time, and a per-grid buffer would let them overwrite each
+other's products.
 
 ``run`` also takes the vector triple (u0, b0, d_t b0) and maps it to the
 potentials with psi = (i ky u1 - i kx u2) / |k|^2.  That map is the Leray
@@ -76,11 +76,12 @@ __all__ = [
     "compute_nonlinear",
     "step_exp",
     "step_imex",
-    "step_mhd_baseline",
     "run",
 ]
 
 SCHEMES = ("exp_integrator", "imex_reference", "mhd_baseline")
+
+_CFL_SAFETY = 0.8
 
 
 @dataclass
@@ -143,7 +144,7 @@ def _grad_perp(c: np.ndarray, grid: GridSpec) -> SpectralVectorField:
 class SolverConfig:
     """Integration parameters.
 
-    ``dt`` must respect ``cfl_safety * (L/n) / max(1, max|u| + max|b|)``
+    ``dt`` must respect ``0.8 (L/n) / max(1, max|u| + max|b|)``
     (pointwise magnitudes ``|u| = sqrt(u1^2 + u2^2)``),
     re-checked every step while the nonlinear terms are active (the exact
     linear propagators carry no step-size restriction, so purely linear
@@ -156,7 +157,6 @@ class SolverConfig:
     t_end: float
     grid: GridSpec
     scheme: str = "exp_integrator"
-    cfl_safety: float = 0.8
     nonlinear: bool = True
     snapshot_every: int = 1
 
@@ -171,8 +171,6 @@ class SolverConfig:
             raise ConfigurationError("dt must be finite and >= 0", path="time.dt")
         if not 0 <= self.t_end < math.inf:
             raise ConfigurationError("t_end must be finite and >= 0", path="time.t_end")
-        if not 0 < self.cfl_safety <= 1:
-            raise ConfigurationError("cfl_safety must lie in (0, 1]", path="solver.cfl_safety")
         if self.snapshot_every < 1:
             raise ConfigurationError("snapshot_every must be >= 1", path="time.snapshot_every")
 
@@ -197,7 +195,7 @@ class Trajectory:
 
 
 def _check_cfl(vmax: float, config: SolverConfig, t: float) -> None:
-    limit = config.cfl_safety * (config.grid.box_length / config.grid.n) / max(1.0, vmax)
+    limit = _CFL_SAFETY * (config.grid.box_length / config.grid.n) / max(1.0, vmax)
     if config.dt > limit:
         raise StepSizeError(
             f"dt={config.dt} exceeds CFL limit {limit:.3e} at t={t:.6g} (max|u|+max|b|={vmax:.3e})",
@@ -292,20 +290,13 @@ def compute_nonlinear(state: State):
 
 
 class _StepperCache:
-    """Per-(gamma, dt, grid) tables shared across the steps of one run, plus
-    the run's own nonlinear scratch arrays (None in linear runs)."""
+    """Per-(gamma, dt, grid) tables of one run's scheme, plus the run's own
+    nonlinear scratch arrays (None in linear runs)."""
 
     def __init__(self, config: SolverConfig):
         g = config.grid
         self.work = _Workspace(g) if config.nonlinear else None
-        self.heat_mult = np.exp(-g.k2 * config.dt)
-        self.heat_w = heat_weight(g.k2, config.dt)
-        if config.scheme == "exp_integrator":
-            tab = propagator_tables(config.gamma, g.k2, config.dt)
-            self.m00, self.m01 = tab["m00"], tab["m01"]
-            self.m10, self.m11 = tab["m10"], tab["m11"]
-            self.w, self.k1 = tab["w"], tab["k1"]
-        elif config.scheme == "imex_reference":
+        if config.scheme == "imex_reference":
             gam, dt = config.gamma, config.dt
             # (I - dt/2 A)^{-1} for A = [[0, 1], [-k2/gamma, -1/gamma]]
             det = 1.0 + dt / (2.0 * gam) + dt**2 * g.k2 / (4.0 * gam)
@@ -314,6 +305,18 @@ class _StepperCache:
             self.i10 = -(dt * g.k2 / (2.0 * gam)) / det
             self.i11 = 1.0 / det
             self.u_imp = 1.0 / (1.0 + dt / 2.0 * g.k2)
+            return
+        self.heat_mult = np.exp(-g.k2 * config.dt)
+        self.heat_w = heat_weight(g.k2, config.dt)
+        if config.scheme == "exp_integrator":
+            tab = propagator_tables(config.gamma, g.k2, config.dt)
+            self.m00, self.m01 = tab["m00"], tab["m01"]
+            self.m10, self.m11 = tab["m10"], tab["m11"]
+            self.w, self.k1 = tab["w"], tab["k1"]
+        else:
+            # gamma = 0: A follows the heat flow of psi, and d_t A is not coupled
+            self.m00, self.w = self.heat_mult, self.heat_w
+            self.m01 = self.m10 = self.m11 = self.k1 = np.zeros_like(g.k2)
 
 
 def _forcing(state: State, config: SolverConfig, cache: _StepperCache):
@@ -338,7 +341,8 @@ def _finalize(psi, a, at, state: State, t: float) -> State:
 
 
 def step_exp(state: State, config: SolverConfig, cache: _StepperCache | None = None) -> State:
-    """One exponential-Euler step: exact linear part, frozen forcing."""
+    """One exponential-Euler step: exact linear part, frozen forcing.  With
+    the tables of an ``mhd_baseline`` cache it is the gamma = 0 step."""
     if cache is None:
         cache = _StepperCache(config)
     forcing = _forcing(state, config, cache)
@@ -391,25 +395,10 @@ def step_imex(state: State, config: SolverConfig, cache: _StepperCache | None = 
     return _finalize(psi, a, at, state, state.t + dt)
 
 
-def step_mhd_baseline(state: State, config: SolverConfig,
-                      cache: _StepperCache | None = None) -> State:
-    """One step of the gamma = 0 MHD system; at_hat is ignored (kept zero)."""
-    if cache is None:
-        cache = _StepperCache(config)
-    forcing = _forcing(state, config, cache)
-    psi = cache.heat_mult * state.psi_hat
-    a = cache.heat_mult * state.a_hat
-    if forcing is not None:
-        f_psi, f_a = forcing
-        psi += np.multiply(cache.heat_w, f_psi, out=f_psi)
-        a += np.multiply(cache.heat_w, f_a, out=f_a)
-    return _finalize(psi, a, np.zeros_like(state.at_hat), state, state.t + config.dt)
-
-
 _STEPPERS = {
     "exp_integrator": step_exp,
     "imex_reference": step_imex,
-    "mhd_baseline": step_mhd_baseline,
+    "mhd_baseline": step_exp,
 }
 
 

@@ -208,7 +208,6 @@ class TestCli:
                      id="compare_gammas"),
         pytest.param(["simulate"], {"MHDWAVE_SEED": "abc"}, 2, "seed:", id="env_seed"),
         pytest.param(["simulate", "--seed", "-1"], {}, 2, "seed:", id="negative_seed"),
-        pytest.param(["sweep"], {"MHDWAVE_THREADS": "x"}, 2, "threads:", id="env_threads"),
         pytest.param(["simulate", "--checkpoint-every", "-1"], {}, 2, "checkpoint_every:",
                      id="checkpoint_every_negative"),
         pytest.param(["simulate", "--checkpoint-every", "0"], {}, 2, "checkpoint_every:",
@@ -221,6 +220,13 @@ class TestCli:
         assert main(argv + ["--output", str(tmp_path / "x")]) == rc
         assert where in capsys.readouterr().err
         assert not (tmp_path / "x" / "series.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_threads_flag_is_usage_error(self, tmp_path, command):
+        # how many sweep members run at once follows from the gamma list
+        with pytest.raises(SystemExit) as err:
+            main([command, "--output", str(tmp_path / "x"), "--threads", "2"])
+        assert err.value.code == 2
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_seed_beyond_generator_key_exit_code(self, tmp_path, capsys, where):
@@ -321,16 +327,10 @@ class TestCli:
         cfgp = write_config(tmp_path, doc)
         out = tmp_path / "sweep"
         rc = main(["sweep", "--config", cfgp, "--output", str(out),
-                   "--gammas", "0.5,1.0", "--threads", "2"])
+                   "--gammas", "0.5,1.0"])
         assert rc == 0
         assert (out / "sweep.csv").exists()
         assert (out / "prefactor_curve.csv").exists()
-        # members running concurrently write the bytes of a sequential sweep
-        seq = tmp_path / "sweep1"
-        assert main(["sweep", "--config", cfgp, "--output", str(seq),
-                     "--gammas", "0.5,1.0", "--threads", "1"]) == 0
-        for name in ("sweep.csv", "prefactor_curve.csv"):
-            assert (out / name).read_bytes() == (seq / name).read_bytes()
         out2 = tmp_path / "cmp"
         rc = main(["compare-mhd", "--config", cfgp, "--output", str(out2),
                    "--gammas", "0.1,0.05", "--T", "1.0"])
@@ -352,14 +352,17 @@ class TestCli:
         rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")])
         assert rc == 2
 
-    def test_output_formats_key_rejected(self, tmp_path):
-        doc = dict(SMALL_RUN, output={"formats": ["csv"]})
-        cfgp = write_config(tmp_path, doc)
-        rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")])
-        assert rc == 2
+    def test_output_formats_key_rejected(self, tmp_path, capsys):
+        # deleted keys: a document that still sets one fails at its path
+        for section, key, value in (("output", "formats", ["csv"]),
+                                    ("solver", "cfl_safety", 0.5)):
+            cfgp = write_config(tmp_path, dict(SMALL_RUN, **{section: {key: value}}))
+            rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")])
+            assert rc == 2
+            assert f"{section}.{key}" in capsys.readouterr().err
 
-    def test_sweep_and_compare_mhd_honour_cfl_safety(self, tmp_path):
-        doc = dict(SWEEP_RUN, solver={"cfl_safety": 0.001})
+    def test_sweep_and_compare_mhd_cfl_violation_exit_code(self, tmp_path):
+        doc = dict(SWEEP_RUN, initial_data=dict(SWEEP_RUN["initial_data"], amplitude=50.0))
         cfgp = write_config(tmp_path, doc)
         assert main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                      "--gammas", "0.5,1.0"]) == 3
@@ -385,6 +388,23 @@ class TestCli:
         # simulate has no theory rate to resolve and writes the column
         assert main(["simulate", "--config", cfgp, "--output", str(tmp_path / "sim")]) == 0
         assert "u_H-0.5" in (tmp_path / "sim" / "series.csv").read_text().splitlines()[0]
+
+    def test_sweep_low_q_leaves_theory_empty(self, tmp_path):
+        # no theorem covers L^q with q < 2: the theory cell stays empty, as in
+        # fit-decay, while q = 2 keeps its rate
+        doc = dict(SWEEP_RUN, diagnostics=dict(SWEEP_RUN["diagnostics"], q_list=[1.5, 2]))
+        cfgp = write_config(tmp_path, doc)
+        sweep, sim, fit = tmp_path / "sweep", tmp_path / "sim", tmp_path / "fit"
+        assert main(["sweep", "--config", cfgp, "--output", str(sweep),
+                     "--gammas", "0.5,1.0"]) == 0
+        assert main(["simulate", "--config", cfgp, "--output", str(sim)]) == 0
+        assert main(["fit-decay", "--config", cfgp, "--output", str(fit),
+                     str(sim / "series.csv")]) == 0
+        for path, key in ((sweep / "sweep.csv", 1), (fit / "fit_summary.csv", 0)):
+            rows = [r.split(",") for r in path.read_text().strip().splitlines()]
+            theory = {r[key]: r[rows[0].index("theory")] for r in rows[1:]}
+            assert theory["u_L1.5"] == theory["b_L1.5"] == ""
+            assert float(theory["u_L2"]) == -0.5
 
     def test_sweep_honours_nonlinear_false(self, tmp_path):
         doc = dict(SWEEP_RUN, solver={"nonlinear": False})

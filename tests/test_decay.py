@@ -1,9 +1,14 @@
 import math
+import os
+import sys
+import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mhdwave import decay
 from mhdwave.decay import (
     DecayExperimentConfig,
     default_fit_window,
@@ -154,6 +159,36 @@ class TestGammaScan:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
             gamma_prefactor_scan([0.5, -1.0], _fast_experiment())
+
+    def test_concurrent_members_match_solo_runs(self, monkeypatch):
+        # one thread per member on a 4-CPU count, switching often: every
+        # member's series is bitwise that of its gamma run alone
+        base = _fast_experiment(grid=GridSpec(32, 8 * np.pi), t_end=10.0, window=(2.0, 9.0))
+        gammas = [2.0, 0.25, 1.0, 0.5]
+        solo = {g: run_decay_experiment(replace(base, gamma=g)) for g in gammas}
+        members, threads = {}, set()
+        run_member = decay.run_decay_experiment
+
+        def traced(cfg):
+            threads.add(threading.get_ident())
+            members[cfg.gamma] = run_member(cfg)
+            return members[cfg.gamma]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(decay, "run_decay_experiment", traced)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sweep = gamma_prefactor_scan(gammas, base)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sweep.gammas == sorted(gammas)
+        assert len(threads) > 1
+        for g in gammas:
+            for nid in base.norm_ids():
+                got, ref = members[g].trajectory.series(nid), solo[g].trajectory.series(nid)
+                assert got.tobytes() == ref.tobytes()
+                assert sweep.fits[g][nid].fit == solo[g].comparison(nid).fit
 
 
 class TestSingularLimit:

@@ -22,7 +22,7 @@ from mhdwave.grid import (
     transform_inverse,
 )
 from mhdwave.initial import make_initial_data
-from mhdwave.kernels import mode_propagator
+from mhdwave.kernels import heat_weight, mode_propagator
 from mhdwave.solver import (
     SolverConfig,
     State,
@@ -30,7 +30,6 @@ from mhdwave.solver import (
     run,
     step_exp,
     step_imex,
-    step_mhd_baseline,
 )
 
 from conftest import (
@@ -302,6 +301,21 @@ class TestMhdBaseline:
         traj = run(cfg, (zero_field(grid16), b0, zero_field(grid16)), keep_states=True)
         got = traj.states[-1].b_hat.coeffs[1, 1, 1]
         assert got == pytest.approx(0.5 * np.exp(-2.0), rel=1e-12)
+
+    def test_step_is_heat_flow_and_drops_d_t_a(self, grid16):
+        # the gamma = 0 step runs through step_exp: psi and A take the heat
+        # multiplier and weight, and the non-zero d_t A neither feeds A nor survives
+        cfg = SolverConfig(gamma=0.0, dt=0.01, t_end=0.01, grid=grid16, scheme="mhd_baseline")
+        st = random_state(grid16, 12, 0.5)
+        assert np.any(st.at_hat != 0)
+        f_psi, f_a, _ = solver._nonlinear_terms(st)
+        heat_mult, heat_w = np.exp(-grid16.k2 * cfg.dt), heat_weight(grid16.k2, cfg.dt)
+        out = step_exp(st, cfg)
+        for got, x, f in ((out.psi_hat, st.psi_hat, f_psi), (out.a_hat, st.a_hat, f_a)):
+            expect = heat_mult * x + heat_w * f
+            expect[0, 0] = 0.0
+            assert np.array_equal(got, expect)
+        assert np.all(out.at_hat == 0)
 
     def test_taylor_green_b_stays_zero(self):
         g = GridSpec(32, 2 * np.pi)
