@@ -14,12 +14,7 @@ from .grid import (  # noqa: F401
     transform_inverse,
 )
 from .initial import make_initial_data  # noqa: F401
-from .kernels import (  # noqa: F401
-    ModePropagator,
-    duhamel_k1_weight,
-    mode_propagator,
-    verify_kernel_bounds,
-)
+from .kernels import duhamel_k1_weight, verify_kernel_bounds  # noqa: F401
 from .solver import (  # noqa: F401
     SolverConfig,
     State,

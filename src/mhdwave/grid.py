@@ -23,6 +23,7 @@ are exact.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,16 @@ __all__ = [
 ]
 
 
+# Bytes a nonlinear step holds per grid point.  A (n, n//2 + 1) complex
+# array is about 8 B a point, a real one 4 B and a real (n, n) array 8 B:
+# the state and the next state (6 complex: 48), the two linear-update
+# temporaries (16), the scratch spectrum of (u, b) and the products
+# (4 complex + 3 real full: 56), the transform outputs (4 real full +
+# 3 complex: 56), the eight step tables and three forcing tables (44) and
+# the grid's kx, ky, k2, |k|, 1/k2 and grad^perp (36).
+_BYTES_PER_POINT = 256
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry and resolution of the periodic box.
@@ -54,7 +65,8 @@ class GridSpec:
     ----------
     n : int
         Points per axis; must be even and at least 8 (powers of two give
-        the fastest transforms).
+        the fastest transforms), and small enough that a nonlinear step
+        fits in physical memory.
     box_length : float
         Physical side length L of the box.
     """
@@ -65,6 +77,11 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ConfigurationError(f"n must be even and >= 8, got {self.n}", path="grid.n")
+        need = _BYTES_PER_POINT * self.n**2
+        if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ConfigurationError(
+                f"n={self.n} needs about {need / 2**30:.3g} GiB a step, more than the "
+                "physical memory", path="grid.n")
         if not 0 < self.box_length < np.inf:
             raise ConfigurationError(
                 f"box_length must be positive and finite, got {self.box_length}",

@@ -1,9 +1,10 @@
 """Divergence-free initial data families.
 
 All velocity-like fields are built from stream functions, ``u = grad^perp
-psi``, so they are divergence-free to machine precision.  Each family
-returns a triple ``(u0, b0, a0)``; ``a0`` (the initial magnetic time
-derivative) defaults to zero.
+psi``, so they are divergence-free by construction.  Each family builds
+the potentials psi (u = grad^perp psi), A (b = grad^perp A) and d_t A
+directly, and ``make_initial_data`` returns them as the solver's ``State``;
+d_t A defaults to zero.
 
 Families
 --------
@@ -34,33 +35,25 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
-from .grid import GridSpec, SpectralVectorField, dealias, transform_inverse
+from .grid import GridSpec, SpectralVectorField, transform_inverse
+from .solver import State
 
 __all__ = ["make_initial_data", "INITIAL_FAMILIES"]
 
 INITIAL_FAMILIES = ("taylor_green", "gaussian_vortex_pair", "random_band")
 
 
-def _from_stream(psi_hat: np.ndarray, grid: GridSpec) -> SpectralVectorField:
-    """Velocity u = grad^perp psi = (-d_y psi, d_x psi) from a spectral psi."""
-    return SpectralVectorField(grid.grad_perp * psi_hat, grid)
-
-
-def _zero_field(grid: GridSpec) -> SpectralVectorField:
-    return SpectralVectorField(np.zeros((2, grid.n, grid.half), dtype=np.complex128), grid)
-
-
-def _peak_normalized(field: SpectralVectorField, amplitude: float) -> SpectralVectorField:
-    """Scale so the grid maximum of |u| equals ``amplitude``.
+def _peak_normalized(psi: np.ndarray, grid: GridSpec, amplitude: float) -> np.ndarray:
+    """Scale psi so the grid maximum of |grad^perp psi| equals ``amplitude``.
 
     Normalizes to a unit-peak shape first and multiplies by the amplitude
     last, so scaling in the amplitude parameter is exactly linear.
     """
-    peak = float(np.max(transform_inverse(field).magnitude()))
+    peak = float(np.max(transform_inverse(
+        SpectralVectorField(grid.grad_perp * psi, grid)).magnitude()))
     if peak == 0.0:
-        return field
-    unit = field.coeffs * (1.0 / peak)
-    return SpectralVectorField(unit * amplitude, field.grid)
+        return psi
+    return psi * (1.0 / peak) * amplitude
 
 
 def _taylor_green(grid: GridSpec, amplitude: float, amplitude_b: float):
@@ -71,15 +64,11 @@ def _taylor_green(grid: GridSpec, amplitude: float, amplitude_b: float):
     # the half layout stores the modes (1, 1) and (-1, 1), the rest are mirrors
     psi[1, 1] = -0.25
     psi[-1, 1] = 0.25
-    u0 = _from_stream(-psi / kappa, grid)
-    u0 = SpectralVectorField(u0.coeffs * amplitude, grid)
     # b: quarter-box shift in y, sin(kx)sin(k(y+L/4)) = sin(kx)cos(ky)
     psi_b = np.zeros_like(psi)
     psi_b[1, 1] = -0.25j
     psi_b[-1, 1] = 0.25j
-    b0 = _from_stream(-psi_b / kappa, grid)
-    b0 = SpectralVectorField(b0.coeffs * amplitude_b, grid)
-    return u0, b0
+    return (-psi / kappa) * amplitude, (-psi_b / kappa) * amplitude_b
 
 
 def _gaussian_pair_stream(grid: GridSpec, width: float, centers, signs) -> np.ndarray:
@@ -106,9 +95,7 @@ def _gaussian_vortex_pair(grid: GridSpec, amplitude: float, amplitude_b: float,
     d = separation / 2
     psi_u = _gaussian_pair_stream(grid, width, [(cx, cy - d), (cx, cy + d)], [1.0, -1.0])
     psi_b = _gaussian_pair_stream(grid, width, [(cx - d, cy), (cx + d, cy)], [1.0, -1.0])
-    u0 = _peak_normalized(_from_stream(psi_u, grid), amplitude)
-    b0 = _peak_normalized(_from_stream(psi_b, grid), amplitude_b)
-    return u0, b0
+    return _peak_normalized(psi_u, grid, amplitude), _peak_normalized(psi_b, grid, amplitude_b)
 
 
 def _random_phases(grid: GridSpec, rng: Generator) -> np.ndarray:
@@ -120,19 +107,18 @@ def _random_phases(grid: GridSpec, rng: Generator) -> np.ndarray:
 
 
 def _random_band_field(grid: GridSpec, rng: Generator, k_min: float, k_max: float,
-                       spectral_exponent: float) -> SpectralVectorField:
+                       spectral_exponent: float) -> np.ndarray:
     kmag = grid.kmag
     band = (kmag >= k_min) & (kmag <= k_max) & (grid.k2 > 0) & grid.dealias_mask
     if not band.any():
         raise ConfigurationError(f"no retained mode has {k_min} <= |k| <= {k_max}",
                                  path="initial_data.k_min")
     profile = np.where(band, np.where(grid.k2 > 0, kmag, 1.0) ** spectral_exponent, 0.0)
-    psi_hat = _random_phases(grid, rng) * profile / np.where(grid.k2 > 0, kmag, 1.0)
-    return _from_stream(psi_hat, grid)
+    return _random_phases(grid, rng) * profile / np.where(grid.k2 > 0, kmag, 1.0)
 
 
-def make_initial_data(family: str, params: dict, grid: GridSpec):
-    """Construct divergence-free initial data ``(u0, b0, a0)``.
+def make_initial_data(family: str, params: dict, grid: GridSpec) -> State:
+    """Construct divergence-free initial data as the potentials of (u0, b0, a0).
 
     Parameters
     ----------
@@ -146,7 +132,7 @@ def make_initial_data(family: str, params: dict, grid: GridSpec):
 
     Returns
     -------
-    (u0, b0, a0) : three SpectralVectorField, all divergence-free.
+    State at t = 0 holding psi, A and d_t A, dealiased and mean-free.
     """
     params = dict(params)
     amplitude = params.pop("amplitude", None)
@@ -154,16 +140,16 @@ def make_initial_data(family: str, params: dict, grid: GridSpec):
         raise ConfigurationError("params must include amplitude >= 0",
                                  path="initial_data.amplitude")
     amplitude_b = params.pop("amplitude_b", amplitude)
-    a0 = _zero_field(grid)
+    at = np.zeros((grid.n, grid.half), dtype=np.complex128)
 
     if family == "taylor_green":
         params.pop("seed", None)
-        u0, b0 = _taylor_green(grid, amplitude, amplitude_b)
+        psi, a = _taylor_green(grid, amplitude, amplitude_b)
     elif family == "gaussian_vortex_pair":
         width = params.pop("width", grid.box_length / 16)
         separation = params.pop("separation", width)
         params.pop("seed", None)
-        u0, b0 = _gaussian_vortex_pair(grid, amplitude, amplitude_b, width, separation)
+        psi, a = _gaussian_vortex_pair(grid, amplitude, amplitude_b, width, separation)
     elif family == "random_band":
         seed = int(params.pop("seed", 0))
         k_min = params.pop("k_min", 2.0 * np.pi / grid.box_length)
@@ -171,17 +157,24 @@ def make_initial_data(family: str, params: dict, grid: GridSpec):
         slope = params.pop("spectral_exponent", 0.0)
         a0_amplitude = params.pop("a0_amplitude", 0.0)
         rng = Generator(Philox(key=seed))
-        u0 = _peak_normalized(_random_band_field(grid, rng, k_min, k_max, slope), amplitude)
-        b0 = _peak_normalized(_random_band_field(grid, rng, k_min, k_max, slope), amplitude_b)
+
+        def draw(amp):
+            return _peak_normalized(_random_band_field(grid, rng, k_min, k_max, slope), grid, amp)
+
+        # psi, A, then d_t A: the draw order fixes each seed's data
+        psi, a = draw(amplitude), draw(amplitude_b)
         if a0_amplitude > 0:
-            a0 = _peak_normalized(
-                _random_band_field(grid, rng, k_min, k_max, slope), a0_amplitude
-            )
+            at = draw(a0_amplitude)
     else:
         raise ConfigurationError(f"unknown initial data family {family!r}",
                                  path="initial_data.family")
     if params:
         raise ConfigurationError(f"unknown initial-data keys {sorted(params)}",
                                  path="initial_data")
-    # keep initial data inside the retained band so products stay alias-free
-    return dealias(u0), dealias(b0), dealias(a0)
+    # keep initial data inside the retained band so products stay alias-free;
+    # the mean of a potential carries no field
+    mask = grid.dealias_mask
+    state = State(psi * mask, a * mask, at * mask, grid)
+    for c in (state.psi_hat, state.a_hat, state.at_hat):
+        c[0, 0] = 0.0
+    return state

@@ -16,6 +16,9 @@ The 2x2 step matrix advancing ``(b, d_t b)`` over ``dt`` has entries
     m10 = -k2 K1           m11 = K0 - K1/2
 
 and the exponential-Euler forcing weight is ``W(dt) = int_0^dt K1``.
+``propagator_tables`` evaluates them over a whole array of ``k2``; it is
+the one implementation of the matrix, used by the solver's step and by the
+closed-form gamma -> 0 error alike.
 
 Everything is evaluated in real arithmetic with explicit regime branches
 on the discriminant ``D = 1 - 4 gamma k2``: hyperbolic (D > 0, cosh/sinh
@@ -35,9 +38,7 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "DEGENERATE_D",
-    "ModePropagator",
     "kernel_pair",
-    "mode_propagator",
     "propagator_tables",
     "duhamel_k1_weight",
     "heat_weight",
@@ -142,41 +143,6 @@ def _kernel_series(gamma: float, D, t, env):
         k1 += _ODD_W[j] * xp
         xp = xp * x
     return env * k0, env * (t / gamma) * k1
-
-
-@dataclass(frozen=True)
-class ModePropagator:
-    """Exact 2x2 matrix advancing (b, d_t b) over a fixed step."""
-
-    m00: float
-    m01: float
-    m10: float
-    m11: float
-
-    def matmul(self, other: "ModePropagator") -> "ModePropagator":
-        return ModePropagator(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-        )
-
-    @property
-    def det(self) -> float:
-        return self.m00 * self.m11 - self.m01 * self.m10
-
-    def apply(self, b: complex, bt: complex) -> tuple[complex, complex]:
-        return (self.m00 * b + self.m01 * bt, self.m10 * b + self.m11 * bt)
-
-
-def mode_propagator(gamma: float, k2: float, dt: float) -> ModePropagator:
-    """Propagator entries from the kernel symbols; dt = 0 gives the identity."""
-    if dt < 0:
-        raise DomainError("dt must be >= 0")
-    K0, K1 = kernel_pair(gamma, np.float64(k2), np.float64(dt))
-    K0 = float(K0)
-    K1 = float(K1)
-    return ModePropagator(K0 + 0.5 * K1, gamma * K1, -k2 * K1, K0 - 0.5 * K1)
 
 
 def _exp_integral_moments(alpha: float, T, mmax: int) -> list:

@@ -49,10 +49,10 @@ the same time, and a per-grid buffer would let them overwrite each
 other's products.
 
 ``run`` also takes the vector triple (u0, b0, d_t b0) and maps it to the
-potentials with psi = (i ky u1 - i kx u2) / |k|^2.  That map is the Leray
-projection followed by the removal of the mean; on divergence-free,
-mean-free data (every initial-data family and checkpoint) it is exact up
-to round-off.
+potentials with psi = (i ky u1 - i kx u2) / |k|^2, as version 1 and 2
+checkpoints load.  That map is the Leray projection followed by the
+removal of the mean; on divergence-free, mean-free data it is exact up to
+round-off.
 """
 
 from __future__ import annotations
@@ -402,14 +402,29 @@ _STEPPERS = {
 }
 
 
+def _step_count(config: SolverConfig) -> int:
+    """The number of steps from 0 to t_end, which must be a whole number of dt."""
+    ratio = config.t_end / config.dt if config.t_end > 0 and config.dt > 0 else 0.0
+    n_steps = int(round(ratio))
+    if config.t_end > 0 and n_steps < 1:
+        raise ConfigurationError(
+            f"dt={config.dt} must be > 0 and at most t_end={config.t_end}", path="time.dt")
+    if abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
+        raise ConfigurationError(
+            f"t_end={config.t_end} is not a whole number of steps at dt={config.dt}",
+            path="time",
+        )
+    return n_steps
+
+
 def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
         checkpoint_every: int | None = None, checkpoint_sink=None) -> Trajectory:
     """Integrate from ``initial`` to ``t_end``.
 
-    ``initial`` is a ``State`` (its time is reset to 0) or the vector triple
-    ``(u0, b0, a0)`` of u, b and d_t b, mapped to potentials by
-    ``State.from_vectors``; either is dealiased first and must live on
-    ``config.grid``.
+    ``initial`` is a ``State`` (its time is reset to 0), such as
+    ``make_initial_data`` returns, or the vector triple ``(u0, b0, a0)`` of
+    u, b and d_t b, mapped to potentials by ``State.from_vectors``; either
+    is dealiased first and must live on ``config.grid``.
     ``observer(state) -> dict`` is evaluated at t = 0 and then every
     ``snapshot_every`` steps; rows are collected into the returned
     ``Trajectory``.  Deterministic: identical config and initial data give
@@ -425,16 +440,7 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
     state = State(initial.psi_hat * mask, initial.a_hat * mask, initial.at_hat * mask,
                   initial.grid, 0.0)
     stepper = _STEPPERS[config.scheme]
-    ratio = config.t_end / config.dt if config.t_end > 0 and config.dt > 0 else 0.0
-    n_steps = int(round(ratio))
-    if config.t_end > 0 and n_steps < 1:
-        raise ConfigurationError(
-            f"dt={config.dt} must be > 0 and at most t_end={config.t_end}", path="time.dt")
-    if abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
-        raise ConfigurationError(
-            f"t_end={config.t_end} is not a whole number of steps at dt={config.dt}",
-            path="time",
-        )
+    n_steps = _step_count(config)
     cache = _StepperCache(config)
 
     traj = Trajectory(nonlinear=config.nonlinear)

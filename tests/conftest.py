@@ -9,6 +9,7 @@ from mhdwave.grid import (
     leray_project,
     transform_forward,
 )
+from mhdwave.kernels import propagator_tables
 from mhdwave.solver import State
 
 
@@ -64,6 +65,12 @@ def vector_nonlinear(state):
     frac = (kx * div1 + ky * div2) * g.inv_k2
     out = -1j * np.stack([div1 - kx * frac, div2 - ky * frac, -ky * hat[3], kx * hat[3]])
     return SpectralVectorField(out[0:2], g), SpectralVectorField(out[2:4], g)
+
+
+def propagator_matrix(gamma, k2, dt):
+    """The 2x2 step matrix of (b, d_t b) at one k2, from ``propagator_tables``."""
+    tab = propagator_tables(gamma, k2, dt)
+    return np.array([[tab["m00"], tab["m01"]], [tab["m10"], tab["m11"]]], dtype=np.float64)
 
 
 def single_mode_field(grid, kindex, amplitude=1.0, component=1):

@@ -124,16 +124,16 @@ def test_continue_matches_uninterrupted(tmp_path):
     """Save mid-run, reload, run the tail: final state matches one
     uninterrupted run to 1e-12 relative."""
     g = GridSpec(32, 4 * np.pi)
-    u0, b0, a0 = make_initial_data(
+    data = make_initial_data(
         "random_band", {"amplitude": 0.05, "k_max": 2.0, "seed": 8}, g
     )
     gamma, dt = 0.5, 0.01
 
     cfg_full = SolverConfig(gamma=gamma, dt=dt, t_end=1.0, grid=g, snapshot_every=10)
-    full = run(cfg_full, (u0, b0, a0), keep_states=True).states[-1]
+    full = run(cfg_full, data, keep_states=True).states[-1]
 
     cfg_half = SolverConfig(gamma=gamma, dt=dt, t_end=0.5, grid=g, snapshot_every=10)
-    mid = run(cfg_half, (u0, b0, a0), keep_states=True).states[-1]
+    mid = run(cfg_half, data, keep_states=True).states[-1]
     p = tmp_path / "mid.mhdw"
     save_checkpoint(p, mid, gamma=gamma)
     loaded, gload = load_checkpoint(p)

@@ -389,6 +389,30 @@ class TestCli:
         assert main(["simulate", "--config", cfgp, "--output", str(tmp_path / "sim")]) == 0
         assert "u_H-0.5" in (tmp_path / "sim" / "series.csv").read_text().splitlines()[0]
 
+    @pytest.mark.parametrize("doc,message", [
+        # the default window of a t_end = 0.5 run is (5.0, 0.4)
+        (SMALL_RUN, "window must satisfy t_lo < t_hi"),
+        # 240 steps stamp t = 0, 5, 10, 12: two of them inside [1, 11]
+        (dict(SWEEP_RUN, time=dict(SWEEP_RUN["time"], snapshot_every=100)),
+         "holds 2 samples, need >= 5"),
+    ], ids=["unordered", "too_few_snapshots"])
+    def test_sweep_window_fails_before_stepping(self, tmp_path, capsys, monkeypatch, doc,
+                                                message):
+        cfgp = write_config(tmp_path, doc)
+        steps = []
+        step = solver._STEPPERS["exp_integrator"]
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setitem(solver._STEPPERS, "exp_integrator", counted)
+        rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
+                   "--gammas", "0.25,0.5"])
+        assert rc == 4
+        assert message in capsys.readouterr().err
+        assert steps == []
+
     def test_sweep_low_q_leaves_theory_empty(self, tmp_path):
         # no theorem covers L^q with q < 2: the theory cell stays empty, as in
         # fit-decay, while q = 2 keeps its rate

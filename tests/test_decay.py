@@ -199,16 +199,16 @@ class TestSingularLimit:
     def test_linear_closed_form_oracle(self):
         # forcing-free runs admit a per-mode closed form for e(gamma)
         grid = GridSpec(32, 4 * np.pi)
-        u0, b0, a0 = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 0.3, "k_max": 2.5, "seed": 3}, grid
         )
         T, gamma, dt = 1.0, 0.05, 0.01
-        oracle = linear_singular_limit_error(gamma, T, u0, b0, a0)
+        oracle = linear_singular_limit_error(gamma, T, data)
         finals = {}
         for scheme, g in (("exp_integrator", gamma), ("mhd_baseline", 0.0)):
             cfg = SolverConfig(gamma=g, dt=dt, t_end=T, grid=grid, scheme=scheme,
                                nonlinear=False, snapshot_every=100)
-            traj = run(cfg, (u0, b0, a0), keep_states=True)
+            traj = run(cfg, data, keep_states=True)
             finals[scheme] = traj.states[-1]
         db = finals["exp_integrator"].b_hat.coeffs - finals["mhd_baseline"].b_hat.coeffs
         du = finals["exp_integrator"].u_hat.coeffs - finals["mhd_baseline"].u_hat.coeffs

@@ -55,7 +55,7 @@ class TestLqNorm:
         # |u|^400 underflows at amplitude 0.05; the scaled sum does not.  On
         # this box the cell area exceeds 1, so M <= ||u||_q <= M L^(2/q)
         g = GridSpec(64, 32 * np.pi)
-        u0, _, _ = make_initial_data("random_band", {"amplitude": 0.05, "seed": 0}, g)
+        u0 = make_initial_data("random_band", {"amplitude": 0.05, "seed": 0}, g).u_hat
         f = transform_inverse(u0)
         peak = float(np.max(f.magnitude()))
         assert peak <= lq_norm(f, 400) <= peak * g.box_length ** (2.0 / 400)
@@ -154,7 +154,7 @@ class TestEnergyFunctionals:
 
 
 def _linear_traj(grid, gamma, dt, t_end, seed=3, a0_amp=0.5, scheme="exp_integrator"):
-    u0, b0, a0 = make_initial_data(
+    data = make_initial_data(
         "random_band",
         {"amplitude": 1.0, "k_min": 0.9, "k_max": 2.1, "seed": seed,
          "a0_amplitude": a0_amp},
@@ -163,7 +163,7 @@ def _linear_traj(grid, gamma, dt, t_end, seed=3, a0_amp=0.5, scheme="exp_integra
     cfg = SolverConfig(gamma=gamma, dt=dt, t_end=t_end, grid=grid,
                        nonlinear=False, scheme=scheme)
     obs = norm_observer((2.0,), (0.0,), (0.0,), m=1.0, gamma=gamma)
-    return run(cfg, (u0, b0, a0), obs)
+    return run(cfg, data, obs)
 
 
 class TestLinearEnergyResidual:
@@ -198,12 +198,12 @@ class TestLinearEnergyResidual:
         assert 2.5 <= r[0] / r[1] <= 6.0
 
     def test_nonlinear_trajectory_rejected(self, grid16):
-        u0, b0, a0 = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 5}, grid16
         )
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16)
         obs = norm_observer((2.0,), (0.0,), (0.0,), m=1.0, gamma=0.5)
-        traj = run(cfg, (u0, b0, a0), obs)
+        traj = run(cfg, data, obs)
         with pytest.raises(UsageError):
             linear_energy_residual(traj, 0.5, 1.0)
 
@@ -218,11 +218,11 @@ class TestLinearEnergyResidual:
             linear_energy_residual(traj, 0.5, 1.0, dt=2e-2)
 
     def test_trajectory_without_energy_triple_rejected(self, grid16):
-        u0, b0, a0 = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 1.0, "k_max": 3.0, "seed": 5}, grid16
         )
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.05, grid=grid16, nonlinear=False)
-        traj = run(cfg, (u0, b0, a0), norm_observer((2.0,), (0.0,), (0.0,)))
+        traj = run(cfg, data, norm_observer((2.0,), (0.0,), (0.0,)))
         with pytest.raises(UsageError, match="energy triple"):
             linear_energy_residual(traj, 0.5, 1.0)
 

@@ -31,6 +31,11 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(16, -1.0)
 
+    def test_rejects_n_beyond_physical_memory(self):
+        # checked before any table is built, so nothing is allocated
+        with pytest.raises(ConfigurationError, match="grid.n"):
+            GridSpec(2**40, 1.0)
+
     @pytest.mark.parametrize("box_length", [float("inf"), float("nan")])
     def test_rejects_non_finite_box_length(self, box_length):
         with pytest.raises(ConfigurationError, match="grid.box_length"):

@@ -12,10 +12,11 @@ from mhdwave.kernels import (
     BoundSampleSpec,
     duhamel_k1_weight,
     kernel_pair,
-    mode_propagator,
     propagator_tables,
     verify_kernel_bounds,
 )
+
+from conftest import propagator_matrix
 
 
 def mp_kernels(gamma, k2, t, dps=40):
@@ -158,25 +159,26 @@ class TestKernelPairProperties:
 
 
 class TestModePropagator:
+    """The 2x2 per-mode matrix of ``propagator_tables``, as the solver steps with it."""
+
     def test_dt_zero_identity(self):
-        m = mode_propagator(0.7, 3.0, 0.0)
-        assert (m.m00, m.m01, m.m10, m.m11) == (1.0, 0.0, 0.0, 1.0)
+        assert np.array_equal(propagator_matrix(0.7, 3.0, 0.0), np.eye(2))
 
     def test_entries_from_kernel_symbols(self):
         gamma, k2, dt = 0.5, 2.0, 0.3
-        m = mode_propagator(gamma, k2, dt)
+        m = propagator_matrix(gamma, k2, dt)
         K0, K1 = k0_k1(gamma, k2, dt)
-        assert m.m00 == pytest.approx(K0 + 0.5 * K1, rel=1e-12)
-        assert m.m01 == pytest.approx(gamma * K1, rel=1e-12)
-        b, bt = m.apply(1.0 + 2.0j, -0.5j)
-        assert b == pytest.approx(m.m00 * (1 + 2j) + m.m01 * (-0.5j))
-        assert bt == pytest.approx(m.m10 * (1 + 2j) + m.m11 * (-0.5j))
+        assert m[0, 0] == pytest.approx(K0 + 0.5 * K1, rel=1e-12)
+        assert m[0, 1] == pytest.approx(gamma * K1, rel=1e-12)
+        b, bt = m @ np.array([1.0 + 2.0j, -0.5j])
+        assert b == pytest.approx(m[0, 0] * (1 + 2j) + m[0, 1] * (-0.5j))
+        assert bt == pytest.approx(m[1, 0] * (1 + 2j) + m[1, 1] * (-0.5j))
 
     def test_semigroup_example(self):
         gamma, k2 = 0.7, 3.0
-        p = mode_propagator(gamma, k2, 0.1).matmul(mode_propagator(gamma, k2, 0.2))
-        m = mode_propagator(gamma, k2, 0.3)
-        for a, b in ((p.m00, m.m00), (p.m01, m.m01), (p.m10, m.m10), (p.m11, m.m11)):
+        p = propagator_matrix(gamma, k2, 0.1) @ propagator_matrix(gamma, k2, 0.2)
+        m = propagator_matrix(gamma, k2, 0.3)
+        for a, b in zip(p.ravel(), m.ravel()):
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_semigroup_and_determinant_random(self):
@@ -185,14 +187,11 @@ class TestModePropagator:
             gamma = 10 ** rng.uniform(-0.7, 0.5)
             k2 = 10 ** rng.uniform(-2, 1)
             d1, d2 = 10 ** rng.uniform(-2, -0.3, 2)
-            p = mode_propagator(gamma, k2, d1).matmul(mode_propagator(gamma, k2, d2))
-            m = mode_propagator(gamma, k2, d1 + d2)
-            scale = max(abs(m.m00), abs(m.m01), abs(m.m10), abs(m.m11))
-            err = max(abs(p.m00 - m.m00), abs(p.m01 - m.m01),
-                      abs(p.m10 - m.m10), abs(p.m11 - m.m11))
-            assert err <= 1e-10 * scale
+            p = propagator_matrix(gamma, k2, d1) @ propagator_matrix(gamma, k2, d2)
+            m = propagator_matrix(gamma, k2, d1 + d2)
+            assert np.max(np.abs(p - m)) <= 1e-10 * np.max(np.abs(m))
             det_expected = math.exp(-(d1 + d2) / gamma)
-            assert m.det == pytest.approx(det_expected, rel=1e-10)
+            assert np.linalg.det(m) == pytest.approx(det_expected, rel=1e-10)
 
     def test_heat_limit(self):
         # k2 = 1: sup_t |m00(gamma) - e^{-t}| halves with gamma down to 1e-4
@@ -274,10 +273,14 @@ class TestKernelBounds:
 
 
 def test_propagator_tables_consistency():
+    # the vectorized tables against the scalar kernel symbols and weight
+    gamma, dt = 1.0, 0.4
     k2 = np.array([0.0, 0.2, 0.25, 2.0])
-    tab = propagator_tables(1.0, k2, 0.4)
+    tab = propagator_tables(gamma, k2, dt)
     for i, val in enumerate(k2):
-        m = mode_propagator(1.0, float(val), 0.4)
-        assert tab["m00"][i] == pytest.approx(m.m00, rel=1e-13)
-        assert tab["m11"][i] == pytest.approx(m.m11, rel=1e-13)
-        assert tab["k1"][i] == pytest.approx(k0_k1(1.0, float(val), 0.4)[1], rel=1e-13)
+        K0, K1 = k0_k1(gamma, float(val), dt)
+        expect = {"m00": K0 + 0.5 * K1, "m01": gamma * K1, "m10": -float(val) * K1,
+                  "m11": K0 - 0.5 * K1, "k1": K1,
+                  "w": duhamel_k1_weight(gamma, float(val), dt)}
+        for key, value in expect.items():
+            assert tab[key][i] == pytest.approx(value, rel=1e-13, abs=0.0), key

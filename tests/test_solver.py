@@ -22,7 +22,7 @@ from mhdwave.grid import (
     transform_inverse,
 )
 from mhdwave.initial import make_initial_data
-from mhdwave.kernels import heat_weight, mode_propagator
+from mhdwave.kernels import heat_weight, propagator_tables
 from mhdwave.solver import (
     SolverConfig,
     State,
@@ -217,11 +217,11 @@ class TestStepExp:
         st = mode_state(grid16, (1, 0), b_amp=1.0)
         traj = run(cfg, (st.u_hat, st.b_hat, st.bt_hat), keep_states=True)
         final = traj.states[-1]
-        m = mode_propagator(gamma, 1.0, steps * dt)
+        m = propagator_tables(gamma, 1.0, steps * dt)
         got_b = final.b_hat.coeffs[1, 1, 0]
         got_bt = final.bt_hat.coeffs[1, 1, 0]
-        assert abs(got_b - m.m00 * 0.5) <= 1e-10 * abs(m.m00 * 0.5)
-        assert abs(got_bt - m.m10 * 0.5) <= 1e-10 * abs(m.m10 * 0.5)
+        assert abs(got_b - m["m00"] * 0.5) <= 1e-10 * abs(m["m00"] * 0.5)
+        assert abs(got_bt - m["m10"] * 0.5) <= 1e-10 * abs(m["m10"] * 0.5)
 
     def test_heat_row_exact(self, grid16):
         cfg = SolverConfig(gamma=1.0, dt=0.05, t_end=1.0, grid=grid16, nonlinear=False)
@@ -255,7 +255,7 @@ class TestStepImex:
 
     def test_linear_order_two(self, grid16):
         gamma = 0.5
-        m = mode_propagator(gamma, 1.0, 1.0)
+        m00 = propagator_tables(gamma, 1.0, 1.0)["m00"]
         errs = []
         for dt in (0.02, 0.01, 0.005):
             cfg = SolverConfig(gamma=gamma, dt=dt, t_end=1.0, grid=grid16,
@@ -263,14 +263,14 @@ class TestStepImex:
             st = mode_state(grid16, (1, 0), b_amp=1.0)
             traj = run(cfg, (st.u_hat, st.b_hat, st.bt_hat), keep_states=True)
             got = traj.states[-1].b_hat.coeffs[1, 1, 0]
-            errs.append(abs(got - m.m00 * 0.5))
+            errs.append(abs(got - m00 * 0.5))
         r1 = errs[0] / errs[1]
         r2 = errs[1] / errs[2]
         assert 3.5 <= r1 <= 4.5 and 3.5 <= r2 <= 4.5
 
     def test_cross_scheme_agreement_order(self, grid16):
         # full nonlinear run: |exp - imex| shrinks ~4x under dt halving
-        u0, b0, a0 = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 3}, grid16
         )
         gaps = []
@@ -278,7 +278,7 @@ class TestStepImex:
             finals = {}
             for scheme in ("exp_integrator", "imex_reference"):
                 cfg = SolverConfig(gamma=0.5, dt=dt, t_end=1.0, grid=grid16, scheme=scheme)
-                traj = run(cfg, (u0, b0, a0), keep_states=True)
+                traj = run(cfg, data, keep_states=True)
                 finals[scheme] = traj.states[-1]
             gap = spectral_l2(SpectralVectorField(
                 finals["exp_integrator"].b_hat.coeffs - finals["imex_reference"].b_hat.coeffs,
@@ -319,7 +319,7 @@ class TestMhdBaseline:
 
     def test_taylor_green_b_stays_zero(self):
         g = GridSpec(32, 2 * np.pi)
-        u0, _, _ = make_initial_data("taylor_green", {"amplitude": 0.1}, g)
+        u0 = make_initial_data("taylor_green", {"amplitude": 0.1}, g).u_hat
         cfg = SolverConfig(gamma=0.0, dt=0.01, t_end=0.5, grid=g, scheme="mhd_baseline")
         traj = run(cfg, (u0, zero_field(g), zero_field(g)), keep_states=True)
         final = traj.states[-1]
@@ -327,13 +327,13 @@ class TestMhdBaseline:
         assert spectral_l2(final.u_hat) < spectral_l2(u0)
 
     def test_small_gamma_exp_matches_baseline(self, grid16):
-        u0, b0, a0 = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 9}, grid16
         )
         finals = {}
         for scheme, gamma in (("exp_integrator", 1e-4), ("mhd_baseline", 0.0)):
             cfg = SolverConfig(gamma=gamma, dt=0.01, t_end=1.0, grid=grid16, scheme=scheme)
-            traj = run(cfg, (u0, b0, a0), keep_states=True)
+            traj = run(cfg, data, keep_states=True)
             finals[scheme] = traj.states[-1]
         gap = spectral_l2(SpectralVectorField(
             finals["exp_integrator"].b_hat.coeffs - finals["mhd_baseline"].b_hat.coeffs,
@@ -350,22 +350,22 @@ class TestRun:
         assert len(traj.snapshots) == 1
 
     def test_determinism(self, grid16):
-        u0, b0, a0 = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 4}, grid16
         )
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.5, grid=grid16)
         obs = lambda s: {"e": spectral_l2(s.u_hat) ** 2 + spectral_l2(s.b_hat) ** 2}
-        t1 = run(cfg, (u0, b0, a0), obs)
-        t2 = run(cfg, (u0, b0, a0), obs)
+        t1 = run(cfg, data, obs)
+        t2 = run(cfg, data, obs)
         assert t1.snapshots == t2.snapshots  # bitwise-identical diagnostics
 
     def test_cfl_violation_aborts(self, grid16):
-        u0, b0, _ = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 50.0, "k_max": 3.0, "seed": 5}, grid16
         )
         cfg = SolverConfig(gamma=0.5, dt=0.05, t_end=1.0, grid=grid16)
         with pytest.raises(StepSizeError):
-            run(cfg, (u0, b0, zero_field(grid16)))
+            run(cfg, data)
 
     def test_cfl_uses_pointwise_speed(self, grid16):
         # u = a (cos y, cos x) has max|u_i| = a but max|u| = a sqrt(2) at the
@@ -380,13 +380,13 @@ class TestRun:
             run(SolverConfig(gamma=1.0, dt=0.025, t_end=0.025, grid=grid16), initial)
 
     def test_energy_monotone_under_exp_integrator(self, grid16):
-        u0, b0, a0 = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 6}, grid16
         )
         cfg = SolverConfig(gamma=0.0, dt=0.01, t_end=1.0, grid=grid16,
                            scheme="mhd_baseline")
         obs = lambda s: {"u2": spectral_l2(s.u_hat)}
-        traj = run(cfg, (u0, b0, a0), obs)
+        traj = run(cfg, data, obs)
         vals = traj.series("u2")
         assert np.all(np.diff(vals) <= 1e-14)
 
@@ -441,12 +441,12 @@ class TestRun:
         from mhdwave.diagnostics import norm_observer
 
         gamma, m = 0.5, 1.0
-        u0, b0, a0 = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 13}, grid16
         )
         cfg = SolverConfig(gamma=gamma, dt=0.01, t_end=2.0, grid=grid16)
         obs = norm_observer((2.0,), (m,), (m,), m=m, gamma=gamma)
-        traj = run(cfg, (u0, b0, a0), obs)
+        traj = run(cfg, data, obs)
         x = traj.series("X_m")
         factor = float(np.max(x) / x[0])
         assert factor <= 1.05
@@ -469,6 +469,18 @@ class TestState:
         p.coeffs[:, 0, 0] = 0.0
         assert np.max(np.abs(u.coeffs - p.coeffs)) <= 1e-15 * np.max(np.abs(p.coeffs))
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=hst.sampled_from([8, 16, 32]), box_length=hst.floats(0.1, 100.0),
+           seed=hst.integers(0, 2**16), scale=hst.floats(1e-8, 1e8))
+    def test_vector_map_inverts_the_views(self, n, box_length, seed, scale):
+        # on mean-free, dealiased states the map of run's vector branch and of
+        # v1/v2 checkpoints undoes grad^perp to round-off
+        st = random_state(GridSpec(n, box_length), seed, scale)
+        back = State.from_vectors(st.u_hat, st.b_hat, st.bt_hat)
+        for a, b in ((st.psi_hat, back.psi_hat), (st.a_hat, back.a_hat),
+                     (st.at_hat, back.at_hat)):
+            assert np.max(np.abs(b - a)) <= 1e-15 * np.max(np.abs(a))
+
     def test_views_read_only(self, grid16):
         st = random_state(grid16, 5)
         for view in (st.u_hat, st.b_hat, st.bt_hat):
@@ -482,11 +494,12 @@ class TestState:
                   np.zeros((16, 9), complex), grid16)
 
     def test_run_accepts_state(self, grid16):
-        u0, b0, a0 = make_initial_data(
+        data = make_initial_data(
             "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 7}, grid16)
+        fields = (data.u_hat, data.b_hat, data.bt_hat)
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16)
-        by_fields = run(cfg, (u0, b0, a0), keep_states=True).states[-1]
-        start = State.from_vectors(u0, b0, a0, t=3.0)
+        by_fields = run(cfg, fields, keep_states=True).states[-1]
+        start = State.from_vectors(*fields, t=3.0)
         by_state = run(cfg, start, keep_states=True).states[-1]
         assert by_state.t == by_fields.t == pytest.approx(0.1)
         for a, b in ((by_fields.psi_hat, by_state.psi_hat), (by_fields.a_hat, by_state.a_hat),
