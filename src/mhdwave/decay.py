@@ -217,8 +217,9 @@ class DecayExperimentConfig:
             raise ConfigurationError("m must be >= 0", path="diagnostics.m")
         if not 1 <= self.c_label < 2:
             raise ConfigurationError("c_label must lie in [1, 2)", path="diagnostics.c_label")
-        if self.window is not None and not self.window[0] < self.window[1]:
-            raise ConfigurationError("window must satisfy t_lo < t_hi", path="fit.window")
+        if self.window is not None and not 0 < self.window[0] < self.window[1]:
+            # a log-log fit needs t > 0, and the t = 0 snapshot would fall inside
+            raise ConfigurationError("window must satisfy 0 < t_lo < t_hi", path="fit.window")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(

@@ -50,11 +50,13 @@ __all__ = [
 # Bytes a nonlinear step holds per grid point.  A (n, n//2 + 1) complex
 # array is about 8 B a point, a real one 4 B and a real (n, n) array 8 B:
 # the state and the next state (6 complex: 48), the two linear-update
-# temporaries (16), the scratch spectrum of (u, b) and the products
-# (4 complex + 3 real full: 56), the transform outputs (4 real full +
-# 3 complex: 56), the eight step tables and three forcing tables (44) and
-# the grid's kx, ky, k2, |k|, 1/k2 and grad^perp (36).
-_BYTES_PER_POINT = 256
+# temporaries (16), the scratch spectrum of (u, b), its inverse and the
+# products (4 complex + 7 real full: 88), the forward transform's output
+# (3 complex: 24), the eight step tables and three forcing tables (44),
+# the masked grad^perp table of the inverse (2 complex on the retained
+# third of the columns: 11) and the grid's kx, ky, k2, |k|, 1/k2 and
+# grad^perp (36).
+_BYTES_PER_POINT = 267
 
 
 @dataclass(frozen=True)

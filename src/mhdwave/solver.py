@@ -35,18 +35,29 @@ schemes:
 Nonlinear terms are pseudo-spectral (4 inverse transforms of u and b, the
 pointwise products D, T12 and E, 3 forward transforms) with 2/3-rule
 dealiasing, so the retained band sees the exact Galerkin convolution and
-the quadratic energy cancellations hold to round-off.  The k = 0 mode of
-each potential carries no field and is zeroed every step.
+the quadratic energy cancellations hold to round-off.  The 2/3 rule acts
+on the input too: u and b are built from the retained modes of psi and A
+only, so the forcings of a finite state and of its dealiased copy are
+equal.  The k = 0 mode of each potential carries no field and is zeroed
+every step.
 
-The nonlinear terms allocate only the two transform outputs.  The
-spectrum of (u, b) and the product array live in scratch arrays that
-``run`` builds once, with its step tables, when the nonlinear terms are
-on; the products are formed in place with ``out=``, in the same operation
-order as fresh temporaries would be, and the steppers scale the forcings
-in place, so results are bitwise unchanged.  The scratch arrays belong to
-one run, not to one grid: a sweep runs its members on the same grid at
-the same time, and a per-grid buffer would let them overwrite each
-other's products.
+The inverse transform runs over the retained band only.  The columns of
+the half spectrum past the 2/3 cutoff (a third of them) are zero, so the
+column transform (numpy's ``ifft`` along x) covers the retained columns
+alone, in place, and numpy's ``irfft`` along y finishes it.  Both run
+unnormalized and one multiply by 1/n^2 follows, which is the order in
+which ``scipy.fft.irfft2`` scales: the result is bitwise that of
+``irfft2`` at every n, also where 1/n is inexact.  The forward transform
+stays ``scipy.fft.rfft2``, which beats numpy's axis-wise pair at large n.
+
+Only the forward transform allocates.  The spectrum of (u, b), its
+inverse and the product array live in scratch arrays that ``run`` builds
+once, with its step tables, when the nonlinear terms are on; the products
+are formed in place with ``out=``, in the same operation order as fresh
+temporaries would be, and the steppers scale the forcings in place, so
+results are bitwise unchanged.  The scratch arrays belong to one run, not
+to one grid: a sweep runs its members on the same grid at the same time,
+and a per-grid buffer would let them overwrite each other's products.
 
 ``run`` also takes the vector triple (u0, b0, d_t b0) and maps it to the
 potentials with psi = (i ky u1 - i kx u2) / |k|^2, as version 1 and 2
@@ -62,6 +73,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft as _npfft
 import scipy.fft as _fft
 
 from .errors import BlowUpError, ConfigurationError, StepSizeError
@@ -217,37 +229,68 @@ def _forcing_tables(grid: GridSpec):
     return c_d, c_12, c_e
 
 
+@functools.lru_cache(maxsize=4)
+def _velocity_table(grid: GridSpec) -> np.ndarray:
+    """The symbol of grad^perp times the 2/3 mask, on the columns up to the
+    last that holds a retained mode; read-only, shape (2, n, keep)."""
+    keep = int(np.flatnonzero(grid.dealias_mask.any(axis=0))[-1]) + 1
+    table = (grid.grad_perp * grid.dealias_mask)[..., :keep].copy()
+    table.flags.writeable = False
+    return table
+
+
 class _Workspace:
     """Scratch arrays of the nonlinear terms on one grid: the (4, n, n/2+1)
-    spectrum of (u, b) and the (3, n, n) products (D, T12, E).  Every call
-    overwrites them completely."""
+    spectrum of (u, b), its (4, n, n) inverse and the (3, n, n) products
+    (D, T12, E).  Every call overwrites the inverse and the products
+    completely, and the spectrum on the columns of ``_velocity_table``
+    only; its columns past the 2/3 cutoff are never written and stay zero
+    for the whole run."""
 
     def __init__(self, grid: GridSpec):
-        self.spec = np.empty((4, grid.n, grid.half), dtype=np.complex128)
+        self.spec = np.zeros((4, grid.n, grid.half), dtype=np.complex128)
+        self.phys = np.empty((4, grid.n, grid.n))
         self.prod = np.empty((3, grid.n, grid.n))
+
+
+def _inverse_retained(spec: np.ndarray, keep: int, out: np.ndarray) -> np.ndarray:
+    """``scipy.fft.irfft2`` of the half spectra ``spec`` into ``out``,
+    bitwise, when the columns of ``spec`` from ``keep`` on are zero.
+
+    The column transform runs on the first ``keep`` columns, in place, so
+    it overwrites them.  Both passes are unnormalized and the 1/n^2 comes
+    last, as in ``irfft2``.
+    """
+    n = out.shape[-1]
+    band = spec[..., :keep]
+    _npfft.ifft(band, axis=-2, norm="forward", out=band)
+    _npfft.irfft(spec, n=n, axis=-1, norm="forward", out=out)
+    return np.multiply(out, 1.0 / n**2, out=out)
 
 
 def _nonlinear_terms(state: State, work: _Workspace | None = None):
     """Internal: (F_psi, F_A, max|u| + max|b|), the scalar forcings.
 
-    u and b come from 4 inverse transforms of grad^perp (psi, A); the
-    products D = T11 - T22, T12 and E = u1 b2 - u2 b1 take 3 forward
-    transforms, all in the half-spectrum layout.  The trace of T is a
-    gradient, which the projection removes, so it is never formed.
-    ``work`` holds the scratch arrays (fresh ones when it is None).  The
-    forcings are views of the forward transform's output, which the caller
-    owns and may overwrite.
+    u and b come from 4 inverse transforms of grad^perp (psi, A) over the
+    retained band; the products D = T11 - T22, T12 and E = u1 b2 - u2 b1
+    take 3 forward transforms, all in the half-spectrum layout.  The trace
+    of T is a gradient, which the projection removes, so it is never
+    formed.  ``work`` holds the scratch arrays (fresh ones when it is
+    None).  The forcings are views of the forward transform's output,
+    which the caller owns and may overwrite.
     """
     g = state.grid
     n = g.n
     if work is None:
         work = _Workspace(g)
     spec, prod = work.spec, work.prod
-    np.multiply(g.grad_perp, state.psi_hat, out=spec[0:2])
-    np.multiply(g.grad_perp, state.a_hat, out=spec[2:4])
+    table = _velocity_table(g)
+    keep = table.shape[-1]
+    np.multiply(table, state.psi_hat[:, :keep], out=spec[0:2, :, :keep])
+    np.multiply(table, state.a_hat[:, :keep], out=spec[2:4, :, :keep])
     # physical values carry an n^-2 scale here; it cancels against the
     # quadratic product and the forward normalization as the n^2 of the tables
-    phys = _fft.irfft2(spec, s=(n, n), axes=(-2, -1))
+    phys = _inverse_retained(spec, keep, work.phys)
     u1, u2, b1, b2 = phys
     # T12 and E need the raw values, so they come first, with prod[0] as
     # scratch; then the squares overwrite the values
@@ -280,8 +323,10 @@ def compute_nonlinear(state: State):
     """N_u = P(b.grad b - u.grad u), N_b = b.grad u - u.grad b, dealiased:
     grad^perp of the scalar forcings.
 
-    Both outputs are mean-free and divergence-free.  Raises ``BlowUpError``
-    if the fields are not finite.
+    Only the retained modes of the state enter (the input 2/3 rule), so a
+    finite state and its dealiased copy give equal forcings.  Both outputs are
+    mean-free and divergence-free.  Raises ``BlowUpError`` if the retained
+    modes are not finite.
     """
     f_psi, f_a, _ = _nonlinear_terms(state)
     g = state.grid

@@ -413,6 +413,23 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert steps == []
 
+    def test_sweep_window_at_t_zero_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the t = 0 snapshot would fall inside, where a log-log fit has no point
+        cfgp = write_config(tmp_path, dict(SWEEP_RUN, fit={"window": [0.0, 11.0]}))
+        steps = []
+        step = solver._STEPPERS["exp_integrator"]
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setitem(solver._STEPPERS, "exp_integrator", counted)
+        rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
+                   "--gammas", "0.5"])
+        assert rc == 2
+        assert "fit.window" in capsys.readouterr().err
+        assert steps == []
+
     def test_sweep_low_q_leaves_theory_empty(self, tmp_path):
         # no theorem covers L^q with q < 2: the theory cell stays empty, as in
         # fit-decay, while q = 2 keeps its rate

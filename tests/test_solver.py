@@ -118,40 +118,83 @@ class TestNonlinear:
             assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * np.max(np.abs(ref.coeffs))
 
     def test_one_step_makes_seven_transforms(self, grid16, monkeypatch):
-        batches = []
+        # a 2D transform is a scipy *fft2 call or numpy's axis-wise pair (ifft
+        # along x, then irfft along y), counted once per batch member
+        calls = {"fft2": [], "ifft": [], "irfft": []}
 
-        class CountingFFT:
-            """scipy.fft, counting the 2D transforms of each batch."""
+        class Counting:
+            """A transform module, recording the batch of each counted call."""
+
+            def __init__(self, module, key_of):
+                self.module, self.key_of = module, key_of
 
             def __getattr__(self, name):
-                fn = getattr(scipy.fft, name)
-                if not name.endswith("fft2"):
+                fn = getattr(self.module, name)
+                key = self.key_of(name)
+                if key is None:
                     return fn
 
                 def counted(x, *args, **kwargs):
-                    batches.append(int(np.prod(np.shape(x)[:-2])))
+                    calls[key].append(int(np.prod(np.shape(x)[:-2])))
                     return fn(x, *args, **kwargs)
 
                 return counted
 
-        monkeypatch.setattr(solver, "_fft", CountingFFT())
+        monkeypatch.setattr(solver, "_fft", Counting(
+            scipy.fft, lambda name: "fft2" if name.endswith("fft2") else None))
+        monkeypatch.setattr(solver, "_npfft", Counting(
+            np.fft, lambda name: name if name in ("ifft", "irfft") else None))
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.01, grid=grid16)
         step_exp(random_state(grid16, 3), cfg)
-        assert sum(batches) == 7
+        assert calls["ifft"] == calls["irfft"]
+        assert sum(calls["fft2"]) + sum(calls["irfft"]) == 7
 
     @pytest.mark.parametrize("n", [16, 32])
-    def test_reused_workspace_matches_fresh(self, n):
-        # one set of scratch arrays across 5 different states in a row gives
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(draws=hst.lists(hst.tuples(hst.integers(0, 2**32 - 1), hst.floats(1e-3, 1e2)),
+                           min_size=2, max_size=5))
+    def test_reused_workspace_matches_fresh(self, n, draws):
+        # one set of scratch arrays across several states in a row gives
         # bitwise the result of fresh arrays: no call reads a stale buffer
         g = GridSpec(n, 2 * np.pi)
         work = solver._Workspace(g)
-        for seed, scale in zip(range(5), (1.0, 1e-3, 30.0, 0.5, 2e2)):
-            st = random_state(g, 10 * seed, scale)
+        for seed, scale in draws:
+            st = random_state(g, seed, scale)
             *reused, vmax_reused = solver._nonlinear_terms(st, work)
             *fresh, vmax_fresh = solver._nonlinear_terms(st)
             assert vmax_reused == vmax_fresh
             for got, ref in zip(reused, fresh):
                 assert got.tobytes() == ref.tobytes()
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=hst.sampled_from([8, 12, 16, 24, 48, 96]), seed=hst.integers(0, 2**32 - 1),
+           batch=hst.integers(1, 4))
+    def test_retained_inverse_is_irfft2(self, n, seed, batch):
+        # byte-equal to scipy's irfft2, also where n/3 is a whole number and
+        # the cutoff lands on a column index
+        g = GridSpec(n, 2 * np.pi)
+        keep = solver._velocity_table(g).shape[-1]
+        assert g.dealias_mask[:, :keep].any(axis=0).all()
+        assert not g.dealias_mask[:, keep:].any()
+        rng = np.random.default_rng(seed)
+        spec = (rng.standard_normal((batch, n, g.half))
+                + 1j * rng.standard_normal((batch, n, g.half))) * g.dealias_mask
+        ref = scipy.fft.irfft2(spec, s=(n, n), axes=(-2, -1))
+        got = solver._inverse_retained(spec.copy(), keep, np.empty((batch, n, n)))
+        assert got.tobytes() == ref.tobytes()
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(n=hst.sampled_from([16, 24, 32]), seed=hst.integers(0, 2**32 - 1),
+           scale=hst.floats(1e-3, 1e2))
+    def test_forcings_see_only_the_retained_band(self, n, seed, scale):
+        # the 2/3 rule on the input: the modes it drops do not reach u and b
+        g = GridSpec(n, 2 * np.pi)
+        psi, a = random_spectral(g, seed).coeffs * scale
+        full = State(psi, a, random_spectral(g, seed + 1, ncomp=1).coeffs[0] * scale, g)
+        assert np.any(full.psi_hat * ~g.dealias_mask != 0)
+        cut = State(*(c * g.dealias_mask for c in (psi, a, full.at_hat)), g)
+        for got, ref in zip(compute_nonlinear(full), compute_nonlinear(cut)):
+            assert np.array_equal(got.coeffs, ref.coeffs)
 
     def test_linear_run_builds_no_workspace(self, grid16):
         linear = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16, nonlinear=False)
