@@ -54,7 +54,7 @@ __all__ = [
 # products (4 complex + 7 real full: 88), the forward transform's output
 # (3 complex: 24), the eight step tables and three forcing tables (44),
 # the masked grad^perp table of the inverse (2 complex on the retained
-# third of the columns: 11) and the grid's kx, ky, k2, |k|, 1/k2 and
+# two thirds of the half-spectrum columns: 11) and the grid's kx, ky, k2, |k|, 1/k2 and
 # grad^perp (36).
 _BYTES_PER_POINT = 267
 

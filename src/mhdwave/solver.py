@@ -259,7 +259,8 @@ def _inverse_retained(spec: np.ndarray, keep: int, out: np.ndarray) -> np.ndarra
 
     The column transform runs on the first ``keep`` columns, in place, so
     it overwrites them.  Both passes are unnormalized and the 1/n^2 comes
-    last, as in ``irfft2``.
+    last, as in ``irfft2``.  ``out=`` on numpy's FFT functions needs
+    numpy >= 2.0.
     """
     n = out.shape[-1]
     band = spec[..., :keep]
