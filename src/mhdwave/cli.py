@@ -7,9 +7,12 @@ through environment variables with the ``MHDWAVE_`` prefix (e.g.
 gamma members concurrently, one thread each up to the CPU count; the
 output does not depend on how many run at once.
 
-Every invocation writes a ``manifest.jsonl`` naming the config hash and
-the emitted files.  CSV outputs are byte-deterministic for a fixed config
-and seed; wall-clock timestamps appear only in the manifest.
+Each subcommand returns its tables, and one writer emits them: every
+table as ``<kind>.csv``, then a ``manifest.jsonl`` naming the config hash
+and the emitted files.  The manifest lists the CSVs in the order they were
+written, then any checkpoints in the order ``simulate`` wrote them.  CSV
+outputs are byte-deterministic for a fixed config and seed; wall-clock
+timestamps appear only in the manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 solver blow-up or step
 failure, 4 data/usage error.
@@ -20,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -50,7 +52,7 @@ from .errors import (
     WindowError,
 )
 from .initial import make_initial_data
-from .kernels import BoundSampleSpec, verify_kernel_bounds
+from .kernels import verify_kernel_bounds
 from .solver import run
 
 EXIT_OK = 0
@@ -92,37 +94,9 @@ def _gamma_list(text: str) -> list:
                                  path="gammas") from None
 
 
-class _Manifest:
-    def __init__(self, outdir: Path, cfg: DecayExperimentConfig, args_echo: dict):
-        self.outdir = outdir
-        self.rows = []
-        head = {
-            "kind": "run",
-            "version": __version__,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "args": args_echo,
-            "config_hash": config_hash(cfg),
-            "config": json.loads(serialize_config(cfg)),
-        }
-        self.rows.append(head)
-        self.config_hash = head["config_hash"]
-
-    def add_file(self, path: Path, kind: str) -> None:
-        self.rows.append({"kind": kind, "path": path.name, "config_hash": self.config_hash})
-
-    def write(self) -> None:
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        with open(self.outdir / "manifest.jsonl", "w", encoding="utf-8") as fh:
-            for row in self.rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 def _write_csv(path: Path, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
 
 
 def _float_cell(x) -> str:
@@ -138,10 +112,41 @@ def _load_run_config(args) -> DecayExperimentConfig:
     return cfg
 
 
-def cmd_simulate(args) -> int:
+def _emit(args) -> int:
+    """Run ``args.func(cfg, args)`` and write what it returns.
+
+    The manifest head (config hash, echo of the ``args.echo`` arguments,
+    timestamp) is taken before the run.  Each returned table is written as
+    ``<kind>.csv`` in the returned order; the ``checkpoint`` entry lists the
+    files ``simulate`` already wrote, in the order it wrote them.
+    """
     cfg = _load_run_config(args)
+    head = {
+        "kind": "run",
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "args": {"command": args.command, **{k: getattr(args, k) for k in args.echo}},
+        "config_hash": config_hash(cfg),
+        "config": json.loads(serialize_config(cfg)),
+    }
+    tables = args.func(cfg, args)
     outdir = Path(cfg.output_dir)
-    manifest = _Manifest(outdir, cfg, {"command": "simulate"})
+    outdir.mkdir(parents=True, exist_ok=True)
+    manifest = [head]
+    for kind, rows in tables.items():
+        if kind == "checkpoint":
+            names = [p.name for p in rows]
+        else:
+            names = [f"{kind}.csv"]
+            _write_csv(outdir / names[0], rows)
+        manifest += [{"kind": kind, "path": name, "config_hash": head["config_hash"]}
+                     for name in names]
+    with open(outdir / "manifest.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in manifest)
+    return EXIT_OK
+
+
+def cmd_simulate(cfg, args) -> dict:
     observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b)
     if args.resume:
         state, gamma_ck = load_checkpoint(args.resume)
@@ -163,7 +168,7 @@ def cmd_simulate(args) -> int:
     solver_cfg = replace(cfg, t_end=remaining if remaining > 1e-9 * cfg.t_end else 0.0)
     solver_cfg = solver_cfg.solver_config()
 
-    ck_paths = []
+    outdir, ck_paths = Path(cfg.output_dir), []
 
     def sink(state):
         p = outdir / f"checkpoint_t{state.t + t_offset:012.6f}.mhdw"
@@ -177,19 +182,10 @@ def cmd_simulate(args) -> int:
     rows = [["t"] + ids]
     for i, t in enumerate(traj.times):
         rows.append([_float_cell(t + t_offset)] + [_float_cell(traj.snapshots[i][k]) for k in ids])
-    series = outdir / "series.csv"
-    _write_csv(series, rows)
-    manifest.add_file(series, "series")
-    for p in ck_paths:
-        manifest.add_file(p, "checkpoint")
-    manifest.write()
-    return EXIT_OK
+    return {"series": rows, "checkpoint": ck_paths}
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_run_config(args)
-    outdir = Path(cfg.output_dir)
-    manifest = _Manifest(outdir, cfg, {"command": "sweep", "gammas": args.gammas})
+def cmd_sweep(cfg, args) -> dict:
     sweep = gamma_prefactor_scan(args.gammas, cfg)
     ids = cfg.norm_ids()
     rows = [["gamma", "norm_id", "exponent", "theory", "r2", "prefactor", "final_value"]]
@@ -204,19 +200,12 @@ def cmd_sweep(args) -> int:
                 _float_cell(np.exp(c.fit.log_prefactor)),
                 _float_cell(sweep.final_norms[g][nid]),
             ])
-    sweep_csv = outdir / "sweep.csv"
-    _write_csv(sweep_csv, rows)
-    manifest.add_file(sweep_csv, "sweep")
     # prefactor curve per tracked norm, for offline plotting
     curve = [["norm_id"] + [_float_cell(g) for g in sweep.gammas]]
     for nid in ids:
         curve.append([nid] + [_float_cell(np.exp(sweep.fits[g][nid].fit.log_prefactor))
                               for g in sweep.gammas])
-    curve_csv = outdir / "prefactor_curve.csv"
-    _write_csv(curve_csv, curve)
-    manifest.add_file(curve_csv, "prefactor_curve")
-    manifest.write()
-    return EXIT_OK
+    return {"sweep": rows, "prefactor_curve": curve}
 
 
 def _read_series(path):
@@ -234,10 +223,7 @@ def _read_series(path):
     return header, data
 
 
-def cmd_fit_decay(args) -> int:
-    cfg = _load_run_config(args)
-    outdir = Path(cfg.output_dir)
-    manifest = _Manifest(outdir, cfg, {"command": "fit-decay", "series": args.series})
+def cmd_fit_decay(cfg, args) -> dict:
     header, data = _read_series(args.series)
     t = data[:, 0]
     window = cfg.window if cfg.window else (float(t[1]), float(t[-1]))
@@ -252,69 +238,33 @@ def cmd_fit_decay(args) -> int:
             _float_cell(theory.exponent), _float_cell(fit.exponent - theory.exponent)]
         rows.append([nid, _float_cell(fit.exponent), *cells, _float_cell(fit.r2),
                      _float_cell(window[0]), _float_cell(window[1])])
-    out = outdir / "fit_summary.csv"
-    _write_csv(out, rows)
-    manifest.add_file(out, "fit_summary")
-    manifest.write()
-    return EXIT_OK
+    return {"fit_summary": rows}
 
 
-def cmd_verify_kernels(args) -> int:
-    cfg = _load_run_config(args)
-    outdir = Path(cfg.output_dir)
-    manifest = _Manifest(outdir, cfg, {"command": "verify-kernels"})
-    spec = BoundSampleSpec()
-    report = verify_kernel_bounds(cfg.gamma, spec)
-    refined = verify_kernel_bounds(cfg.gamma, spec.refined())
-    out = outdir / "kernel_bounds.csv"
-    _write_csv(out, report.to_csv_rows())
-    manifest.add_file(out, "kernel_bounds")
-    ref_out = outdir / "kernel_bounds_refined.csv"
-    _write_csv(ref_out, refined.to_csv_rows())
-    manifest.add_file(ref_out, "kernel_bounds_refined")
-    manifest.write()
-    return EXIT_OK
+def cmd_verify_kernels(cfg, args) -> dict:
+    return {"kernel_bounds": verify_kernel_bounds(cfg.gamma, refine=1).to_csv_rows(),
+            "kernel_bounds_refined": verify_kernel_bounds(cfg.gamma, refine=2).to_csv_rows()}
 
 
-def cmd_verify_lemmas(args) -> int:
-    cfg = _load_run_config(args)
-    outdir = Path(cfg.output_dir)
-    manifest = _Manifest(outdir, cfg, {"command": "verify-lemmas"})
+def cmd_verify_lemmas(cfg, args) -> dict:
     report = verify_expintegral()
-    for ineq in ("p-1", "p-2", "p-3"):
-        out = outdir / f"expintegral_{ineq}.csv"
-        _write_csv(out, report.to_csv_rows(ineq))
-        manifest.add_file(out, f"expintegral_{ineq}")
+    tables = {f"expintegral_{ineq}": report.to_csv_rows(ineq) for ineq in ("p-1", "p-2", "p-3")}
     stable = report.stable()
-    summary = outdir / "expintegral_summary.csv"
     rows = [["case", "regime", "C_emp", "C_emp_refined", "stable_1pct"]]
     for key, v in sorted(report.c_emp.items()):
         rows.append([key[0], key[1], repr(float(v)), repr(float(report.c_emp_refined[key])),
                      str(stable).lower()])
-    _write_csv(summary, rows)
-    manifest.add_file(summary, "expintegral_summary")
-    manifest.write()
-    return EXIT_OK
+    return {**tables, "expintegral_summary": rows}
 
 
-def cmd_compare_mhd(args) -> int:
-    cfg = _load_run_config(args)
-    outdir = Path(cfg.output_dir)
-    if not 0 < args.T < math.inf:
-        raise ConfigurationError(f"must be positive and finite, got {args.T}", path="T")
-    manifest = _Manifest(outdir, cfg, {"command": "compare-mhd", "gammas": args.gammas,
-                                       "T": args.T})
+def cmd_compare_mhd(cfg, args) -> dict:
     gs, errs = singular_limit_experiment(args.gammas, args.T, cfg)
     rows = [["gamma", "error", "ratio_to_previous"]]
     for i, (g, e) in enumerate(zip(gs, errs)):
         # no ratio for the first row, nor after a zero error
         ratio = _float_cell(e / errs[i - 1]) if i and errs[i - 1] else ""
         rows.append([_float_cell(g), _float_cell(e), ratio])
-    out = outdir / "singular_limit.csv"
-    _write_csv(out, rows)
-    manifest.add_file(out, "singular_limit")
-    manifest.write()
-    return EXIT_OK
+    return {"singular_limit": rows}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, echo=()):
+        """A subparser with the shared flags; ``echo`` names the arguments
+        the manifest records besides the command."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, echo=echo)
         p.add_argument("--config", default=_env_default("config"),
                        help="JSON config file (MHDWAVE_CONFIG)")
         p.add_argument("--output", default=_env_default("output"),
@@ -334,45 +288,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_integer_arg("seed", 0),
                        default=_env_default("seed") or None,
                        help="seed override (MHDWAVE_SEED)")
+        return p
 
-    p = sub.add_parser("simulate", help="run one simulation, emit the norm series")
-    common(p)
+    p = command("simulate", cmd_simulate, "run one simulation, emit the norm series")
     p.add_argument("--resume", help="checkpoint file to continue from")
     p.add_argument("--checkpoint-every", type=_integer_arg("checkpoint_every", 1),
                    help="write a checkpoint every N steps (N >= 1)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="gamma sweep of the decay experiment")
-    common(p)
+    p = command("sweep", cmd_sweep, "gamma sweep of the decay experiment", ("gammas",))
     p.add_argument("--gammas", type=_gamma_list, default="0.25,0.5,1.0",
                    help="comma-separated gamma list")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("fit-decay", help="fit power laws to an existing series CSV")
-    common(p)
+    p = command("fit-decay", cmd_fit_decay, "fit power laws to an existing series CSV",
+                ("series",))
     p.add_argument("series", help="series CSV produced by simulate")
-    p.set_defaults(func=cmd_fit_decay)
 
-    p = sub.add_parser("verify-kernels", help="empirical kernel-bound constants")
-    common(p)
-    p.set_defaults(func=cmd_verify_kernels)
+    command("verify-kernels", cmd_verify_kernels, "empirical kernel-bound constants")
+    command("verify-lemmas", cmd_verify_lemmas, "exponential-integral inequality constants")
 
-    p = sub.add_parser("verify-lemmas", help="exponential-integral inequality constants")
-    common(p)
-    p.set_defaults(func=cmd_verify_lemmas)
-
-    p = sub.add_parser("compare-mhd", help="singular-limit comparison against gamma = 0")
-    common(p)
+    p = command("compare-mhd", cmd_compare_mhd, "singular-limit comparison against gamma = 0",
+                ("gammas", "T"))
     p.add_argument("--gammas", type=_gamma_list, default="0.1,0.05,0.025")
     p.add_argument("--T", type=float, default=5.0)
-    p.set_defaults(func=cmd_compare_mhd)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        return _emit(build_parser().parse_args(argv))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         print(json.dumps({"error": "configuration", "message": str(exc)}), file=sys.stderr)

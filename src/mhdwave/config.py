@@ -22,6 +22,7 @@ import re
 from .decay import DecayExperimentConfig
 from .errors import ConfigurationError, DataError
 from .grid import GridSpec
+from .initial import INITIAL_FAMILIES
 
 __all__ = ["parse_config", "parse_config_file", "serialize_config", "config_hash"]
 
@@ -73,19 +74,13 @@ _SECTIONS = {
 }
 _TOP_LEVEL = set(_SECTIONS) | {"scheme"}
 
-# initial-data keys each family reads; the rest are accepted and ignored
-_FAMILY_KEYS = {
-    "taylor_green": set(),
-    "gaussian_vortex_pair": {"width", "separation"},
-    "random_band": {"k_min", "k_max", "spectral_exponent", "a0_amplitude"},
-}
-
 
 def _initial_params(i: dict, family) -> dict:
-    """The ``make_initial_data`` params of an ``initial_data`` section."""
+    """The ``make_initial_data`` params of an ``initial_data`` section; keys
+    the family does not read are accepted and ignored."""
     used = {"amplitude", "amplitude_b"}
     if isinstance(family, str):
-        used |= _FAMILY_KEYS.get(family, set())
+        used |= set(INITIAL_FAMILIES.get(family, ()))
     params = {"amplitude": 0.05, "seed": 0}
     for key in ("amplitude", "amplitude_b", "width", "separation", "k_min", "k_max",
                 "spectral_exponent", "a0_amplitude"):

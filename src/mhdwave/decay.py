@@ -198,7 +198,7 @@ class DecayExperimentConfig:
         if not self.dt > 0:
             raise ConfigurationError("dt must be > 0", path="time.dt")
         if self.family not in INITIAL_FAMILIES:
-            raise ConfigurationError(f"family must be one of {INITIAL_FAMILIES}",
+            raise ConfigurationError(f"family must be one of {tuple(INITIAL_FAMILIES)}",
                                      path="initial_data.family")
         if not 0 <= self.params.get("seed", 0) < 2**128:
             raise ConfigurationError("seed must satisfy 0 <= seed < 2**128",
@@ -353,6 +353,10 @@ def gamma_prefactor_scan(gammas, base: DecayExperimentConfig) -> SweepResult:
     gammas = sorted(float(g) for g in gammas)
     if len(gammas) < 1 or any(g <= 0 for g in gammas):
         raise ConfigurationError("gammas must be positive")
+    if base.scheme == "mhd_baseline":
+        # the gamma = 0 baseline ignores gamma: every member would be the same run
+        raise ConfigurationError("a gamma sweep needs a gamma-dependent scheme, "
+                                 "not mhd_baseline", path="scheme")
 
     def member(g):
         return run_decay_experiment(replace(base, gamma=g))
@@ -383,11 +387,19 @@ def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
 
     Returns (gammas_desc, errors) with gammas sorted descending; the
     expected first-order convergence shows up as successive ratios near
-    1/2 when gammas are halved.
+    1/2 when gammas are halved.  ``T`` must be a whole number of steps
+    ``base.dt``; errors about it name the path ``T``.
     """
     gammas = [float(g) for g in gammas]
     if any(g <= 0 for g in gammas):
         raise ConfigurationError("singular-limit gammas must be > 0; gamma = 0 is the baseline")
+    if not 0 < T < np.inf:
+        raise ConfigurationError(f"must be positive and finite, got {T}", path="T")
+    try:
+        _step_count(replace(base.solver_config(), t_end=T))
+    except ConfigurationError:
+        raise ConfigurationError(f"{T} is not a whole number of steps at dt={base.dt}",
+                                 path="T") from None
     gammas = sorted(gammas, reverse=True)
     grid = base.grid
     initial = make_initial_data(base.family, base.params, grid)

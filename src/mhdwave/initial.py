@@ -40,7 +40,12 @@ from .solver import State
 
 __all__ = ["make_initial_data", "INITIAL_FAMILIES"]
 
-INITIAL_FAMILIES = ("taylor_green", "gaussian_vortex_pair", "random_band")
+# family -> the params it reads besides amplitude, amplitude_b and seed
+INITIAL_FAMILIES = {
+    "taylor_green": (),
+    "gaussian_vortex_pair": ("width", "separation"),
+    "random_band": ("k_min", "k_max", "spectral_exponent", "a0_amplitude"),
+}
 
 
 def _peak_normalized(psi: np.ndarray, grid: GridSpec, amplitude: float) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "DEGENERATE_D",
@@ -42,7 +42,6 @@ __all__ = [
     "propagator_tables",
     "duhamel_k1_weight",
     "heat_weight",
-    "BoundSampleSpec",
     "BoundReport",
     "verify_kernel_bounds",
 ]
@@ -293,27 +292,6 @@ def propagator_tables(gamma: float, k2, dt: float):
 
 
 @dataclass
-class BoundSampleSpec:
-    """Sampling grids for the empirical kernel-bound constants.
-
-    ``n_k2`` log-spaced squared wavenumbers inside the region, ``n_t``
-    log-spaced times in (0, t_max] (default t_max = 40 gamma, five
-    e-foldings of the damping envelope), thetas in [0, 1] for the
-    frequency-weighted bound.
-    """
-
-    n_k2: int = 48
-    n_t: int = 48
-    t_max: float | None = None
-    k2_max_factor: float = 400.0
-    thetas: tuple = (0.0, 0.5, 1.0)
-
-    def refined(self, factor: int = 2) -> "BoundSampleSpec":
-        return BoundSampleSpec(self.n_k2 * factor, self.n_t * factor,
-                               self.t_max, self.k2_max_factor, self.thetas)
-
-
-@dataclass
 class BoundRow:
     bound_id: str
     gamma: float
@@ -338,44 +316,41 @@ class BoundReport:
             yield [r.bound_id, repr(float(r.gamma)), repr(float(r.theta)), repr(float(r.c_emp)), r.n_samples]
 
 
-def verify_kernel_bounds(gamma: float, spec: BoundSampleSpec | None = None) -> BoundReport:
+def verify_kernel_bounds(gamma: float, refine: int = 1) -> BoundReport:
     """Empirical constants for the three kernel envelope bounds.
 
     On S1 (4 gamma k2 >= 3/4): |K0|, |K1| against exp(-t/(8 gamma))
     (bound fren-1) and |K1| against gamma^{-theta/2} |k|^{-theta}
-    exp(-t/(8 gamma)) (fren-2, 0 <= theta <= 1).  On S2: |K0|, |K1|
-    against exp(-k2 t) (fren-3).  Constants are reported, never asserted
-    against the (non-explicit) constants of the source estimates.
+    exp(-t/(8 gamma)) (fren-2, theta = 0, 1/2, 1).  On S2: |K0|, |K1|
+    against exp(-k2 t) (fren-3).  Each region is sampled at 48 * ``refine``
+    log-spaced squared wavenumbers (S1 up to 400 times its boundary) and
+    as many log-spaced times in (0, 40 gamma], five e-foldings of the
+    damping envelope.  Constants are reported, never asserted against the
+    (non-explicit) constants of the source estimates.
     """
     _check_gamma(gamma)
-    if spec is None:
-        spec = BoundSampleSpec()
-    for th in spec.thetas:
-        if not 0.0 <= th <= 1.0:
-            raise ConfigurationError(f"theta must lie in [0, 1], got {th}")
-    t_max = spec.t_max if spec.t_max is not None else 40.0 * gamma
-    if t_max <= 0:
-        raise ConfigurationError("t_max must be positive")
+    n = 48 * refine
+    t_max = 40.0 * gamma
     boundary = 0.75 / (4.0 * gamma)
     # t = 0 included: every ratio there is exactly max(|K0|,|K1|)/1 = 1
-    t = np.concatenate([[0.0], np.geomspace(t_max * 1e-4, t_max, spec.n_t - 1)])[None, :]
+    t = np.concatenate([[0.0], np.geomspace(t_max * 1e-4, t_max, n - 1)])[None, :]
 
     rows = []
 
     # S1 sample: from the region boundary upward
-    k2_s1 = np.geomspace(boundary, boundary * spec.k2_max_factor, spec.n_k2)[:, None]
+    k2_s1 = np.geomspace(boundary, boundary * 400.0, n)[:, None]
     K0, K1 = kernel_pair(gamma, k2_s1, t)
     envelope = np.exp(-t / (8.0 * gamma))
     ratio1 = np.maximum(np.abs(K0), np.abs(K1)) / envelope
     n1 = ratio1.size
     rows.append(BoundRow("fren-1", gamma, 0.0, float(np.max(ratio1)), n1))
-    for th in spec.thetas:
+    for th in (0.0, 0.5, 1.0):
         shape = gamma ** (-th / 2.0) * k2_s1 ** (-th / 2.0) * envelope
         rows.append(BoundRow("fren-2", gamma, th, float(np.max(np.abs(K1) / shape)), n1))
 
     # S2 sample: strictly below the boundary, k2 = 0 included
     k2_s2 = np.concatenate([[0.0], np.geomspace(boundary * 1e-4, boundary * (1 - 1e-9),
-                                                spec.n_k2 - 1)])[:, None]
+                                                n - 1)])[:, None]
     K0, K1 = kernel_pair(gamma, k2_s2, t)
     shape = np.exp(-k2_s2 * t)
     ratio3 = np.maximum(np.abs(K0), np.abs(K1)) / shape

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from mhdwave import solver
+from mhdwave import decay, solver
 from mhdwave.cli import main
 from mhdwave.config import config_hash, parse_config, serialize_config
 from mhdwave.errors import ConfigurationError
@@ -95,6 +95,19 @@ SWEEP_RUN = {
     "diagnostics": {"q_list": [2], "s_list_u": [0], "s_list_b": [0]},
     "fit": {"window": [1.0, 11.0]},
 }
+
+
+def count_steps(monkeypatch, scheme):
+    """A list that gains one entry per step of ``scheme``."""
+    steps = []
+    step = solver._STEPPERS[scheme]
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setitem(solver._STEPPERS, scheme, counted)
+    return steps
 
 
 class TestCli:
@@ -291,6 +304,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert '"error": "configuration"' in err and "T: must be positive" in err
 
+    @pytest.mark.parametrize("T", ["0.33", "0.01"])
+    def test_compare_mhd_t_off_the_step_grid_exit_code(self, tmp_path, capsys, monkeypatch, T):
+        # at dt = 0.05, 0.33 is 6.6 steps and 0.01 less than one: the error
+        # names T, which the user set, before any initial data is built
+        built = []
+        monkeypatch.setattr(decay, "make_initial_data", lambda *a: built.append(a))
+        cfgp = write_config(tmp_path, SWEEP_RUN)
+        rc = main(["compare-mhd", "--config", cfgp, "--output", str(tmp_path / "c"),
+                   "--gammas", "0.1,0.05", "--T", T])
+        assert rc == 2
+        assert f"configuration error: T: {T} is not a whole number of steps at dt=0.05" \
+            in capsys.readouterr().err
+        assert built == []
+        assert not (tmp_path / "c").exists()
+
     def test_compare_mhd_zero_errors_leave_ratio_empty(self, tmp_path):
         doc = dict(SWEEP_RUN, initial_data=dict(SWEEP_RUN["initial_data"], amplitude=0))
         cfgp = write_config(tmp_path, doc)
@@ -372,14 +400,7 @@ class TestCli:
     def test_sweep_negative_order_fails_before_stepping(self, tmp_path, capsys, monkeypatch):
         doc = dict(SWEEP_RUN, diagnostics=dict(SWEEP_RUN["diagnostics"], s_list_u=[0, -0.5]))
         cfgp = write_config(tmp_path, doc)
-        steps = []
-        step = solver._STEPPERS["exp_integrator"]
-
-        def counted(*args, **kwargs):
-            steps.append(1)
-            return step(*args, **kwargs)
-
-        monkeypatch.setitem(solver._STEPPERS, "exp_integrator", counted)
+        steps = count_steps(monkeypatch, "exp_integrator")
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.5,1.0"])
         assert rc == 4
@@ -399,14 +420,7 @@ class TestCli:
     def test_sweep_window_fails_before_stepping(self, tmp_path, capsys, monkeypatch, doc,
                                                 message):
         cfgp = write_config(tmp_path, doc)
-        steps = []
-        step = solver._STEPPERS["exp_integrator"]
-
-        def counted(*args, **kwargs):
-            steps.append(1)
-            return step(*args, **kwargs)
-
-        monkeypatch.setitem(solver._STEPPERS, "exp_integrator", counted)
+        steps = count_steps(monkeypatch, "exp_integrator")
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.25,0.5"])
         assert rc == 4
@@ -416,19 +430,23 @@ class TestCli:
     def test_sweep_window_at_t_zero_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # the t = 0 snapshot would fall inside, where a log-log fit has no point
         cfgp = write_config(tmp_path, dict(SWEEP_RUN, fit={"window": [0.0, 11.0]}))
-        steps = []
-        step = solver._STEPPERS["exp_integrator"]
-
-        def counted(*args, **kwargs):
-            steps.append(1)
-            return step(*args, **kwargs)
-
-        monkeypatch.setitem(solver._STEPPERS, "exp_integrator", counted)
+        steps = count_steps(monkeypatch, "exp_integrator")
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.5"])
         assert rc == 2
         assert "fit.window" in capsys.readouterr().err
         assert steps == []
+
+    def test_sweep_of_the_baseline_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # mhd_baseline ignores gamma: every member would write the same rows
+        cfgp = write_config(tmp_path, dict(SWEEP_RUN, scheme="mhd_baseline"))
+        steps = count_steps(monkeypatch, "mhd_baseline")
+        rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
+                   "--gammas", "0.5,1.0"])
+        assert rc == 2
+        assert "configuration error: scheme:" in capsys.readouterr().err
+        assert steps == []
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_low_q_leaves_theory_empty(self, tmp_path):
         # no theorem covers L^q with q < 2: the theory cell stays empty, as in
@@ -493,6 +511,44 @@ class TestCli:
         assert full_vals[0] == res_vals[0]
         for a, b in zip(full_vals[1:], res_vals[1:]):
             assert a == pytest.approx(b, rel=1e-12)
+
+
+    @pytest.mark.parametrize("argv,echo,files", [
+        pytest.param(["simulate", "--checkpoint-every", "10"], {},
+                     ["series.csv", "checkpoint_t00000.200000.mhdw",
+                      "checkpoint_t00000.400000.mhdw"], id="simulate"),
+        pytest.param(["sweep", "--gammas", "1.0"], {"gammas": [1.0]},
+                     ["sweep.csv", "prefactor_curve.csv"], id="sweep"),
+        pytest.param(["fit-decay", "SERIES"], {"series": "SERIES"}, ["fit_summary.csv"],
+                     id="fit-decay"),
+        pytest.param(["verify-kernels"], {}, ["kernel_bounds.csv", "kernel_bounds_refined.csv"],
+                     id="verify-kernels"),
+        pytest.param(["verify-lemmas"], {},
+                     [f"expintegral_{x}.csv" for x in ("p-1", "p-2", "p-3", "summary")],
+                     id="verify-lemmas"),
+        pytest.param(["compare-mhd", "--gammas", "0.1,0.05", "--T", "0.2"],
+                     {"gammas": [0.1, 0.05], "T": 0.2}, ["singular_limit.csv"],
+                     id="compare-mhd"),
+    ])
+    def test_manifest_lists_the_written_files(self, tmp_path, argv, echo, files):
+        # the tables in the order they were written, then the checkpoints
+        series = tmp_path / "in.csv"
+        series.write_text("t,u_L2\n" + "".join(f"{t}.0,{1 / t!r}\n" for t in range(1, 13)))
+        argv = [str(series) if a == "SERIES" else a for a in argv]
+        echo = {k: str(series) if v == "SERIES" else v for k, v in echo.items()}
+        out = tmp_path / "out"
+        doc = SWEEP_RUN if argv[0] == "sweep" else SMALL_RUN
+        assert main(argv + ["--config", write_config(tmp_path, doc), "--output", str(out)]) == 0
+        head, *rows = [json.loads(line) for line in
+                       (out / "manifest.jsonl").read_text().splitlines()]
+        assert head["kind"] == "run"
+        assert head["args"] == {"command": argv[0], **echo}
+        assert [r["path"] for r in rows] == files
+        assert sorted(p.name for p in out.iterdir()) == sorted(files + ["manifest.jsonl"])
+        for r in rows:
+            assert r["config_hash"] == head["config_hash"]
+            assert r["kind"] == ("checkpoint" if r["path"].endswith(".mhdw")
+                                 else r["path"].removesuffix(".csv"))
 
 
 def test_console_entry_point():

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 from scipy.integrate import quad
 
-from mhdwave.errors import ConfigurationError, DomainError
+from mhdwave.errors import DomainError
 from mhdwave.kernels import (
     DEGENERATE_D,
-    BoundSampleSpec,
     duhamel_k1_weight,
     kernel_pair,
     propagator_tables,
@@ -256,9 +255,8 @@ class TestKernelBounds:
         assert np.isfinite(rep.c_emp("fren-3"))
 
     def test_s1_bounds_finite_and_stable(self):
-        spec = BoundSampleSpec()
-        rep = verify_kernel_bounds(1.0, spec)
-        rep2 = verify_kernel_bounds(1.0, spec.refined())
+        rep = verify_kernel_bounds(1.0)
+        rep2 = verify_kernel_bounds(1.0, refine=2)
         for row, row2 in zip(rep.rows, rep2.rows):
             assert np.isfinite(row.c_emp)
             assert abs(row2.c_emp - row.c_emp) <= 0.05 * row.c_emp
@@ -266,11 +264,6 @@ class TestKernelBounds:
     def test_theta_one_finite(self):
         rep = verify_kernel_bounds(0.5)
         assert np.isfinite(rep.c_emp("fren-2", theta=1.0))
-
-    def test_bad_theta_rejected(self):
-        with pytest.raises(ConfigurationError):
-            verify_kernel_bounds(1.0, BoundSampleSpec(thetas=(1.5,)))
-
 
 def test_propagator_tables_consistency():
     # the vectorized tables against the scalar kernel symbols and weight
