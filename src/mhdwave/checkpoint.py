@@ -50,7 +50,8 @@ def save_checkpoint(path, state: State, gamma: float) -> None:
 
 def load_checkpoint(path):
     """Returns (state, gamma).  A path that cannot be opened is a
-    ``DataError``; a malformed file is a ``ConfigurationError``."""
+    ``DataError``; a malformed file, including a header whose gamma or t is
+    not finite or whose t is negative, is a ``ConfigurationError``."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -63,6 +64,9 @@ def load_checkpoint(path):
         raise ConfigurationError(f"bad checkpoint magic {magic!r}")
     if version not in (1, 2, VERSION):
         raise ConfigurationError(f"unsupported checkpoint version {version}")
+    if not (math.isfinite(gamma) and math.isfinite(t) and t >= 0):
+        raise ConfigurationError(f"checkpoint {path} header has gamma={gamma}, t={t}; "
+                                 "both must be finite and t >= 0")
     grid = GridSpec(n, box_length)
     shape = {1: (3, 2, n, n), 2: (3, 2, n, grid.half), 3: (3, n, grid.half)}[version]
     if len(raw) != _HEADER.size + 16 * math.prod(shape):

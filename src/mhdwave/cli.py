@@ -1,17 +1,19 @@
 """Command-line entry points.
 
 Subcommands: simulate, sweep, fit-decay, verify-kernels, verify-lemmas,
-compare-mhd.  Shared flags (--config, --output, --seed) may also be set
-through environment variables with the ``MHDWAVE_`` prefix (e.g.
-``MHDWAVE_OUTPUT``); flags win over the environment.  ``sweep`` runs its
-gamma members concurrently, one thread each up to the CPU count; the
-output does not depend on how many run at once.
+compare-mhd.  Each takes the same three flags: ``--config`` (the JSON run
+description), ``--seed`` (overrides ``initial_data.seed``) and
+``--output`` (the directory written to, ``out`` by default).  ``sweep``
+runs its gamma members concurrently, one thread each up to the CPU count;
+the output does not depend on how many run at once.
 
 Each subcommand returns its tables, and one writer emits them: every
 table as ``<kind>.csv``, then a ``manifest.jsonl`` naming the config hash
-and the emitted files.  The manifest lists the CSVs in the order they were
-written, then any checkpoints in the order ``simulate`` wrote them.  CSV
-outputs are byte-deterministic for a fixed config and seed; wall-clock
+and the emitted files.  The hash covers what decides the outputs, the
+config with the ``--seed`` override applied, and not where the run
+writes.  The manifest lists the CSVs in the order they were written,
+then any checkpoints in the order ``simulate`` wrote them.  CSV outputs
+are byte-deterministic for a fixed config and seed; wall-clock
 timestamps appear only in the manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 solver blow-up or step
@@ -23,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -37,6 +38,7 @@ from .config import config_hash, parse_config, parse_config_file, serialize_conf
 from .decay import (
     DecayExperimentConfig,
     _theory_pair,
+    default_fit_window,
     fit_power_law,
     gamma_prefactor_scan,
     singular_limit_experiment,
@@ -60,17 +62,10 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_DATA = 4
 
-ENV_PREFIX = "MHDWAVE_"
-
-
-def _env_default(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper())
-
-
 def _integer_arg(path: str, minimum: int):
-    """argparse type: an integer >= ``minimum``.  Anything else, also from an
-    environment default, is a ``ConfigurationError`` at ``path``, which
-    argparse lets through to ``main``."""
+    """argparse type: an integer >= ``minimum``.  Anything else is a
+    ``ConfigurationError`` at ``path``, which argparse lets through to
+    ``main``."""
 
     def parse(text):
         try:
@@ -107,13 +102,11 @@ def _load_run_config(args) -> DecayExperimentConfig:
     cfg = parse_config_file(args.config) if args.config else parse_config("{}")
     if args.seed is not None:
         cfg = replace(cfg, params={**cfg.params, "seed": args.seed})
-    if args.output:
-        cfg = replace(cfg, output_dir=args.output)
     return cfg
 
 
 def _emit(args) -> int:
-    """Run ``args.func(cfg, args)`` and write what it returns.
+    """Run ``args.func(cfg, args)`` and write what it returns into ``args.output``.
 
     The manifest head (config hash, echo of the ``args.echo`` arguments,
     timestamp) is taken before the run.  Each returned table is written as
@@ -130,7 +123,7 @@ def _emit(args) -> int:
         "config": json.loads(serialize_config(cfg)),
     }
     tables = args.func(cfg, args)
-    outdir = Path(cfg.output_dir)
+    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = [head]
     for kind, rows in tables.items():
@@ -165,10 +158,13 @@ def cmd_simulate(cfg, args) -> dict:
         t_offset = 0.0
     # a checkpoint at t_end, up to round-off, leaves no step to take
     remaining = cfg.t_end - t_offset
+    if remaining < -1e-9 * cfg.t_end:
+        raise ConfigurationError(f"{cfg.t_end} lies before the checkpoint time {t_offset}",
+                                 path="time.t_end")
     solver_cfg = replace(cfg, t_end=remaining if remaining > 1e-9 * cfg.t_end else 0.0)
     solver_cfg = solver_cfg.solver_config()
 
-    outdir, ck_paths = Path(cfg.output_dir), []
+    outdir, ck_paths = Path(args.output), []
 
     def sink(state):
         p = outdir / f"checkpoint_t{state.t + t_offset:012.6f}.mhdw"
@@ -226,7 +222,7 @@ def _read_series(path):
 def cmd_fit_decay(cfg, args) -> dict:
     header, data = _read_series(args.series)
     t = data[:, 0]
-    window = cfg.window if cfg.window else (float(t[1]), float(t[-1]))
+    window = cfg.window if cfg.window else default_fit_window(float(t[-1]), cfg.grid)
     rows = [["norm_id", "exponent", "theory", "delta", "r2", "window_lo", "window_hi"]]
     for j, nid in enumerate(header[1:], start=1):
         fit = fit_power_law(zip(t, data[:, j]), window)
@@ -280,14 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
         the manifest records besides the command."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func, echo=echo)
-        p.add_argument("--config", default=_env_default("config"),
-                       help="JSON config file (MHDWAVE_CONFIG)")
-        p.add_argument("--output", default=_env_default("output"),
-                       help="output directory (MHDWAVE_OUTPUT)")
-        # string defaults from the environment go through ``type`` as well
-        p.add_argument("--seed", type=_integer_arg("seed", 0),
-                       default=_env_default("seed") or None,
-                       help="seed override (MHDWAVE_SEED)")
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--output", default="out", help="directory to write to (default: out)")
+        p.add_argument("--seed", type=_integer_arg("seed", 0), help="seed override")
         return p
 
     p = command("simulate", cmd_simulate, "run one simulation, emit the norm series")

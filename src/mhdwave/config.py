@@ -1,10 +1,14 @@
 """Run configuration: parsing, validation, serialization.
 
 Configs are JSON documents with nested sections (grid, physics, scheme,
-time, initial_data, diagnostics, fit, solver, output).  Numeric values may
-be written as pi-expressions like ``"32*pi"`` or ``"pi/4"``.  Unknown keys
-are rejected with the offending path; every default is materialized so
-the echoed config is complete.
+time, initial_data, diagnostics, fit, solver).  Numeric values may be
+written as pi-expressions like ``"32*pi"`` or ``"pi/4"``.  Unknown keys
+are rejected with the offending path.  The echo fills in every default of
+``DecayExperimentConfig`` and the initial-data ``amplitude`` and ``seed``;
+the other family parameters (``k_min``, ``k_max``, ``width``, ...) appear
+only when the document sets them, and ``make_initial_data`` supplies
+their defaults.  A config describes what a run computes, not where it
+writes: that is the ``--output`` flag.
 
 A document parses into a ``DecayExperimentConfig``, the one run
 description; this module checks JSON types, and the range checks live
@@ -70,7 +74,6 @@ _SECTIONS = {
     "diagnostics": {"q_list", "s_list_u", "s_list_b", "m", "c_label"},
     "fit": {"window"},
     "solver": {"nonlinear"},
-    "output": {"directory"},
 }
 _TOP_LEVEL = set(_SECTIONS) | {"scheme"}
 
@@ -118,7 +121,7 @@ def parse_config(text: str) -> DecayExperimentConfig:
         if bad:
             k = sorted(bad)[0]
             raise ConfigurationError(f"unknown key {k!r}", path=f"{section}.{k}")
-    g, p, t, i, d, f, s, o = (doc.get(section, {}) for section in _SECTIONS)
+    g, p, t, i, d, f, s = (doc.get(section, {}) for section in _SECTIONS)
 
     kw = {}
     if "gamma" in p:
@@ -149,10 +152,6 @@ def parse_config(text: str) -> DecayExperimentConfig:
         if not isinstance(s["nonlinear"], bool):
             raise ConfigurationError("nonlinear must be a boolean", path="solver.nonlinear")
         kw["nonlinear"] = s["nonlinear"]
-    if "directory" in o:
-        if not isinstance(o["directory"], str):
-            raise ConfigurationError("directory must be a string", path="output.directory")
-        kw["output_dir"] = o["directory"]
 
     n = _integer(g.get("n", 128), "grid.n")
     box_length = _number(g.get("box_length", 32.0 * math.pi), "grid.box_length")
@@ -170,7 +169,7 @@ def parse_config_file(path) -> DecayExperimentConfig:
 
 
 def serialize_config(cfg: DecayExperimentConfig) -> str:
-    """Canonical JSON echo with every default filled in."""
+    """Canonical JSON echo; the module docstring says which defaults it fills in."""
     doc = {
         "grid": {"n": cfg.grid.n, "box_length": cfg.grid.box_length},
         "physics": {"gamma": cfg.gamma},
@@ -183,7 +182,6 @@ def serialize_config(cfg: DecayExperimentConfig) -> str:
         },
         "fit": {"window": list(cfg.window) if cfg.window else None},
         "solver": {"nonlinear": cfg.nonlinear},
-        "output": {"directory": cfg.output_dir},
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 

@@ -191,7 +191,6 @@ class DecayExperimentConfig:
     window: tuple | None = None
     snapshot_every: int = 10
     nonlinear: bool = True
-    output_dir: str = "out"
 
     def __post_init__(self):
         self.solver_config()  # validates the solver fields
@@ -240,14 +239,13 @@ class DecayExperimentConfig:
 @dataclass
 class FitComparison:
     norm_id: str
-    fit: PowerLawFit | None
+    fit: PowerLawFit
     theory: TheoryRate | None
     theory_lq: TheoryRate | None = None
-    trivial: bool = False
 
     @property
     def delta(self) -> float | None:
-        if self.fit is None or self.theory is None:
+        if self.theory is None:
             return None
         return self.fit.exponent - self.theory.exponent
 
@@ -257,7 +255,6 @@ class DecayResult:
     trajectory: Trajectory
     comparisons: list
     window: tuple
-    trivial: bool = False
 
     def comparison(self, norm_id: str) -> FitComparison:
         for c in self.comparisons:
@@ -293,31 +290,26 @@ def _theory_pair(norm_id: str, cfg: DecayExperimentConfig):
 def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
     """Integrate, track the configured norms, and fit each against theory.
 
-    Zero data short-circuits: every norm is identically zero, the result
-    is flagged trivial and no fits are attempted.  For L^q norms both the
-    direct Lq rate and the (interpolated) Sobolev-family rate are
-    reported; the latter is the primary comparison for c-labeled data.
+    For L^q norms both the direct Lq rate and the (interpolated)
+    Sobolev-family rate are reported; the latter is the primary comparison
+    for c-labeled data.  Zero data, whose norms are all zero and admit no
+    log-log fit, is a ``DataError`` before the integration.
     """
     grid = cfg.grid
     initial = make_initial_data(cfg.family, cfg.params, grid)
-    trivial = all(_perp_seminorm(grid, _power(c, grid), 0.0) == 0.0
-                  for c in (initial.psi_hat, initial.a_hat))
+    if all(_perp_seminorm(grid, _power(c, grid), 0.0) == 0.0
+           for c in (initial.psi_hat, initial.a_hat, initial.at_hat)):
+        raise DataError("zero initial data: every tracked norm is zero, nothing to fit")
     solver_cfg = cfg.solver_config()
     window = cfg.window if cfg.window is not None else default_fit_window(cfg.t_end, grid)
-    theory = {}
-    if not trivial:
-        # an order the theory does not cover, or a window that cannot hold a
-        # fit of the snapshot times run will stamp, fails before the integration
-        theory = {i: _theory_pair(i, cfg) for i in cfg.norm_ids()}
-        n_steps, every = _step_count(solver_cfg), cfg.snapshot_every
-        _window_points(((i * cfg.dt, None) for i in range(n_steps + 1)
-                        if i % every == 0 or i == n_steps), window)
+    # an order the theory does not cover, or a window that cannot hold a
+    # fit of the snapshot times run will stamp, fails before the integration
+    theory = {i: _theory_pair(i, cfg) for i in cfg.norm_ids()}
+    n_steps, every = _step_count(solver_cfg), cfg.snapshot_every
+    _window_points(((i * cfg.dt, None) for i in range(n_steps + 1)
+                    if i % every == 0 or i == n_steps), window)
     observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b)
     traj = run(solver_cfg, initial, observer)
-
-    if trivial:
-        comps = [FitComparison(i, None, None, trivial=True) for i in cfg.norm_ids()]
-        return DecayResult(traj, comps, window, trivial=True)
 
     comps = []
     t = np.asarray(traj.times)
@@ -339,6 +331,19 @@ class SweepResult:
         return np.array([self.fits[g][norm_id].fit.exponent for g in self.gammas])
 
 
+def _positive_gammas(gammas) -> list:
+    """``gammas`` as floats; an empty list or a gamma <= 0 (gamma = 0 is the
+    mhd_baseline) is a ``ConfigurationError`` at ``gammas``."""
+    gammas = [float(g) for g in gammas]
+    if not gammas:
+        raise ConfigurationError("expected at least one gamma", path="gammas")
+    bad = [g for g in gammas if not g > 0]
+    if bad:
+        raise ConfigurationError(f"every gamma must be > 0 (gamma = 0 is the baseline), "
+                                 f"got {bad[0]}", path="gammas")
+    return gammas
+
+
 def gamma_prefactor_scan(gammas, base: DecayExperimentConfig) -> SweepResult:
     """Per-gamma decay fits on a fixed experiment.
 
@@ -350,9 +355,7 @@ def gamma_prefactor_scan(gammas, base: DecayExperimentConfig) -> SweepResult:
     its arrays, so a member's series is bitwise that of a solo run, and
     aggregation is by sorted gamma.
     """
-    gammas = sorted(float(g) for g in gammas)
-    if len(gammas) < 1 or any(g <= 0 for g in gammas):
-        raise ConfigurationError("gammas must be positive")
+    gammas = sorted(_positive_gammas(gammas))
     if base.scheme == "mhd_baseline":
         # the gamma = 0 baseline ignores gamma: every member would be the same run
         raise ConfigurationError("a gamma sweep needs a gamma-dependent scheme, "
@@ -390,9 +393,7 @@ def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
     1/2 when gammas are halved.  ``T`` must be a whole number of steps
     ``base.dt``; errors about it name the path ``T``.
     """
-    gammas = [float(g) for g in gammas]
-    if any(g <= 0 for g in gammas):
-        raise ConfigurationError("singular-limit gammas must be > 0; gamma = 0 is the baseline")
+    gammas = _positive_gammas(gammas)
     if not 0 < T < np.inf:
         raise ConfigurationError(f"must be positive and finite, got {T}", path="T")
     try:

@@ -2,14 +2,17 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mhdwave import decay, solver
+from mhdwave.checkpoint import save_checkpoint
 from mhdwave.cli import main
 from mhdwave.config import config_hash, parse_config, serialize_config
 from mhdwave.errors import ConfigurationError
+from mhdwave.initial import make_initial_data
 
 MINIMAL = """
 {
@@ -212,24 +215,24 @@ class TestCli:
         assert rc == 4
         assert '"error": "data"' in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv,env,rc,where", [
-        pytest.param(["simulate", "--config", "missing.json"], {}, 4, '"error": "data"',
+    @pytest.mark.parametrize("argv,rc,where", [
+        pytest.param(["simulate", "--config", "missing.json"], 4, '"error": "data"',
                      id="missing_config"),
-        pytest.param(["sweep", "--gammas", "abc"], {}, 2, "gammas:", id="gammas_abc"),
-        pytest.param(["sweep", "--gammas", ""], {}, 2, "gammas:", id="gammas_empty"),
-        pytest.param(["compare-mhd", "--gammas", "0.1,x"], {}, 2, "gammas:",
+        pytest.param(["sweep", "--gammas", "abc"], 2, "gammas:", id="gammas_abc"),
+        pytest.param(["sweep", "--gammas", ""], 2, "gammas:", id="gammas_empty"),
+        pytest.param(["sweep", "--gammas", "0,1"], 2, "gammas:", id="sweep_gamma_zero"),
+        pytest.param(["compare-mhd", "--gammas", "0.1,x"], 2, "gammas:",
                      id="compare_gammas"),
-        pytest.param(["simulate"], {"MHDWAVE_SEED": "abc"}, 2, "seed:", id="env_seed"),
-        pytest.param(["simulate", "--seed", "-1"], {}, 2, "seed:", id="negative_seed"),
-        pytest.param(["simulate", "--checkpoint-every", "-1"], {}, 2, "checkpoint_every:",
+        pytest.param(["compare-mhd", "--gammas", "0,0.1"], 2, "gammas:",
+                     id="compare_gamma_zero"),
+        pytest.param(["simulate", "--seed", "-1"], 2, "seed:", id="negative_seed"),
+        pytest.param(["simulate", "--checkpoint-every", "-1"], 2, "checkpoint_every:",
                      id="checkpoint_every_negative"),
-        pytest.param(["simulate", "--checkpoint-every", "0"], {}, 2, "checkpoint_every:",
+        pytest.param(["simulate", "--checkpoint-every", "0"], 2, "checkpoint_every:",
                      id="checkpoint_every_zero"),
     ])
-    def test_bad_cli_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, env, rc, where):
+    def test_bad_cli_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, rc, where):
         monkeypatch.chdir(tmp_path)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
         assert main(argv + ["--output", str(tmp_path / "x")]) == rc
         assert where in capsys.readouterr().err
         assert not (tmp_path / "x" / "series.csv").exists()
@@ -381,13 +384,30 @@ class TestCli:
         assert rc == 2
 
     def test_output_formats_key_rejected(self, tmp_path, capsys):
-        # deleted keys: a document that still sets one fails at its path
-        for section, key, value in (("output", "formats", ["csv"]),
-                                    ("solver", "cfl_safety", 0.5)):
-            cfgp = write_config(tmp_path, dict(SMALL_RUN, **{section: {key: value}}))
+        # deleted keys and sections: a document that still sets one fails at its path
+        for section, value, path in (("output", {"formats": ["csv"]}, "output:"),
+                                     ("solver", {"cfl_safety": 0.5}, "solver.cfl_safety:")):
+            cfgp = write_config(tmp_path, dict(SMALL_RUN, **{section: value}))
             rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")])
             assert rc == 2
-            assert f"{section}.{key}" in capsys.readouterr().err
+            assert f"configuration error: {path}" in capsys.readouterr().err
+
+    def test_output_directory_is_not_part_of_the_run(self, tmp_path, capsys):
+        # the same config written to two directories is the same run
+        cfgp = write_config(tmp_path, SMALL_RUN)
+        heads = []
+        for name in ("a", "b"):
+            assert main(["simulate", "--config", cfgp, "--output", str(tmp_path / name)]) == 0
+            manifest = (tmp_path / name / "manifest.jsonl").read_text().splitlines()
+            heads.append(json.loads(manifest[0]))
+        assert heads[0]["config_hash"] == heads[1]["config_hash"]
+        assert heads[0]["config"] == heads[1]["config"]
+        assert "output" not in heads[0]["config"]
+        # where a run writes is a flag only: the config section is gone
+        cfgp = write_config(tmp_path, dict(SMALL_RUN, output={"directory": str(tmp_path / "c")}))
+        assert main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")]) == 2
+        assert "configuration error: output:" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists() and not (tmp_path / "x").exists()
 
     def test_sweep_and_compare_mhd_cfl_violation_exit_code(self, tmp_path):
         doc = dict(SWEEP_RUN, initial_data=dict(SWEEP_RUN["initial_data"], amplitude=50.0))
@@ -465,6 +485,36 @@ class TestCli:
             assert theory["u_L1.5"] == theory["b_L1.5"] == ""
             assert float(theory["u_L2"]) == -0.5
 
+    def test_sweep_of_zero_data_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        # every norm is zero: no log-log fit exists, and no member steps
+        doc = dict(SWEEP_RUN, initial_data=dict(SWEEP_RUN["initial_data"], amplitude=0))
+        cfgp = write_config(tmp_path, doc)
+        steps = count_steps(monkeypatch, "exp_integrator")
+        rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
+                   "--gammas", "0.5,1.0"])
+        assert rc == 4
+        assert '"error": "data"' in capsys.readouterr().err
+        assert steps == []
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_fit_decay_default_window_matches_sweep(self, tmp_path):
+        # no fit.window: fit-decay of simulate's series fits the window sweep
+        # fits, (5, 12) here, and writes the same exponents
+        doc = {"grid": {"n": 16, "box_length": "32*pi"}, "physics": {"gamma": 0.5},
+               "time": {"dt": 0.05, "t_end": 12},
+               "initial_data": {"family": "random_band", "amplitude": 0.02,
+                                "k_max": 0.8, "seed": 3}}
+        cfgp = write_config(tmp_path, doc)
+        sweep, sim, fit = tmp_path / "sweep", tmp_path / "sim", tmp_path / "fit"
+        assert main(["sweep", "--config", cfgp, "--output", str(sweep), "--gammas", "0.5"]) == 0
+        assert main(["simulate", "--config", cfgp, "--output", str(sim)]) == 0
+        assert main(["fit-decay", "--config", cfgp, "--output", str(fit),
+                     str(sim / "series.csv")]) == 0
+        swept = [r.split(",") for r in (sweep / "sweep.csv").read_text().splitlines()[1:]]
+        fitted = [r.split(",") for r in (fit / "fit_summary.csv").read_text().splitlines()[1:]]
+        assert [r[1:3] for r in swept] == [r[:2] for r in fitted]
+        assert {(r[5], r[6]) for r in fitted} == {("5.0", "12.0")}
+
     def test_sweep_honours_nonlinear_false(self, tmp_path):
         doc = dict(SWEEP_RUN, solver={"nonlinear": False})
         cfgp = write_config(tmp_path, doc)
@@ -479,15 +529,6 @@ class TestCli:
         final = [r[header.index("final_value")] for r in rows[1:]
                  if r[header.index("norm_id")] == "b_H0"]
         assert final == [b_h0]
-
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        doc = dict(SMALL_RUN, time={"dt": 0.02, "t_end": 0})
-        cfgp = write_config(tmp_path, doc)
-        out = tmp_path / "envout"
-        monkeypatch.setenv("MHDWAVE_OUTPUT", str(out))
-        rc = main(["simulate", "--config", cfgp])
-        assert rc == 0
-        assert (out / "series.csv").exists()
 
     def test_checkpoint_resume_cli(self, tmp_path):
         doc = dict(SMALL_RUN, time={"dt": 0.02, "t_end": 0.4, "snapshot_every": 5})
@@ -513,6 +554,28 @@ class TestCli:
             assert a == pytest.approx(b, rel=1e-12)
 
 
+    @pytest.mark.parametrize("field,value,where", [
+        ("t", math.nan, "header has gamma=1.0, t=nan"),
+        ("gamma", math.nan, "header has gamma=nan, t=0.0"),
+        ("t", 5.0, "time.t_end: 0.2 lies before the checkpoint time 5.0"),
+        ("t", -1.0, "header has gamma=1.0, t=-1.0"),
+    ], ids=["t_nan", "gamma_nan", "t_past_t_end", "t_negative"])
+    def test_resume_bad_checkpoint_header_exit_code(self, tmp_path, capsys, field, value,
+                                                     where):
+        # t_end = 0.2: a checkpoint at t = 5 lies past the end of the run
+        doc = dict(SMALL_RUN, time={"dt": 0.02, "t_end": 0.2})
+        cfgp = write_config(tmp_path, doc)
+        cfg = parse_config(json.dumps(doc))
+        state = make_initial_data(cfg.family, cfg.params, cfg.grid)
+        header = {"t": 0.0, "gamma": cfg.gamma, field: value}
+        ck = tmp_path / "ck.mhdw"
+        save_checkpoint(ck, replace(state, t=header["t"]), header["gamma"])
+        rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x"),
+                   "--resume", str(ck)])
+        assert rc == 2
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "x" / "series.csv").exists()
+
     @pytest.mark.parametrize("argv,echo,files", [
         pytest.param(["simulate", "--checkpoint-every", "10"], {},
                      ["series.csv", "checkpoint_t00000.200000.mhdw",
@@ -537,7 +600,8 @@ class TestCli:
         argv = [str(series) if a == "SERIES" else a for a in argv]
         echo = {k: str(series) if v == "SERIES" else v for k, v in echo.items()}
         out = tmp_path / "out"
-        doc = SWEEP_RUN if argv[0] == "sweep" else SMALL_RUN
+        # the default fit window of SMALL_RUN's 4*pi box is empty
+        doc = SWEEP_RUN if argv[0] in ("sweep", "fit-decay") else SMALL_RUN
         assert main(argv + ["--config", write_config(tmp_path, doc), "--output", str(out)]) == 0
         head, *rows = [json.loads(line) for line in
                        (out / "manifest.jsonl").read_text().splitlines()]

@@ -122,12 +122,13 @@ def _fast_experiment(**over):
 
 
 class TestDecayExperiment:
-    def test_zero_data_trivial(self):
+    def test_zero_data_trivial(self, monkeypatch):
+        # zero data has no log-log fit: a DataError before the integration
+        monkeypatch.setattr(decay, "run", lambda *a, **k: pytest.fail("integrated"))
         cfg = _fast_experiment(params={"amplitude": 0.0, "seed": 1}, t_end=1.0,
                                window=None)
-        res = run_decay_experiment(cfg)
-        assert res.trivial
-        assert all(c.trivial for c in res.comparisons)
+        with pytest.raises(DataError, match="zero initial data"):
+            run_decay_experiment(cfg)
 
     def test_exponents_near_theory(self):
         res = run_decay_experiment(_fast_experiment(q_list=(2.0, 4.0)))
