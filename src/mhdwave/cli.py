@@ -36,10 +36,9 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, parse_config, parse_config_file, serialize_config
 from .decay import (
-    DecayExperimentConfig,
+    _fit_norm,
     _theory_pair,
     default_fit_window,
-    fit_power_law,
     gamma_prefactor_scan,
     singular_limit_experiment,
     verify_expintegral,
@@ -89,20 +88,8 @@ def _gamma_list(text: str) -> list:
                                  path="gammas") from None
 
 
-def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
-
-
 def _float_cell(x) -> str:
     return repr(float(x))
-
-
-def _load_run_config(args) -> DecayExperimentConfig:
-    cfg = parse_config_file(args.config) if args.config else parse_config("{}")
-    if args.seed is not None:
-        cfg = replace(cfg, params={**cfg.params, "seed": args.seed})
-    return cfg
 
 
 def _emit(args) -> int:
@@ -113,7 +100,9 @@ def _emit(args) -> int:
     ``<kind>.csv`` in the returned order; the ``checkpoint`` entry lists the
     files ``simulate`` already wrote, in the order it wrote them.
     """
-    cfg = _load_run_config(args)
+    cfg = parse_config_file(args.config) if args.config else parse_config("{}")
+    if args.seed is not None:
+        cfg = replace(cfg, params={**cfg.params, "seed": args.seed})
     head = {
         "kind": "run",
         "version": __version__,
@@ -131,7 +120,8 @@ def _emit(args) -> int:
             names = [p.name for p in rows]
         else:
             names = [f"{kind}.csv"]
-            _write_csv(outdir / names[0], rows)
+            with open(outdir / names[0], "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
         manifest += [{"kind": kind, "path": name, "config_hash": head["config_hash"]}
                      for name in names]
     with open(outdir / "manifest.jsonl", "w", encoding="utf-8") as fh:
@@ -142,42 +132,30 @@ def _emit(args) -> int:
 def cmd_simulate(cfg, args) -> dict:
     observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b)
     if args.resume:
-        state, gamma_ck = load_checkpoint(args.resume)
+        # run checks the grid and the checkpoint time against the config
+        initial, gamma_ck = load_checkpoint(args.resume)
         if abs(gamma_ck - cfg.gamma) > 1e-15 * max(1.0, abs(cfg.gamma)):
             raise ConfigurationError(
                 f"checkpoint gamma {gamma_ck} does not match config gamma {cfg.gamma}",
                 path="physics.gamma",
             )
-        if state.grid != cfg.grid:
-            raise ConfigurationError("checkpoint grid does not match config grid",
-                                     path="grid")
-        initial = state
-        t_offset = state.t
     else:
         initial = make_initial_data(cfg.family, cfg.params, cfg.grid)
-        t_offset = 0.0
-    # a checkpoint at t_end, up to round-off, leaves no step to take
-    remaining = cfg.t_end - t_offset
-    if remaining < -1e-9 * cfg.t_end:
-        raise ConfigurationError(f"{cfg.t_end} lies before the checkpoint time {t_offset}",
-                                 path="time.t_end")
-    solver_cfg = replace(cfg, t_end=remaining if remaining > 1e-9 * cfg.t_end else 0.0)
-    solver_cfg = solver_cfg.solver_config()
 
     outdir, ck_paths = Path(args.output), []
 
     def sink(state):
-        p = outdir / f"checkpoint_t{state.t + t_offset:012.6f}.mhdw"
+        p = outdir / f"checkpoint_t{state.t:012.6f}.mhdw"
         outdir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(p, replace(state, t=state.t + t_offset), cfg.gamma)
+        save_checkpoint(p, state, cfg.gamma)
         ck_paths.append(p)
 
-    traj = run(solver_cfg, initial, observer,
+    traj = run(cfg, initial, observer,
                checkpoint_every=args.checkpoint_every, checkpoint_sink=sink)
     ids = cfg.norm_ids()
     rows = [["t"] + ids]
-    for i, t in enumerate(traj.times):
-        rows.append([_float_cell(t + t_offset)] + [_float_cell(traj.snapshots[i][k]) for k in ids])
+    for t, snap in zip(traj.times, traj.snapshots):
+        rows.append([_float_cell(t)] + [_float_cell(snap[k]) for k in ids])
     return {"series": rows, "checkpoint": ck_paths}
 
 
@@ -225,7 +203,7 @@ def cmd_fit_decay(cfg, args) -> dict:
     window = cfg.window if cfg.window else default_fit_window(float(t[-1]), cfg.grid)
     rows = [["norm_id", "exponent", "theory", "delta", "r2", "window_lo", "window_hi"]]
     for j, nid in enumerate(header[1:], start=1):
-        fit = fit_power_law(zip(t, data[:, j]), window)
+        fit = _fit_norm(nid, zip(t, data[:, j]), window)
         try:
             theory, _ = _theory_pair(nid, cfg)  # same pairing as the live experiment
         except (ValueError, MhdWaveError):

@@ -15,6 +15,7 @@ that scale.  Localized data is labeled c = 1 for comparison.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,7 @@ from .diagnostics import _perp_seminorm, _power, norm_observer
 from .grid import GridSpec
 from .initial import INITIAL_FAMILIES, make_initial_data
 from .kernels import propagator_tables
-from .solver import SolverConfig, State, Trajectory, _step_count, run
+from .solver import SolverConfig, State, Trajectory, _observed, _step_count, run
 
 __all__ = [
     "TheoryRate",
@@ -168,19 +169,19 @@ def default_fit_window(t_end: float, grid: GridSpec):
     return (lo, hi)
 
 
-@dataclass
-class DecayExperimentConfig:
-    """The validated run description shared by the library and the CLI.
+@dataclass(kw_only=True)
+class DecayExperimentConfig(SolverConfig):
+    """The validated run description shared by the library and the CLI: the
+    solver config of the run plus its initial data, norms and fit window.
 
     ``params`` is the initial-data dict handed to ``make_initial_data``.
     Validation errors name the JSON path of the offending config entry.
     """
 
-    grid: GridSpec
     gamma: float = 1.0
     dt: float = 0.05
     t_end: float = 100.0
-    scheme: str = "exp_integrator"
+    snapshot_every: int = 10
     family: str = "random_band"
     params: dict = field(default_factory=dict)
     q_list: tuple = (2.0, 4.0)
@@ -189,11 +190,9 @@ class DecayExperimentConfig:
     m: float = 1.0
     c_label: float = 1.0
     window: tuple | None = None
-    snapshot_every: int = 10
-    nonlinear: bool = True
 
     def __post_init__(self):
-        self.solver_config()  # validates the solver fields
+        super().__post_init__()
         if not self.dt > 0:
             raise ConfigurationError("dt must be > 0", path="time.dt")
         if self.family not in INITIAL_FAMILIES:
@@ -219,12 +218,6 @@ class DecayExperimentConfig:
         if self.window is not None and not 0 < self.window[0] < self.window[1]:
             # a log-log fit needs t > 0, and the t = 0 snapshot would fall inside
             raise ConfigurationError("window must satisfy 0 < t_lo < t_hi", path="fit.window")
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            gamma=self.gamma, dt=self.dt, t_end=self.t_end, grid=self.grid,
-            scheme=self.scheme, nonlinear=self.nonlinear, snapshot_every=self.snapshot_every,
-        )
 
     def norm_ids(self) -> list:
         """Column ids of the tracked norms, in series order."""
@@ -287,36 +280,55 @@ def _theory_pair(norm_id: str, cfg: DecayExperimentConfig):
     return predicted_exponent("Hbeta", beta=s, c=c, m=max(cfg.m, s)), None
 
 
+def _fit_norm(norm_id: str, series, window) -> PowerLawFit:
+    """``fit_power_law`` of one norm's series; its errors name the norm."""
+    try:
+        return fit_power_law(series, window)
+    except (DataError, WindowError) as exc:
+        raise type(exc)(f"{norm_id}: {exc}") from None
+
+
 def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
     """Integrate, track the configured norms, and fit each against theory.
 
     For L^q norms both the direct Lq rate and the (interpolated)
     Sobolev-family rate are reported; the latter is the primary comparison
-    for c-labeled data.  Zero data, whose norms are all zero and admit no
-    log-log fit, is a ``DataError`` before the integration.
+    for c-labeled data.  No tracked norm (``ConfigurationError`` at
+    ``diagnostics``) and a norm that stays zero, which admits no log-log
+    fit, fail before the integration: zero data, and in a linear run a norm
+    of u with psi = 0 or of b with A = d_t A = 0 (``DataError``).
     """
+    ids = cfg.norm_ids()
+    if not ids:
+        raise ConfigurationError("no norm to track: q_list, s_list_u and s_list_b are empty",
+                                 path="diagnostics")
     grid = cfg.grid
     initial = make_initial_data(cfg.family, cfg.params, grid)
-    if all(_perp_seminorm(grid, _power(c, grid), 0.0) == 0.0
-           for c in (initial.psi_hat, initial.a_hat, initial.at_hat)):
+    zero_u, zero_a, zero_at = (_perp_seminorm(grid, _power(c, grid), 0.0) == 0.0
+                               for c in (initial.psi_hat, initial.a_hat, initial.at_hat))
+    zero_b = zero_a and zero_at
+    if zero_u and zero_b:
         raise DataError("zero initial data: every tracked norm is zero, nothing to fit")
-    solver_cfg = cfg.solver_config()
+    if not cfg.nonlinear:
+        for norm_id in ids:
+            if zero_u if norm_id.startswith("u_") else zero_b:
+                raise DataError(f"{norm_id}: its potentials are zero, and a linear run keeps "
+                                "them zero; nothing to fit")
     window = cfg.window if cfg.window is not None else default_fit_window(cfg.t_end, grid)
     # an order the theory does not cover, or a window that cannot hold a
     # fit of the snapshot times run will stamp, fails before the integration
-    theory = {i: _theory_pair(i, cfg) for i in cfg.norm_ids()}
-    n_steps, every = _step_count(solver_cfg), cfg.snapshot_every
-    _window_points(((i * cfg.dt, None) for i in range(n_steps + 1)
-                    if i % every == 0 or i == n_steps), window)
+    theory = {i: _theory_pair(i, cfg) for i in ids}
+    t0, n_steps = initial.t, _step_count(cfg, initial.t)
+    _window_points(((t0 + i * cfg.dt, None) for i in range(n_steps + 1)
+                    if _observed(i, n_steps, cfg.snapshot_every)), window)
     observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b)
-    traj = run(solver_cfg, initial, observer)
+    traj = run(cfg, initial, observer)
 
     comps = []
     t = np.asarray(traj.times)
-    for norm_id in cfg.norm_ids():
-        vals = traj.series(norm_id)
+    for norm_id in ids:
         primary, lq = theory[norm_id]
-        fit = fit_power_law(zip(t, vals), window)
+        fit = _fit_norm(norm_id, zip(t, traj.series(norm_id)), window)
         comps.append(FitComparison(norm_id, fit, primary, lq))
     return DecayResult(traj, comps, window)
 
@@ -332,15 +344,15 @@ class SweepResult:
 
 
 def _positive_gammas(gammas) -> list:
-    """``gammas`` as floats; an empty list or a gamma <= 0 (gamma = 0 is the
-    mhd_baseline) is a ``ConfigurationError`` at ``gammas``."""
+    """``gammas`` as floats; an empty list or a gamma outside (0, inf) (gamma
+    = 0 is the mhd_baseline) is a ``ConfigurationError`` at ``gammas``."""
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise ConfigurationError("expected at least one gamma", path="gammas")
-    bad = [g for g in gammas if not g > 0]
+    bad = [g for g in gammas if not 0 < g < math.inf]
     if bad:
-        raise ConfigurationError(f"every gamma must be > 0 (gamma = 0 is the baseline), "
-                                 f"got {bad[0]}", path="gammas")
+        raise ConfigurationError(f"every gamma must be finite and > 0 (gamma = 0 is the "
+                                 f"baseline), got {bad[0]}", path="gammas")
     return gammas
 
 
@@ -397,7 +409,7 @@ def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
     if not 0 < T < np.inf:
         raise ConfigurationError(f"must be positive and finite, got {T}", path="T")
     try:
-        _step_count(replace(base.solver_config(), t_end=T))
+        _step_count(replace(base, t_end=T))
     except ConfigurationError:
         raise ConfigurationError(f"{T} is not a whole number of steps at dt={base.dt}",
                                  path="T") from None
@@ -408,7 +420,7 @@ def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
     def final_state(scheme, gamma):
         cfg = replace(base, scheme=scheme, gamma=gamma, t_end=T,
                       snapshot_every=max(1, int(round(T / base.dt))))
-        traj = run(cfg.solver_config(), initial, observer=None, keep_states=True)
+        traj = run(cfg, initial, observer=None, keep_states=True)
         return traj.states[-1]
 
     ref = final_state("mhd_baseline", 0.0)

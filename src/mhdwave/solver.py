@@ -59,11 +59,12 @@ results are bitwise unchanged.  The scratch arrays belong to one run, not
 to one grid: a sweep runs its members on the same grid at the same time,
 and a per-grid buffer would let them overwrite each other's products.
 
-``run`` also takes the vector triple (u0, b0, d_t b0) and maps it to the
-potentials with psi = (i ky u1 - i kx u2) / |k|^2, as version 1 and 2
-checkpoints load.  That map is the Leray projection followed by the
-removal of the mean; on divergence-free, mean-free data it is exact up to
-round-off.
+``run`` steps a state from its own time t to ``t_end``, so a resumed run
+keeps the time axis, also in step errors.  It also takes the vector triple
+(u0, b0, d_t b0) at t = 0 and maps it to the potentials with
+psi = (i ky u1 - i kx u2) / |k|^2, as version 1 and 2 checkpoints load.
+That map is the Leray projection followed by the removal of the mean; on
+divergence-free, mean-free data it is exact up to round-off.
 """
 
 from __future__ import annotations
@@ -448,56 +449,64 @@ _STEPPERS = {
 }
 
 
-def _step_count(config: SolverConfig) -> int:
-    """The number of steps from 0 to t_end, which must be a whole number of dt."""
-    ratio = config.t_end / config.dt if config.t_end > 0 and config.dt > 0 else 0.0
+def _step_count(config: SolverConfig, t0: float = 0.0) -> int:
+    """The number of steps from t0 to t_end, which must be a whole number of
+    dt; a start at t_end, up to a relative 1e-9, takes none."""
+    remaining, slack = config.t_end - t0, 1e-9 * config.t_end
+    if remaining < -slack:
+        raise ConfigurationError(f"{config.t_end} lies before the checkpoint time {t0}",
+                                 path="time.t_end")
+    ratio = remaining / config.dt if remaining > slack and config.dt > 0 else 0.0
     n_steps = int(round(ratio))
-    if config.t_end > 0 and n_steps < 1:
-        raise ConfigurationError(
-            f"dt={config.dt} must be > 0 and at most t_end={config.t_end}", path="time.dt")
+    if remaining > slack and n_steps < 1:
+        raise ConfigurationError(f"dt={config.dt} must be > 0 and at most t_end={config.t_end} "
+                                 f"less t={t0}", path="time.dt")
     if abs(ratio - n_steps) > 1e-9 * max(1.0, ratio):
-        raise ConfigurationError(
-            f"t_end={config.t_end} is not a whole number of steps at dt={config.dt}",
-            path="time",
-        )
+        raise ConfigurationError(f"t_end={config.t_end} less t={t0} is not a whole number of "
+                                 f"steps at dt={config.dt}", path="time")
     return n_steps
+
+
+def _observed(i: int, n_steps: int, every: int) -> bool:
+    """Whether ``run`` observes step i: each multiple of ``every``, and the last."""
+    return i % every == 0 or i == n_steps
 
 
 def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
         checkpoint_every: int | None = None, checkpoint_sink=None) -> Trajectory:
-    """Integrate from ``initial`` to ``t_end``.
+    """Integrate from ``initial`` at its own time t0 = ``initial.t`` to ``t_end``.
 
-    ``initial`` is a ``State`` (its time is reset to 0), such as
-    ``make_initial_data`` returns, or the vector triple ``(u0, b0, a0)`` of
-    u, b and d_t b, mapped to potentials by ``State.from_vectors``; either
-    is dealiased first and must live on ``config.grid``.
-    ``observer(state) -> dict`` is evaluated at t = 0 and then every
-    ``snapshot_every`` steps; rows are collected into the returned
+    ``initial`` is a ``State``, as ``make_initial_data`` (t0 = 0) and
+    ``load_checkpoint`` return, or the vector triple ``(u0, b0, a0)`` of u,
+    b and d_t b at t0 = 0, mapped to potentials by ``State.from_vectors``;
+    either is dealiased first and must live on ``config.grid``.  Step i is
+    stamped t0 + i dt, and ``observer(state) -> dict`` is evaluated on the
+    steps ``_observed`` picks; rows are collected into the returned
     ``Trajectory``.  Deterministic: identical config and initial data give
-    bitwise-identical snapshots.  Step errors propagate with the failure
-    time attached.
+    bitwise-identical snapshots.  Step errors carry the failure time.
     """
     if not isinstance(initial, State):
         initial = State.from_vectors(*initial)
     if initial.grid != config.grid:
         raise ConfigurationError(
             f"initial data lives on {initial.grid}, the config on {config.grid}", path="grid.n")
+    t0 = initial.t
+    n_steps = _step_count(config, t0)
     mask = initial.grid.dealias_mask
     state = State(initial.psi_hat * mask, initial.a_hat * mask, initial.at_hat * mask,
-                  initial.grid, 0.0)
+                  initial.grid, t0)
     stepper = _STEPPERS[config.scheme]
-    n_steps = _step_count(config)
     cache = _StepperCache(config)
 
     traj = Trajectory(nonlinear=config.nonlinear)
-    traj.append(0.0, observer(state) if observer else {})
+    traj.append(t0, observer(state) if observer else {})
     if keep_states:
         traj.states.append(state.copy())
     for i in range(1, n_steps + 1):
         state = stepper(state, config, cache)
         # exact multiples of dt suppress timestamp round-off drift
-        state.t = i * config.dt
-        if i % config.snapshot_every == 0 or i == n_steps:
+        state.t = t0 + i * config.dt
+        if _observed(i, n_steps, config.snapshot_every):
             traj.append(state.t, observer(state) if observer else {})
             if keep_states:
                 traj.states.append(state.copy())

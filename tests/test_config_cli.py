@@ -225,6 +225,9 @@ class TestCli:
                      id="compare_gammas"),
         pytest.param(["compare-mhd", "--gammas", "0,0.1"], 2, "gammas:",
                      id="compare_gamma_zero"),
+        pytest.param(["sweep", "--gammas", "0.5,inf"], 2, "gammas:", id="sweep_gamma_inf"),
+        pytest.param(["compare-mhd", "--gammas", "inf,0.1"], 2, "gammas:",
+                     id="compare_gamma_inf"),
         pytest.param(["simulate", "--seed", "-1"], 2, "seed:", id="negative_seed"),
         pytest.param(["simulate", "--checkpoint-every", "-1"], 2, "checkpoint_every:",
                      id="checkpoint_every_negative"),
@@ -497,6 +500,47 @@ class TestCli:
         assert steps == []
         assert not (tmp_path / "s" / "sweep.csv").exists()
 
+    def test_linear_sweep_of_a_zero_velocity_is_a_data_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # psi = A = 0 with d_t A != 0 is not zero data, but without the
+        # nonlinear terms u stays zero: u_L2 has no decay to fit, and no member steps
+        doc = dict(SWEEP_RUN, solver={"nonlinear": False},
+                   initial_data=dict(SWEEP_RUN["initial_data"], amplitude=0,
+                                     a0_amplitude=0.02))
+        cfgp = write_config(tmp_path, doc)
+        steps = count_steps(monkeypatch, "exp_integrator")
+        rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
+                   "--gammas", "0.5,1.0"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert '"error": "data"' in err and "u_L2: its potentials are zero" in err
+        assert steps == []
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_sweep_without_norms_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # no tracked norm: nothing to fit, so no initial data, no step, no table
+        doc = dict(SWEEP_RUN, diagnostics={"q_list": [], "s_list_u": [], "s_list_b": []})
+        cfgp = write_config(tmp_path, doc)
+        built = []
+        monkeypatch.setattr(decay, "make_initial_data", lambda *a: built.append(a))
+        steps = count_steps(monkeypatch, "exp_integrator")
+        rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
+                   "--gammas", "0.5,1.0"])
+        assert rc == 2
+        assert "configuration error: diagnostics:" in capsys.readouterr().err
+        assert built == [] and steps == []
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_fit_error_names_the_norm(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("t,u_L2,b_L2\n" + "".join(f"{t}.0,{1 / t!r},0.0\n"
+                                                     for t in range(1, 13)))
+        cfgp = write_config(tmp_path, {"fit": {"window": [1.0, 12.0]}})
+        rc = main(["fit-decay", "--config", cfgp, "--output", str(tmp_path / "fit"),
+                   str(series)])
+        assert rc == 4
+        assert "b_L2: nonpositive values inside the fit window" in capsys.readouterr().err
+
     def test_fit_decay_default_window_matches_sweep(self, tmp_path):
         # no fit.window: fit-decay of simulate's series fits the window sweep
         # fits, (5, 12) here, and writes the same exponents
@@ -574,6 +618,33 @@ class TestCli:
                    "--resume", str(ck)])
         assert rc == 2
         assert where in capsys.readouterr().err
+        assert not (tmp_path / "x" / "series.csv").exists()
+
+    def test_resumed_step_error_reports_the_run_time(self, tmp_path, capsys):
+        # resumed from t = 0.2, the first step fails at t = 0.2: dt = 0.4 is
+        # past the CFL limit 0.8 L/n = 0.31 of SMALL_RUN's grid at any speed
+        doc = dict(SMALL_RUN, time={"dt": 0.02, "t_end": 0.4})
+        ck = tmp_path / "ck"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--output", str(ck),
+                     "--checkpoint-every", "10"]) == 0
+        first = ck / "checkpoint_t00000.200000.mhdw"
+        cfl = dict(SMALL_RUN, time={"dt": 0.4, "t_end": 0.6})
+        rc = main(["simulate", "--config", write_config(tmp_path, cfl, "cfl.json"),
+                   "--output", str(tmp_path / "x"), "--resume", str(first)])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["t"] == 0.2
+        assert not (tmp_path / "x").exists()
+
+    def test_resume_on_another_grid_exit_code(self, tmp_path, capsys):
+        doc = dict(SMALL_RUN, time={"dt": 0.02, "t_end": 0.2})
+        cfg = parse_config(json.dumps(doc))
+        ck = tmp_path / "ck.mhdw"
+        save_checkpoint(ck, make_initial_data(cfg.family, cfg.params, cfg.grid), cfg.gamma)
+        other = dict(doc, grid={"n": 16, "box_length": "4*pi"})
+        rc = main(["simulate", "--config", write_config(tmp_path, other),
+                   "--output", str(tmp_path / "x"), "--resume", str(ck)])
+        assert rc == 2
+        assert "configuration error: grid.n:" in capsys.readouterr().err
         assert not (tmp_path / "x" / "series.csv").exists()
 
     @pytest.mark.parametrize("argv,echo,files", [

@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -537,14 +538,19 @@ class TestState:
                   np.zeros((16, 9), complex), grid16)
 
     def test_run_accepts_state(self, grid16):
+        # a state steps from its own time: t = 3.0 to 3.1 is the run of the
+        # vector triple from 0 to 0.1, bit for bit, on a shifted clock
         data = make_initial_data(
             "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 7}, grid16)
         fields = (data.u_hat, data.b_hat, data.bt_hat)
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16)
-        by_fields = run(cfg, fields, keep_states=True).states[-1]
+        by_fields = run(cfg, fields, keep_states=True)
         start = State.from_vectors(*fields, t=3.0)
-        by_state = run(cfg, start, keep_states=True).states[-1]
-        assert by_state.t == by_fields.t == pytest.approx(0.1)
-        for a, b in ((by_fields.psi_hat, by_state.psi_hat), (by_fields.a_hat, by_state.a_hat),
-                     (by_fields.at_hat, by_state.at_hat)):
+        by_state = run(replace(cfg, t_end=3.1), start, keep_states=True)
+        assert by_fields.times[-1] == 0.1
+        assert by_state.times[-1] == by_state.states[-1].t == 3.1
+        assert len(by_state.times) == len(by_fields.times) == 11
+        for a, b in ((by_fields.states[-1].psi_hat, by_state.states[-1].psi_hat),
+                     (by_fields.states[-1].a_hat, by_state.states[-1].a_hat),
+                     (by_fields.states[-1].at_hat, by_state.states[-1].at_hat)):
             assert np.array_equal(a, b)
