@@ -16,8 +16,9 @@ then any checkpoints in the order ``simulate`` wrote them.  CSV outputs
 are byte-deterministic for a fixed config and seed; wall-clock
 timestamps appear only in the manifest.
 
-Exit codes: 0 success, 2 configuration error, 3 solver blow-up or step
-failure, 4 data/usage error.
+Exit codes: 0 success, 2 configuration error (an ``--output`` that
+names a file, or lies under one, is one, found before the run), 3
+solver blow-up or step failure, 4 data/usage error or a failed write.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, parse_config, parse_config_file, serialize_config
 from .decay import (
     _fit_norm,
-    _theory_pair,
+    _theory_rate,
     default_fit_window,
     gamma_prefactor_scan,
     singular_limit_experiment,
@@ -96,9 +97,10 @@ def _emit(args) -> int:
     """Run ``args.func(cfg, args)`` and write what it returns into ``args.output``.
 
     The manifest head (config hash, echo of the ``args.echo`` arguments,
-    timestamp) is taken before the run.  Each returned table is written as
-    ``<kind>.csv`` in the returned order; the ``checkpoint`` entry lists the
-    files ``simulate`` already wrote, in the order it wrote them.
+    timestamp) is taken, and ``args.output`` checked, before the run.  Each
+    returned table is written as ``<kind>.csv`` in the returned order; the
+    ``checkpoint`` entry lists the files ``simulate`` already wrote, in the
+    order it wrote them.
     """
     cfg = parse_config_file(args.config) if args.config else parse_config("{}")
     if args.seed is not None:
@@ -111,8 +113,13 @@ def _emit(args) -> int:
         "config_hash": config_hash(cfg),
         "config": json.loads(serialize_config(cfg)),
     }
+    outdir = Path(args.output).absolute()
+    # the writes after the run make outdir: a file at or above it would fail
+    # them, so fail before the run, creating nothing
+    nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigurationError(f"{nearest} is not a directory", path="output")
     tables = args.func(cfg, args)
-    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = [head]
     for kind, rows in tables.items():
@@ -163,22 +170,22 @@ def cmd_sweep(cfg, args) -> dict:
     sweep = gamma_prefactor_scan(args.gammas, cfg)
     ids = cfg.norm_ids()
     rows = [["gamma", "norm_id", "exponent", "theory", "r2", "prefactor", "final_value"]]
-    for g in sweep.gammas:
+    for g, res in sweep.items():
         for nid in ids:
-            c = sweep.fits[g][nid]
+            c = res.comparison(nid)
             rows.append([
                 _float_cell(g), nid,
                 _float_cell(c.fit.exponent),
                 _float_cell(c.theory.exponent) if c.theory else "",
                 _float_cell(c.fit.r2),
                 _float_cell(np.exp(c.fit.log_prefactor)),
-                _float_cell(sweep.final_norms[g][nid]),
+                _float_cell(res.trajectory.series(nid)[-1]),
             ])
     # prefactor curve per tracked norm, for offline plotting
-    curve = [["norm_id"] + [_float_cell(g) for g in sweep.gammas]]
+    curve = [["norm_id"] + [_float_cell(g) for g in sweep]]
     for nid in ids:
-        curve.append([nid] + [_float_cell(np.exp(sweep.fits[g][nid].fit.log_prefactor))
-                              for g in sweep.gammas])
+        curve.append([nid] + [_float_cell(np.exp(res.comparison(nid).fit.log_prefactor))
+                              for res in sweep.values()])
     return {"sweep": rows, "prefactor_curve": curve}
 
 
@@ -205,7 +212,7 @@ def cmd_fit_decay(cfg, args) -> dict:
     for j, nid in enumerate(header[1:], start=1):
         fit = _fit_norm(nid, zip(t, data[:, j]), window)
         try:
-            theory, _ = _theory_pair(nid, cfg)  # same pairing as the live experiment
+            theory = _theory_rate(nid, cfg)  # same pairing as the live experiment
         except (ValueError, MhdWaveError):
             theory = None
         cells = ["", ""] if theory is None else [
@@ -293,7 +300,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "solver", "message": str(exc),
                           "t": getattr(exc, "t", None)}), file=sys.stderr)
         return EXIT_SOLVER
-    except (DataError, WindowError, MhdWaveError) as exc:
+    except (DataError, WindowError, MhdWaveError, OSError) as exc:  # OSError: a failed write
         print(json.dumps({"error": "data", "message": str(exc)}), file=sys.stderr)
         return EXIT_DATA
 

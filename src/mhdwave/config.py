@@ -71,7 +71,7 @@ _SECTIONS = {
     "time": {"dt", "t_end", "snapshot_every"},
     "initial_data": {"family", "amplitude", "amplitude_b", "width", "separation",
                      "k_min", "k_max", "spectral_exponent", "a0_amplitude", "seed"},
-    "diagnostics": {"q_list", "s_list_u", "s_list_b", "m", "c_label"},
+    "diagnostics": {"q_list", "s_list_u", "s_list_b", "m"},
     "fit": {"window"},
     "solver": {"nonlinear"},
 }
@@ -140,9 +140,8 @@ def parse_config(text: str) -> DecayExperimentConfig:
             if not isinstance(d[key], list):
                 raise ConfigurationError(f"{key} must be a list", path=f"diagnostics.{key}")
             kw[key] = tuple(_number(v, f"diagnostics.{key}") for v in d[key])
-    for key in ("m", "c_label"):
-        if key in d:
-            kw[key] = _number(d[key], f"diagnostics.{key}")
+    if "m" in d:
+        kw["m"] = _number(d["m"], "diagnostics.m")
     if f.get("window") is not None:
         w = f["window"]
         if not isinstance(w, list) or len(w) != 2:
@@ -178,7 +177,7 @@ def serialize_config(cfg: DecayExperimentConfig) -> str:
         "initial_data": {"family": cfg.family, **cfg.params},
         "diagnostics": {
             "q_list": list(cfg.q_list), "s_list_u": list(cfg.s_list_u),
-            "s_list_b": list(cfg.s_list_b), "m": cfg.m, "c_label": cfg.c_label,
+            "s_list_b": list(cfg.s_list_b), "m": cfg.m,
         },
         "fit": {"window": list(cfg.window) if cfg.window else None},
         "solver": {"nonlinear": cfg.nonlinear},

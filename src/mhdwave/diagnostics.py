@@ -143,8 +143,7 @@ def norm_observer(q_list=(2.0,), s_list_u=(0.0,), s_list_b=(0.0,), m: float | No
     return observe
 
 
-def linear_energy_residual(traj: Trajectory, gamma: float, m: float = None,
-                           dt: float = None) -> np.ndarray:
+def linear_energy_residual(traj: Trajectory, gamma: float, m: float = None) -> np.ndarray:
     """Per-interval residual of d/dt[(X_m + Y_m)/2] + Z_m on a linear run.
 
     The derivative is the central difference of the snapshot values; Z is
@@ -153,8 +152,8 @@ def linear_energy_residual(traj: Trajectory, gamma: float, m: float = None,
     integrator (O(dt^4) of the step size for the exact propagator).
     Returns residuals normalized by max Z.  The trajectory must have been
     produced with the nonlinearity disabled and snapshots at every step.
-    ``gamma`` and, when given, ``m`` must be those the observer used, and
-    ``dt`` the snapshot spacing; a mismatch is a ``UsageError``.
+    ``gamma`` and, when given, ``m`` must be those the observer used; a
+    mismatch, or unequally spaced snapshots, is a ``UsageError``.
     """
     if traj.nonlinear:
         raise UsageError("linear energy residual requires a nonlinearity-free trajectory")
@@ -176,8 +175,6 @@ def linear_energy_residual(traj: Trajectory, gamma: float, m: float = None,
     if not np.allclose(h, h[0], rtol=1e-9, atol=0):
         raise UsageError("snapshots must be equally spaced")
     h = h[0]
-    if dt is not None and not math.isclose(h, dt, rel_tol=1e-9):
-        raise UsageError(f"dt={dt} does not match the snapshot spacing {h}")
     e = 0.5 * (x + y)
     dedt = (e[2:] - e[:-2]) / (2.0 * h)
     z_simpson = (z[:-2] + 4.0 * z[1:-1] + z[2:]) / 6.0

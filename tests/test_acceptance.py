@@ -248,11 +248,11 @@ def test_c10_singular_limit():
 
 
 def test_c11_exponential_integral_lemma():
-    rep = verify_expintegral(R_grid=(0.1, 1.0, 10.0), kappa_grid=(0.5, 1.0, 2.0),
-                             t_grid=(1.0, 10.0, 100.0), panels=64)
+    # R in (0.1, 1, 10), kappa in (0.5, 1, 2), t in (1, 10, 100), 64 panels
+    rep = verify_expintegral()
     finite = all(np.isfinite(v) for v in rep.c_emp.values())
     drift = max(abs(rep.c_emp_refined[k] - v) / v for k, v in rep.c_emp.items())
-    ok = finite and rep.stable(0.01)
+    ok = finite and rep.stable()
     cases = ", ".join(f"{k[0]}/{k[1]}={v:.3f}" for k, v in sorted(rep.c_emp.items()))
     _report("C11", "integral-inequality constants", ok,
             f"refinement drift {drift:.2e}; C_emp: {cases}")

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhdwave import decay, solver
+from mhdwave import cli, decay, solver
 from mhdwave.checkpoint import save_checkpoint
 from mhdwave.cli import main
 from mhdwave.config import config_hash, parse_config, serialize_config
@@ -52,6 +52,10 @@ class TestParseConfig:
         assert "physics.viscosity" in str(err.value)
         with pytest.raises(ConfigurationError):
             parse_config('{"plasma": {}}')
+        # every fit is paired with the c = 1 rate: the label is gone
+        with pytest.raises(ConfigurationError) as err:
+            parse_config('{"diagnostics": {"c_label": 1.5}}')
+        assert "diagnostics.c_label" in str(err.value)
 
     def test_malformed_document(self):
         with pytest.raises(ConfigurationError):
@@ -228,6 +232,10 @@ class TestCli:
         pytest.param(["sweep", "--gammas", "0.5,inf"], 2, "gammas:", id="sweep_gamma_inf"),
         pytest.param(["compare-mhd", "--gammas", "inf,0.1"], 2, "gammas:",
                      id="compare_gamma_inf"),
+        pytest.param(["sweep", "--gammas", "0.5,0.5"], 2, "gammas:",
+                     id="sweep_gamma_repeated"),
+        pytest.param(["compare-mhd", "--gammas", "0.1,0.1"], 2, "gammas:",
+                     id="compare_gamma_repeated"),
         pytest.param(["simulate", "--seed", "-1"], 2, "seed:", id="negative_seed"),
         pytest.param(["simulate", "--checkpoint-every", "-1"], 2, "checkpoint_every:",
                      id="checkpoint_every_negative"),
@@ -411,6 +419,28 @@ class TestCli:
         assert main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")]) == 2
         assert "configuration error: output:" in capsys.readouterr().err
         assert not (tmp_path / "c").exists() and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_under_a_file_exit_code(self, tmp_path, capsys, monkeypatch, below):
+        # found before the run, which takes no step; the file keeps its bytes
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("integrated"))
+        f = tmp_path / "f"
+        f.write_bytes(b"not a directory\n")
+        rc = main(["simulate", "--config", write_config(tmp_path, SMALL_RUN),
+                   "--output", str(f / below)])
+        assert rc == 2
+        assert "configuration error: output:" in capsys.readouterr().err
+        assert f.read_bytes() == b"not a directory\n"
+
+    def test_failed_write_exit_code(self, tmp_path, capsys):
+        # a directory where series.csv goes: the write fails after the run
+        out = tmp_path / "x"
+        (out / "series.csv").mkdir(parents=True)
+        rc = main(["simulate", "--config", write_config(tmp_path, SMALL_RUN),
+                   "--output", str(out)])
+        assert rc == 4
+        assert '"error": "data"' in capsys.readouterr().err
+        assert not (out / "manifest.jsonl").exists()
 
     def test_sweep_and_compare_mhd_cfl_violation_exit_code(self, tmp_path):
         doc = dict(SWEEP_RUN, initial_data=dict(SWEEP_RUN["initial_data"], amplitude=50.0))

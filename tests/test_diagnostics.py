@@ -153,7 +153,8 @@ class TestEnergyFunctionals:
         assert x >= 0 and z >= 0
 
 
-def _linear_traj(grid, gamma, dt, t_end, seed=3, a0_amp=0.5, scheme="exp_integrator"):
+def _linear_traj(grid, gamma, dt, t_end, seed=3, a0_amp=0.5, scheme="exp_integrator",
+                 snapshot_every=1):
     data = make_initial_data(
         "random_band",
         {"amplitude": 1.0, "k_min": 0.9, "k_max": 2.1, "seed": seed,
@@ -161,7 +162,7 @@ def _linear_traj(grid, gamma, dt, t_end, seed=3, a0_amp=0.5, scheme="exp_integra
         grid,
     )
     cfg = SolverConfig(gamma=gamma, dt=dt, t_end=t_end, grid=grid,
-                       nonlinear=False, scheme=scheme)
+                       nonlinear=False, scheme=scheme, snapshot_every=snapshot_every)
     obs = norm_observer((2.0,), (0.0,), (0.0,), m=1.0, gamma=gamma)
     return run(cfg, data, obs)
 
@@ -209,13 +210,16 @@ class TestLinearEnergyResidual:
 
     def test_mismatched_arguments_rejected(self, grid16):
         traj = _linear_traj(grid16, gamma=0.5, dt=1e-2, t_end=0.05)
-        assert len(linear_energy_residual(traj, 0.5, 1.0, dt=1e-2)) == 4
+        assert len(linear_energy_residual(traj, 0.5, 1.0)) == 4
         with pytest.raises(UsageError, match="m=2.0"):
             linear_energy_residual(traj, 0.5, 2.0)
         with pytest.raises(UsageError, match="gamma=0.25"):
             linear_energy_residual(traj, 0.25, 1.0)
-        with pytest.raises(UsageError, match="dt=0.02"):
-            linear_energy_residual(traj, 0.5, 1.0, dt=2e-2)
+        # the spacing comes from the snapshot times: every second step of
+        # five, and the last, stamps 0, 2 dt, 4 dt, 5 dt
+        traj = _linear_traj(grid16, gamma=0.5, dt=1e-2, t_end=0.05, snapshot_every=2)
+        with pytest.raises(UsageError, match="equally spaced"):
+            linear_energy_residual(traj, 0.5, 1.0)
 
     def test_trajectory_without_energy_triple_rejected(self, grid16):
         data = make_initial_data(
