@@ -22,7 +22,6 @@ from .solver import (  # noqa: F401
     compute_nonlinear,
     run,
     step_exp,
-    step_imex,
 )
 from .diagnostics import (  # noqa: F401
     energy_functionals,

@@ -223,6 +223,8 @@ def cmd_fit_decay(cfg, args) -> dict:
 
 
 def cmd_verify_kernels(cfg, args) -> dict:
+    if not cfg.gamma > 0:
+        raise ConfigurationError("the damped-wave kernels need gamma > 0", path="physics.gamma")
     return {"kernel_bounds": verify_kernel_bounds(cfg.gamma, refine=1).to_csv_rows(),
             "kernel_bounds_refined": verify_kernel_bounds(cfg.gamma, refine=2).to_csv_rows()}
 

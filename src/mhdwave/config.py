@@ -1,13 +1,13 @@
 """Run configuration: parsing, validation, serialization.
 
-Configs are JSON documents with nested sections (grid, physics, scheme,
-time, initial_data, diagnostics, fit, solver).  Numeric values may be
-written as pi-expressions like ``"32*pi"`` or ``"pi/4"``.  Unknown keys
-are rejected with the offending path.  The echo fills in every default of
-``DecayExperimentConfig`` and the initial-data ``amplitude`` and ``seed``;
-the other family parameters (``k_min``, ``k_max``, ``width``, ...) appear
-only when the document sets them, and ``make_initial_data`` supplies
-their defaults.  A config describes what a run computes, not where it
+Configs are JSON documents with nested sections (grid, physics, time,
+initial_data, diagnostics, fit, solver); ``physics.gamma`` = 0 runs the
+MHD system.  Numeric values may be written as pi-expressions like
+``"32*pi"`` or ``"pi/4"``.  Unknown keys are rejected with the offending
+path.  The echo fills in every default of ``DecayExperimentConfig`` and
+the initial-data ``amplitude`` and ``seed``; the other family parameters
+(``k_min``, ``k_max``, ``width``, ...) appear only when the document sets
+them, and ``make_initial_data`` supplies their defaults.  A config describes what a run computes, not where it
 writes: that is the ``--output`` flag.
 
 A document parses into a ``DecayExperimentConfig``, the one run
@@ -75,7 +75,6 @@ _SECTIONS = {
     "fit": {"window"},
     "solver": {"nonlinear"},
 }
-_TOP_LEVEL = set(_SECTIONS) | {"scheme"}
 
 
 def _initial_params(i: dict, family) -> dict:
@@ -110,7 +109,7 @@ def parse_config(text: str) -> DecayExperimentConfig:
         raise ConfigurationError(f"malformed config document: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL
+    unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise ConfigurationError(f"unknown key {sorted(unknown)[0]!r}", path=sorted(unknown)[0])
     for section, keys in _SECTIONS.items():
@@ -126,8 +125,6 @@ def parse_config(text: str) -> DecayExperimentConfig:
     kw = {}
     if "gamma" in p:
         kw["gamma"] = _number(p["gamma"], "physics.gamma")
-    if "scheme" in doc:
-        kw["scheme"] = doc["scheme"]
     for key in ("dt", "t_end"):
         if key in t:
             kw[key] = _number(t[key], f"time.{key}")
@@ -172,7 +169,6 @@ def serialize_config(cfg: DecayExperimentConfig) -> str:
     doc = {
         "grid": {"n": cfg.grid.n, "box_length": cfg.grid.box_length},
         "physics": {"gamma": cfg.gamma},
-        "scheme": cfg.scheme,
         "time": {"dt": cfg.dt, "t_end": cfg.t_end, "snapshot_every": cfg.snapshot_every},
         "initial_data": {"family": cfg.family, **cfg.params},
         "diagnostics": {

@@ -318,7 +318,7 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
 
 def _positive_gammas(gammas) -> list:
     """``gammas`` as floats; an empty list, a gamma outside (0, inf) (gamma
-    = 0 is the mhd_baseline) or a repeated gamma, which would run one
+    = 0 is the MHD baseline) or a repeated gamma, which would run one
     member twice, is a ``ConfigurationError`` at ``gammas``."""
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -344,10 +344,6 @@ def gamma_prefactor_scan(gammas, base: DecayExperimentConfig) -> dict:
     its arrays, so a member's series is bitwise that of a solo run.
     """
     gammas = sorted(_positive_gammas(gammas))
-    if base.scheme == "mhd_baseline":
-        # the gamma = 0 baseline ignores gamma: every member would be the same run
-        raise ConfigurationError("a gamma sweep needs a gamma-dependent scheme, "
-                                 "not mhd_baseline", path="scheme")
 
     def member(g):
         return run_decay_experiment(replace(base, gamma=g))
@@ -387,16 +383,16 @@ def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
     grid = base.grid
     initial = make_initial_data(base.family, base.params, grid)
 
-    def final_state(scheme, gamma):
-        cfg = replace(base, scheme=scheme, gamma=gamma, t_end=T,
+    def final_state(gamma):
+        cfg = replace(base, gamma=gamma, t_end=T,
                       snapshot_every=max(1, int(round(T / base.dt))))
         traj = run(cfg, initial, observer=None, keep_states=True)
         return traj.states[-1]
 
-    ref = final_state("mhd_baseline", 0.0)
+    ref = final_state(0.0)
     errors = []
     for g in gammas:
-        st = final_state("exp_integrator", g)
+        st = final_state(g)
         # ||grad^perp f|| of the psi and A differences, from their power spectra
         errors.append(sum(_perp_seminorm(grid, _power(x - y, grid), 0.0)
                           for x, y in ((st.psi_hat, ref.psi_hat), (st.a_hat, ref.a_hat))))

@@ -15,22 +15,15 @@ the scalar forcings
 
     F_psi = (kx ky D_hat + (ky^2 - kx^2) T12_hat) / |k|^2,   F_A = -E_hat,
 
-where T = u (x) u - b (x) b, D = T11 - T22 and E = u1 b2 - u2 b1.  Three
-schemes:
-
-``exp_integrator``
-    Exponential Euler on the Duhamel forms: the heat multiplier for psi and
-    the exact 2x2 damped-wave propagator for (A, d_t A), with the
-    nonlinear forcing frozen over the step and weighted by the exact
-    integral of the propagator.  The linear flow is reproduced to
-    round-off at any step size.
-``imex_reference``
-    One-step implicit-midpoint / explicit-midpoint IMEX (trapezoidal in
-    the linear part), formally second order.
-``mhd_baseline``
-    The gamma = 0 system: both equations parabolic.  It is the
-    exponential-Euler step with the heat multiplier and weight in the A
-    row and zero tables for the d_t A coupling, so d_t A stays zero.
+where T = u (x) u - b (x) b, D = T11 - T22 and E = u1 b2 - u2 b1.  The one
+stepper is exponential Euler on the Duhamel forms: the heat multiplier for
+psi and the exact 2x2 damped-wave propagator for (A, d_t A), with the
+nonlinear forcing frozen over the step and weighted by the exact integral
+of the propagator.  The linear flow is reproduced to round-off at any step
+size; the nonlinear coupling is first order in dt.  At gamma = 0 the system
+is the MHD system, both equations parabolic: the same step then takes the
+heat multiplier and weight in the A row and zero tables for the d_t A
+coupling, so d_t A stays zero.
 
 Nonlinear terms are pseudo-spectral (4 inverse transforms of u and b, the
 pointwise products D, T12 and E, 3 forward transforms) with 2/3-rule
@@ -82,17 +75,13 @@ from .grid import GridSpec, SpectralVectorField
 from .kernels import heat_weight, propagator_tables
 
 __all__ = [
-    "SCHEMES",
     "State",
     "SolverConfig",
     "Trajectory",
     "compute_nonlinear",
     "step_exp",
-    "step_imex",
     "run",
 ]
-
-SCHEMES = ("exp_integrator", "imex_reference", "mhd_baseline")
 
 _CFL_SAFETY = 0.8
 
@@ -162,24 +151,20 @@ class SolverConfig:
     re-checked every step while the nonlinear terms are active (the exact
     linear propagators carry no step-size restriction, so purely linear
     runs skip the check).  ``nonlinear=False`` switches the quadratic
-    terms off for linear verification runs.
+    terms off for linear verification runs.  ``gamma = 0`` runs the MHD
+    system.
     """
 
     gamma: float
     dt: float
     t_end: float
     grid: GridSpec
-    scheme: str = "exp_integrator"
     nonlinear: bool = True
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}", path="scheme")
-        if not math.isfinite(self.gamma):
-            raise ConfigurationError("gamma must be finite", path="physics.gamma")
-        if self.scheme != "mhd_baseline" and not self.gamma > 0:
-            raise ConfigurationError("gamma must be > 0", path="physics.gamma")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigurationError("gamma must be finite and >= 0", path="physics.gamma")
         if not 0 <= self.dt < math.inf:
             raise ConfigurationError("dt must be finite and >= 0", path="time.dt")
         if not 0 <= self.t_end < math.inf:
@@ -337,25 +322,17 @@ def compute_nonlinear(state: State):
 
 
 class _StepperCache:
-    """Per-(gamma, dt, grid) tables of one run's scheme, plus the run's own
-    nonlinear scratch arrays (None in linear runs)."""
+    """Per-(gamma, dt, grid) step tables of one run, plus the run's own
+    nonlinear scratch arrays (None in linear runs): the damped-wave
+    propagator for gamma > 0, the heat tables with zero d_t A coupling for
+    gamma = 0."""
 
     def __init__(self, config: SolverConfig):
         g = config.grid
         self.work = _Workspace(g) if config.nonlinear else None
-        if config.scheme == "imex_reference":
-            gam, dt = config.gamma, config.dt
-            # (I - dt/2 A)^{-1} for A = [[0, 1], [-k2/gamma, -1/gamma]]
-            det = 1.0 + dt / (2.0 * gam) + dt**2 * g.k2 / (4.0 * gam)
-            self.i00 = (1.0 + dt / (2.0 * gam)) / det
-            self.i01 = (dt / 2.0) / det
-            self.i10 = -(dt * g.k2 / (2.0 * gam)) / det
-            self.i11 = 1.0 / det
-            self.u_imp = 1.0 / (1.0 + dt / 2.0 * g.k2)
-            return
         self.heat_mult = np.exp(-g.k2 * config.dt)
         self.heat_w = heat_weight(g.k2, config.dt)
-        if config.scheme == "exp_integrator":
+        if config.gamma > 0:
             tab = propagator_tables(config.gamma, g.k2, config.dt)
             self.m00, self.m01 = tab["m00"], tab["m01"]
             self.m10, self.m11 = tab["m10"], tab["m11"]
@@ -364,17 +341,6 @@ class _StepperCache:
             # gamma = 0: A follows the heat flow of psi, and d_t A is not coupled
             self.m00, self.w = self.heat_mult, self.heat_w
             self.m01 = self.m10 = self.m11 = self.k1 = np.zeros_like(g.k2)
-
-
-def _forcing(state: State, config: SolverConfig, cache: _StepperCache):
-    """Scalar forcings plus the per-step CFL re-check; None in linear mode
-    (the exact propagators carry no advective step restriction).  The step
-    owns the returned arrays and scales them in place."""
-    if not config.nonlinear:
-        return None
-    f_psi, f_a, vmax = _nonlinear_terms(state, cache.work)
-    _check_cfl(vmax, config, state.t)
-    return f_psi, f_a
 
 
 def _finalize(psi, a, at, state: State, t: float) -> State:
@@ -388,16 +354,17 @@ def _finalize(psi, a, at, state: State, t: float) -> State:
 
 
 def step_exp(state: State, config: SolverConfig, cache: _StepperCache | None = None) -> State:
-    """One exponential-Euler step: exact linear part, frozen forcing.  With
-    the tables of an ``mhd_baseline`` cache it is the gamma = 0 step."""
+    """One exponential-Euler step: exact linear part, frozen forcing.  At
+    gamma = 0 it is the step of the MHD system."""
     if cache is None:
         cache = _StepperCache(config)
-    forcing = _forcing(state, config, cache)
     psi = cache.heat_mult * state.psi_hat
     a = cache.m00 * state.a_hat + cache.m01 * state.at_hat
     at = cache.m10 * state.a_hat + cache.m11 * state.at_hat
-    if forcing is not None:
-        f_psi, f_a = forcing
+    if config.nonlinear:
+        # the step owns the forcings and scales them in place
+        f_psi, f_a, vmax = _nonlinear_terms(state, cache.work)
+        _check_cfl(vmax, config, state.t)
         psi += np.multiply(cache.heat_w, f_psi, out=f_psi)
         # f_psi is spent, so it takes k1 F_A before w scales F_A in place
         at += np.multiply(cache.k1, f_a, out=f_psi)
@@ -405,48 +372,7 @@ def step_exp(state: State, config: SolverConfig, cache: _StepperCache | None = N
     return _finalize(psi, a, at, state, state.t + config.dt)
 
 
-def step_imex(state: State, config: SolverConfig, cache: _StepperCache | None = None) -> State:
-    """One implicit-midpoint / explicit-midpoint IMEX step (order 2).
-
-    Y* = (I - dt/2 L)^{-1} (Y + dt/2 N(Y));  Y+ = Y + dt (L Y* + N(Y*)).
-    """
-    if cache is None:
-        cache = _StepperCache(config)
-    g = state.grid
-    dt = config.dt
-    forcing = _forcing(state, config, cache)
-
-    rpsi, ra, rat = state.psi_hat, state.a_hat, state.at_hat
-    if forcing is not None:
-        f_psi, f_a = forcing
-        rpsi = rpsi + np.multiply(0.5 * dt, f_psi, out=f_psi)
-        np.multiply(0.5 * dt, f_a, out=f_a)
-        rat = rat + np.divide(f_a, config.gamma, out=f_a)
-    psi_star = cache.u_imp * rpsi
-    a_star = cache.i00 * ra + cache.i01 * rat
-    at_star = cache.i10 * ra + cache.i11 * rat
-
-    if forcing is not None:
-        mid = _finalize(psi_star, a_star, at_star, state, state.t + 0.5 * dt)
-        forcing = _forcing(mid, config, cache)
-    dpsi = -g.k2 * psi_star
-    dat = -g.k2 * a_star - at_star
-    if forcing is not None:
-        f_psi, f_a = forcing
-        dpsi += f_psi
-        dat += f_a
-
-    psi = state.psi_hat + dt * dpsi
-    a = state.a_hat + dt * at_star
-    at = state.at_hat + dt * (dat / config.gamma)
-    return _finalize(psi, a, at, state, state.t + dt)
-
-
-_STEPPERS = {
-    "exp_integrator": step_exp,
-    "imex_reference": step_imex,
-    "mhd_baseline": step_exp,
-}
+_STEPPERS = {"exp_integrator": step_exp}
 
 
 def _step_count(config: SolverConfig, t0: float = 0.0) -> int:
@@ -495,7 +421,8 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
     mask = initial.grid.dealias_mask
     state = State(initial.psi_hat * mask, initial.a_hat * mask, initial.at_hat * mask,
                   initial.grid, t0)
-    stepper = _STEPPERS[config.scheme]
+    # taken from the dict, not called by name, so a wrapper put there sees every step
+    stepper = _STEPPERS["exp_integrator"]
     cache = _StepperCache(config)
 
     traj = Trajectory(nonlinear=config.nonlinear)

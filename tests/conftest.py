@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mhdwave import solver
 from mhdwave.grid import (
     GridSpec,
     RealField,
@@ -105,3 +106,16 @@ def expand_half_spectrum(half_arr, n):
     full[..., 0, half:] = body[..., 0, :]
     full[..., 1:, half:] = body[..., :0:-1, :]
     return full
+
+
+def count_steps(monkeypatch):
+    """A list that gains one entry per step ``run`` takes."""
+    steps = []
+    step = solver._STEPPERS["exp_integrator"]
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setitem(solver._STEPPERS, "exp_integrator", counted)
+    return steps

@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhdwave import cli, decay, solver
+from mhdwave import cli, decay
 from mhdwave.checkpoint import save_checkpoint
 from mhdwave.cli import main
 from mhdwave.config import config_hash, parse_config, serialize_config
 from mhdwave.errors import ConfigurationError
 from mhdwave.initial import make_initial_data
+
+from conftest import count_steps
 
 MINIMAL = """
 {
@@ -32,7 +34,6 @@ class TestParseConfig:
         assert cfg.dt == 0.005
         assert cfg.t_end == 50.0
         # defaults materialized
-        assert cfg.scheme == "exp_integrator"
         assert cfg.q_list == (2.0, 4.0)
 
     def test_pi_literals(self):
@@ -73,8 +74,12 @@ class TestParseConfig:
             parse_config('{"fit": {"window": [10, 5]}}')
 
     def test_bad_scheme(self):
-        with pytest.raises(ConfigurationError):
-            parse_config('{"scheme": "rk4"}')
+        # gamma alone selects the tables: every scheme key, the old default
+        # too, is an unknown key
+        for scheme in ("rk4", "exp_integrator"):
+            with pytest.raises(ConfigurationError) as err:
+                parse_config(json.dumps({"scheme": scheme}))
+            assert err.value.path == "scheme"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -102,19 +107,6 @@ SWEEP_RUN = {
     "diagnostics": {"q_list": [2], "s_list_u": [0], "s_list_b": [0]},
     "fit": {"window": [1.0, 11.0]},
 }
-
-
-def count_steps(monkeypatch, scheme):
-    """A list that gains one entry per step of ``scheme``."""
-    steps = []
-    step = solver._STEPPERS[scheme]
-
-    def counted(*args, **kwargs):
-        steps.append(1)
-        return step(*args, **kwargs)
-
-    monkeypatch.setitem(solver._STEPPERS, scheme, counted)
-    return steps
 
 
 class TestCli:
@@ -241,9 +233,13 @@ class TestCli:
                      id="checkpoint_every_negative"),
         pytest.param(["simulate", "--checkpoint-every", "0"], 2, "checkpoint_every:",
                      id="checkpoint_every_zero"),
+        # gamma = 0 runs the MHD system, which has no damped-wave kernels
+        pytest.param(["verify-kernels", "--config", "gamma0.json"], 2, "physics.gamma:",
+                     id="verify_kernels_gamma_zero"),
     ])
     def test_bad_cli_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, rc, where):
         monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, {"physics": {"gamma": 0}}, "gamma0.json")
         assert main(argv + ["--output", str(tmp_path / "x")]) == rc
         assert where in capsys.readouterr().err
         assert not (tmp_path / "x" / "series.csv").exists()
@@ -453,7 +449,7 @@ class TestCli:
     def test_sweep_negative_order_fails_before_stepping(self, tmp_path, capsys, monkeypatch):
         doc = dict(SWEEP_RUN, diagnostics=dict(SWEEP_RUN["diagnostics"], s_list_u=[0, -0.5]))
         cfgp = write_config(tmp_path, doc)
-        steps = count_steps(monkeypatch, "exp_integrator")
+        steps = count_steps(monkeypatch)
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.5,1.0"])
         assert rc == 4
@@ -473,7 +469,7 @@ class TestCli:
     def test_sweep_window_fails_before_stepping(self, tmp_path, capsys, monkeypatch, doc,
                                                 message):
         cfgp = write_config(tmp_path, doc)
-        steps = count_steps(monkeypatch, "exp_integrator")
+        steps = count_steps(monkeypatch)
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.25,0.5"])
         assert rc == 4
@@ -483,7 +479,7 @@ class TestCli:
     def test_sweep_window_at_t_zero_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # the t = 0 snapshot would fall inside, where a log-log fit has no point
         cfgp = write_config(tmp_path, dict(SWEEP_RUN, fit={"window": [0.0, 11.0]}))
-        steps = count_steps(monkeypatch, "exp_integrator")
+        steps = count_steps(monkeypatch)
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.5"])
         assert rc == 2
@@ -491,9 +487,10 @@ class TestCli:
         assert steps == []
 
     def test_sweep_of_the_baseline_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        # mhd_baseline ignores gamma: every member would write the same rows
+        # gamma = 0 selects the MHD baseline, and --gammas overrides gamma: a
+        # scheme key that once chose the baseline is an unknown key
         cfgp = write_config(tmp_path, dict(SWEEP_RUN, scheme="mhd_baseline"))
-        steps = count_steps(monkeypatch, "mhd_baseline")
+        steps = count_steps(monkeypatch)
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.5,1.0"])
         assert rc == 2
@@ -522,7 +519,7 @@ class TestCli:
         # every norm is zero: no log-log fit exists, and no member steps
         doc = dict(SWEEP_RUN, initial_data=dict(SWEEP_RUN["initial_data"], amplitude=0))
         cfgp = write_config(tmp_path, doc)
-        steps = count_steps(monkeypatch, "exp_integrator")
+        steps = count_steps(monkeypatch)
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.5,1.0"])
         assert rc == 4
@@ -538,7 +535,7 @@ class TestCli:
                    initial_data=dict(SWEEP_RUN["initial_data"], amplitude=0,
                                      a0_amplitude=0.02))
         cfgp = write_config(tmp_path, doc)
-        steps = count_steps(monkeypatch, "exp_integrator")
+        steps = count_steps(monkeypatch)
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.5,1.0"])
         assert rc == 4
@@ -553,7 +550,7 @@ class TestCli:
         cfgp = write_config(tmp_path, doc)
         built = []
         monkeypatch.setattr(decay, "make_initial_data", lambda *a: built.append(a))
-        steps = count_steps(monkeypatch, "exp_integrator")
+        steps = count_steps(monkeypatch)
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.5,1.0"])
         assert rc == 2

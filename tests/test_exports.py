@@ -1,13 +1,21 @@
-"""Every name the package and its modules export resolves."""
+"""Every name the package and its modules export resolves, and so does every
+module attribute the benchmark's hooks wrap."""
 
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mhdwave
+from mhdwave.grid import GridSpec
+from mhdwave.initial import make_initial_data
+from mhdwave.solver import SolverConfig, run
+
+from conftest import count_steps
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mhdwave.__path__))
 
@@ -28,3 +36,32 @@ def test_package_reexports_public_names():
             for alias in node.names:
                 assert hasattr(mhdwave, alias.name)
                 assert alias.name in module.__all__, (node.module, alias.name)
+
+
+def test_benchmark_hooks_find_their_targets(monkeypatch):
+    # perfbench wraps these module attributes by name; a missing one leaves
+    # its metrics null.  The hooks go on copies, so the modules stay unpatched.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    modules = {name: importlib.import_module(f"mhdwave.{name}")
+               for name in ("checkpoint", "decay", "diagnostics", "grid", "initial", "solver")}
+    before = {name: dict(vars(m)) for name, m in modules.items()}
+    steppers = dict(modules["solver"]._STEPPERS)
+    copies = {name: types.SimpleNamespace(**vars(m)) for name, m in modules.items()}
+    copies["solver"]._STEPPERS = dict(steppers)
+    tracer = spans.Tracer()
+    spans.install(tracer, types.SimpleNamespace(**copies))
+    assert tracer.absent == []
+    for name, m in modules.items():
+        assert all(vars(m)[k] is v for k, v in before[name].items())
+    assert modules["solver"]._STEPPERS == steppers
+
+
+def test_run_takes_every_step_from_the_stepper_table(monkeypatch):
+    # perfbench counts steps and times set-up through this table
+    grid = GridSpec(16, 2 * np.pi)
+    data = make_initial_data("random_band", {"amplitude": 0.05, "seed": 1}, grid)
+    for gamma in (0.0, 0.5):
+        steps = count_steps(monkeypatch)
+        run(SolverConfig(gamma=gamma, dt=0.1, t_end=0.3, grid=grid), data)
+        assert len(steps) == 3
