@@ -340,8 +340,9 @@ def gamma_prefactor_scan(gammas, base: DecayExperimentConfig) -> dict:
     carries gamma), so fitted exponents are expected stable across the
     sweep; prefactor monotonicity is reported, never asserted against the
     non-explicit constants.  Members run concurrently, one thread each up
-    to the CPU count (scipy.fft and numpy release the GIL); each run owns
-    its arrays, so a member's series is bitwise that of a solo run.
+    to the CPU count (numpy's transforms and array operations release the
+    GIL); each run owns its arrays, so a member's series is bitwise that
+    of a solo run.
     """
     gammas = sorted(_positive_gammas(gammas))
 

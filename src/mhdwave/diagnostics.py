@@ -26,6 +26,7 @@ the row, so that ``linear_energy_residual`` can check them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -119,23 +120,30 @@ def norm_observer(q_list=(2.0,), s_list_u=(0.0,), s_list_b=(0.0,), m: float | No
 
     def observe(state: State) -> dict:
         g = state.grid
-        pu, pb = _power(state.psi_hat, g), _power(state.a_hat, g)
+        powers = (_power(state.psi_hat, g), _power(state.a_hat, g))
+
+        # u_L2 is u_H0 and b_L2 is b_H0: each (potential, s) sum is taken
+        # once per row; potential 0 is psi, 1 is A
+        @functools.cache
+        def seminorm(potential: int, s: float) -> float:
+            return _perp_seminorm(g, powers[potential], s)
+
         row = {"t": state.t}
         phys = None
         for q in q_list:
             if q == 2:
-                lq = (_perp_seminorm(g, pu, 0.0), _perp_seminorm(g, pb, 0.0))
+                lq = (seminorm(0, 0.0), seminorm(1, 0.0))
             else:
                 phys = phys or (transform_inverse(state.u_hat), transform_inverse(state.b_hat))
                 lq = (lq_norm(phys[0], q), lq_norm(phys[1], q))
             row[f"u_L{q:g}"], row[f"b_L{q:g}"] = lq
         for s in s_list_u:
-            row[f"u_H{s:g}"] = _perp_seminorm(g, pu, s)
+            row[f"u_H{s:g}"] = seminorm(0, s)
         for s in s_list_b:
-            row[f"b_H{s:g}"] = _perp_seminorm(g, pb, s)
+            row[f"b_H{s:g}"] = seminorm(1, s)
         if m is not None:
             triple = energy_functionals(state, m, gamma,
-                                        _powers=(pu, pb, _power(state.at_hat, g)))
+                                        _powers=(*powers, _power(state.at_hat, g)))
             row["X_m"], row["Y_m"], row["Z_m"] = triple
             row["m"], row["gamma"] = m, gamma
         return row

@@ -267,6 +267,27 @@ class TestNormObserver:
             assert row[f"b_H{s:g}"] == pytest.approx(sobolev_seminorm(st.b_hat, s), rel=1e-13)
         assert (row["X_m"], row["Y_m"], row["Z_m"]) == energy_functionals(st, m, gamma)
 
+    def test_each_seminorm_sum_once_per_row(self, grid16, monkeypatch):
+        # u_L2 is u_H0 and b_L2 is b_H0: the row takes 4 sums for 6 columns,
+        # each the value a direct sum gives
+        sums = []
+        seminorm = diagnostics._perp_seminorm
+
+        def counted(grid, power, s):
+            sums.append(s)
+            return seminorm(grid, power, s)
+
+        monkeypatch.setattr(diagnostics, "_perp_seminorm", counted)
+        st = random_state(grid16, 4)
+        observe = norm_observer((2.0,), (0.0, 1.0), (0.0, 1.5))
+        for _ in range(2):
+            sums.clear()
+            row = observe(st)
+            assert sorted(sums) == [0.0, 0.0, 1.0, 1.5]
+        for name, c in (("u", st.psi_hat), ("b", st.a_hat)):
+            assert row[f"{name}_L2"] == row[f"{name}_H0"]
+            assert row[f"{name}_H0"] == seminorm(grid16, diagnostics._power(c, grid16), 0.0)
+
     def test_energy_triple_only_with_m(self, grid16, monkeypatch):
         calls = []
         energy = diagnostics.energy_functionals

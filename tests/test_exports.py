@@ -1,9 +1,14 @@
 """Every name the package and its modules export resolves, and so does every
-module attribute the benchmark's hooks wrap."""
+module attribute the benchmark's hooks wrap; a fresh import loads scipy
+itself but not its transforms."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -65,3 +70,32 @@ def test_run_takes_every_step_from_the_stepper_table(monkeypatch):
         steps = count_steps(monkeypatch)
         run(SolverConfig(gamma=gamma, dt=0.1, t_end=0.3, grid=grid), data)
         assert len(steps) == 3
+
+
+_FRESH_STEP = """
+import json, sys
+import numpy as np
+import mhdwave.cli
+from mhdwave import solver
+from mhdwave.grid import GridSpec
+from mhdwave.initial import make_initial_data
+
+grid = GridSpec(16, 2 * np.pi)
+data = make_initial_data("random_band", {"amplitude": 0.05, "seed": 1}, grid)
+solver.step_exp(data, solver.SolverConfig(gamma=0.5, dt=0.01, t_end=0.01, grid=grid))
+print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "fft": hasattr(solver, "_fft")}))
+"""
+
+
+def test_fresh_process_loads_scipy_but_not_its_transforms():
+    # the benchmark's environment record reads sys.modules["scipy"] and its
+    # transform counter wraps solver._fft; scipy.fft and scipy.special are
+    # the import time the numpy transforms save
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _FRESH_STEP], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert "scipy" in seen["modules"]
+    assert "scipy.fft" not in seen["modules"] and "scipy.special" not in seen["modules"]
+    assert seen["fft"]

@@ -118,36 +118,33 @@ class TestNonlinear:
             assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * np.max(np.abs(ref.coeffs))
 
     def test_one_step_makes_seven_transforms(self, grid16, monkeypatch):
-        # a 2D transform is a scipy *fft2 call or numpy's axis-wise pair (ifft
-        # along x, then irfft along y), counted once per batch member
-        calls = {"fft2": [], "ifft": [], "irfft": []}
+        # a 2D transform is one of numpy's axis-wise pairs, counted once per
+        # batch member: ifft along x then irfft along y on the way in, rfft
+        # along y then fft along x on the way out
+        calls = {"ifft": [], "irfft": [], "rfft": [], "fft": []}
+        other = []
 
         class Counting:
-            """A transform module, recording the batch of each counted call."""
-
-            def __init__(self, module, key_of):
-                self.module, self.key_of = module, key_of
+            """numpy.fft, recording the batch of each call to a 1D transform."""
 
             def __getattr__(self, name):
-                fn = getattr(self.module, name)
-                key = self.key_of(name)
-                if key is None:
+                fn = getattr(np.fft, name)
+                if name not in calls:
+                    other.append(name)
                     return fn
 
                 def counted(x, *args, **kwargs):
-                    calls[key].append(int(np.prod(np.shape(x)[:-2])))
+                    calls[name].append(int(np.prod(np.shape(x)[:-2])))
                     return fn(x, *args, **kwargs)
 
                 return counted
 
-        monkeypatch.setattr(solver, "_fft", Counting(
-            scipy.fft, lambda name: "fft2" if name.endswith("fft2") else None))
-        monkeypatch.setattr(solver, "_npfft", Counting(
-            np.fft, lambda name: name if name in ("ifft", "irfft") else None))
+        monkeypatch.setattr(solver, "_fft", Counting())
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.01, grid=grid16)
         step_exp(random_state(grid16, 3), cfg)
-        assert calls["ifft"] == calls["irfft"]
-        assert sum(calls["fft2"]) + sum(calls["irfft"]) == 7
+        assert other == []
+        assert calls["ifft"] == calls["irfft"] and calls["rfft"] == calls["fft"]
+        assert (sum(calls["irfft"]), sum(calls["rfft"])) == (4, 3)
 
     @pytest.mark.parametrize("n", [16, 32])
     @settings(derandomize=True, max_examples=20, deadline=None)
@@ -182,6 +179,38 @@ class TestNonlinear:
         ref = scipy.fft.irfft2(spec, s=(n, n), axes=(-2, -1))
         got = solver._inverse_retained(spec.copy(), keep, np.empty((batch, n, n)))
         assert got.tobytes() == ref.tobytes()
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=hst.sampled_from([8, 12, 16, 24, 48, 96]), seed=hst.integers(0, 2**32 - 1),
+           batch=hst.integers(1, 3))
+    def test_retained_forward_is_rfft2(self, n, seed, batch):
+        # byte-equal to scipy's rfft2 on the retained columns, the only ones
+        # the forcing tables do not zero
+        g = GridSpec(n, 2 * np.pi)
+        keep = solver._velocity_table(g).shape[-1]
+        assert not any(table[:, keep:].any() for table in solver._forcing_tables(g))
+        prod = np.random.default_rng(seed).standard_normal((batch, n, n))
+        ref = scipy.fft.rfft2(prod, axes=(-2, -1))
+        got = solver._forward_retained(prod.copy(), keep)
+        assert got.shape == ref.shape
+        assert got[..., :keep].tobytes() == ref[..., :keep].tobytes()
+
+    @pytest.mark.parametrize("n", [16, 24, 48])
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), scale=hst.floats(1e-3, 1e2))
+    def test_forcings_match_full_rfft2(self, n, seed, scale):
+        # the forcings equal those assembled from a full 2D transform of the
+        # products; exact zeros past the cutoff may differ in sign only
+        g = GridSpec(n, 2 * np.pi)
+        st = random_state(g, seed, scale)
+        *got, vmax = solver._nonlinear_terms(st)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_forward_retained",
+                       lambda prod, keep: scipy.fft.rfft2(prod, axes=(-2, -1)))
+            *ref, vmax_ref = solver._nonlinear_terms(st)
+        assert vmax == vmax_ref
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
 
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(n=hst.sampled_from([16, 24, 32]), seed=hst.integers(0, 2**32 - 1),
