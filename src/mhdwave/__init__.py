@@ -7,10 +7,6 @@ from .grid import (  # noqa: F401
     GridSpec,
     RealField,
     SpectralVectorField,
-    dealias,
-    fractional_laplacian_apply,
-    leray_project,
-    transform_forward,
     transform_inverse,
 )
 from .initial import make_initial_data  # noqa: F401
@@ -19,7 +15,6 @@ from .solver import (  # noqa: F401
     SolverConfig,
     State,
     Trajectory,
-    compute_nonlinear,
     run,
     step_exp,
 )
@@ -27,7 +22,6 @@ from .diagnostics import (  # noqa: F401
     energy_functionals,
     linear_energy_residual,
     lq_norm,
-    sobolev_seminorm,
 )
 from .decay import (  # noqa: F401
     PowerLawFit,

@@ -137,6 +137,7 @@ def _emit(args) -> int:
 
 
 def cmd_simulate(cfg, args) -> dict:
+    ids = cfg.norm_ids()  # no tracked norm fails before any step or write
     observer = norm_observer(cfg.q_list, cfg.s_list_u, cfg.s_list_b)
     if args.resume:
         # run checks the grid and the checkpoint time against the config
@@ -159,7 +160,6 @@ def cmd_simulate(cfg, args) -> dict:
 
     traj = run(cfg, initial, observer,
                checkpoint_every=args.checkpoint_every, checkpoint_sink=sink)
-    ids = cfg.norm_ids()
     rows = [["t"] + ids]
     for t, snap in zip(traj.times, traj.snapshots):
         rows.append([_float_cell(t)] + [_float_cell(snap[k]) for k in ids])
@@ -199,6 +199,8 @@ def _read_series(path):
         raise DataError(f"unreadable series {path}: {exc}") from exc
     if header[:1] != ["t"]:
         raise DataError("series CSV must have a leading t column")
+    if len(header) < 2:
+        raise DataError(f"series {path} has no norm column after t")
     if len(body) < 2 or data.shape[1] != len(header) or not np.all(np.isfinite(data)):
         raise DataError(f"series {path} needs >= 2 rows of {len(header)} finite numbers")
     return header, data

@@ -28,8 +28,7 @@ from .errors import ConfigurationError, DataError, DomainError, WindowError
 from .diagnostics import _perp_seminorm, _power, norm_observer
 from .grid import GridSpec
 from .initial import INITIAL_FAMILIES, make_initial_data
-from .kernels import propagator_tables
-from .solver import SolverConfig, State, Trajectory, _observed, _step_count, run
+from .solver import SolverConfig, Trajectory, _observed, _step_count, run
 
 __all__ = [
     "TheoryRate",
@@ -41,7 +40,6 @@ __all__ = [
     "run_decay_experiment",
     "gamma_prefactor_scan",
     "singular_limit_experiment",
-    "linear_singular_limit_error",
     "verify_expintegral",
 ]
 
@@ -214,12 +212,16 @@ class DecayExperimentConfig(SolverConfig):
             raise ConfigurationError("window must satisfy 0 < t_lo < t_hi", path="fit.window")
 
     def norm_ids(self) -> list:
-        """Column ids of the tracked norms, in series order."""
+        """Column ids of the tracked norms, in series order; none is a
+        ``ConfigurationError`` at ``diagnostics``."""
         ids = []
         for q in self.q_list:
             ids += [f"u_L{q:g}", f"b_L{q:g}"]
         ids += [f"u_H{s:g}" for s in self.s_list_u]
         ids += [f"b_H{s:g}" for s in self.s_list_b]
+        if not ids:
+            raise ConfigurationError("no norm to track: q_list, s_list_u and s_list_b are empty",
+                                     path="diagnostics")
         return ids
 
 
@@ -283,9 +285,6 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
     of u with psi = 0 or of b with A = d_t A = 0 (``DataError``).
     """
     ids = cfg.norm_ids()
-    if not ids:
-        raise ConfigurationError("no norm to track: q_list, s_list_u and s_list_b are empty",
-                                 path="diagnostics")
     grid = cfg.grid
     initial = make_initial_data(cfg.family, cfg.params, grid)
     zero_u, zero_a, zero_at = (_perp_seminorm(grid, _power(c, grid), 0.0) == 0.0
@@ -351,16 +350,6 @@ def gamma_prefactor_scan(gammas, base: DecayExperimentConfig) -> dict:
 
     with ThreadPoolExecutor(max_workers=min(len(gammas), os.cpu_count() or 1)) as pool:
         return dict(zip(gammas, pool.map(member, gammas)))
-
-
-def linear_singular_limit_error(gamma: float, T: float, initial: State) -> float:
-    """Closed-form per-mode e(gamma) for the linear (forcing-free) flow from
-    ``initial``: psi takes the same heat flow in both systems, so only A
-    differs, by (m00 - e^{-k2 T}) A + m01 d_t A."""
-    g = initial.grid
-    tab = propagator_tables(gamma, g.k2, T)
-    da = (tab["m00"] - np.exp(-g.k2 * T)) * initial.a_hat + tab["m01"] * initial.at_hat
-    return _perp_seminorm(g, _power(da, g), 0.0)
 
 
 def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):

@@ -32,12 +32,11 @@ import math
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .grid import GridSpec, RealField, SpectralVectorField, transform_inverse
+from .grid import GridSpec, RealField, transform_inverse
 from .solver import State, Trajectory
 
 __all__ = [
     "lq_norm",
-    "sobolev_seminorm",
     "energy_functionals",
     "norm_observer",
     "linear_energy_residual",
@@ -59,20 +58,6 @@ def lq_norm(f: RealField, q: float) -> float:
     if math.isinf(q) or peak == 0.0:
         return peak
     return peak * float((np.sum((mag / peak) ** q) * f.grid.cell_area) ** (1.0 / q))
-
-
-def sobolev_seminorm(f: SpectralVectorField, s: float) -> float:
-    """Homogeneous Sobolev seminorm (sum_k |k|^{2s} |f_hat|^2)^(1/2) * L."""
-    g = f.grid
-    power = g.parseval_weight * np.abs(f.coeffs) ** 2
-    if s == 0:
-        total = np.sum(power)
-    else:
-        mean = np.max(np.abs(f.mean_coefficient()))
-        if s < 0 and mean != 0.0:
-            raise DomainError("negative-order seminorm requires a mean-zero field")
-        total = np.sum(g.abs_k_power(2.0 * s) * power)
-    return float(g.box_length * np.sqrt(total))
 
 
 def _power(c: np.ndarray, grid: GridSpec) -> np.ndarray:

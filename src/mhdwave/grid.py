@@ -8,17 +8,17 @@ FFT order, column ``j = 0 .. n/2`` the y wavenumber.  The other half of
 the plane is the Hermitian mirror ``f_hat(-k) = conj(f_hat(k))`` and is
 never stored; every table of ``GridSpec`` has the half shape.
 
-Normalization: the forward transform divides by ``n**2`` and the inverse
-multiplies, so a coefficient is the amplitude of ``exp(i k.x)`` and
-Parseval reads ``||f||_L2^2 = L^2 * sum_k w_k |f_hat(k)|^2`` over the
+Normalization: a forward transform divides by ``n**2`` and
+``transform_inverse`` multiplies, so a coefficient is the amplitude of
+``exp(i k.x)`` and Parseval reads ``||f||_L2^2 = L^2 * sum_k w_k |f_hat(k)|^2`` over the
 stored modes.  The weight ``GridSpec.parseval_weight`` is 1 on the
 self-conjugate columns 0 and n/2 and 2 on the others, which stand for
 their mirrors too.
 
-Nyquist modes (index ``n/2``) carry an ambiguous sign of k and are zeroed
-by every multiplier application to keep derivative operators
-skew-symmetric; the bare transforms leave them untouched so round trips
-are exact.
+Nyquist modes (index ``n/2``) carry an ambiguous sign of k, so the
+multiplier tables ``abs_k_power``, ``inv_k2`` and ``grad_perp`` are zero
+there, which keeps derivative operators skew-symmetric; the inverse
+transform leaves them untouched.
 """
 
 from __future__ import annotations
@@ -29,21 +29,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 __all__ = [
     "GridSpec",
     "RealField",
     "SpectralVectorField",
-    "transform_forward",
     "transform_inverse",
-    "fractional_laplacian_apply",
-    "leray_project",
-    "dealias",
-    "divergence",
-    "spectral_l2",
-    "spectral_inner",
-    "hermitian_error",
 ]
 
 
@@ -169,16 +161,9 @@ class GridSpec:
         perp.flags.writeable = False
         return perp
 
-    @cached_property
-    def x1d(self) -> np.ndarray:
-        return self.box_length / self.n * np.arange(self.n)
-
     @property
     def cell_area(self) -> float:
         return (self.box_length / self.n) ** 2
-
-    def meshgrid(self):
-        return np.meshgrid(self.x1d, self.x1d, indexing="ij")
 
 
 @dataclass
@@ -217,7 +202,7 @@ class SpectralVectorField:
 
     The coefficients of a real field: the unstored half of the plane is the
     Hermitian mirror of the stored one.  Only the self-conjugate columns 0
-    and n/2 hold both k and -k; ``hermitian_error`` measures violations there.
+    and n/2 hold both k and -k.
     """
 
     coeffs: np.ndarray
@@ -238,88 +223,9 @@ class SpectralVectorField:
     def ncomp(self) -> int:
         return self.coeffs.shape[0]
 
-    def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.coeffs.copy(), self.grid)
-
-    def mean_coefficient(self) -> np.ndarray:
-        return self.coeffs[:, 0, 0]
-
-
-def transform_forward(f: RealField) -> SpectralVectorField:
-    """Physical values -> half-spectrum Fourier coefficients (divides by n^2)."""
-    g = f.grid
-    coeffs = np.fft.rfft2(f.values, axes=(-2, -1)) / g.n**2
-    return SpectralVectorField(coeffs, g)
-
 
 def transform_inverse(f: SpectralVectorField) -> RealField:
     """Half-spectrum Fourier coefficients -> physical values (multiplies by n^2)."""
     g = f.grid
     vals = np.fft.irfft2(f.coeffs, s=(g.n, g.n), axes=(-2, -1)) * g.n**2
     return RealField(vals, g)
-
-
-def fractional_laplacian_apply(f: SpectralVectorField, s: float) -> SpectralVectorField:
-    """Multiply each coefficient by |k|^s.
-
-    ``s = 0`` is the identity.  For ``s > 0`` the k=0 coefficient is set to
-    zero; for ``s < 0`` the input must be mean-free (the operator is
-    undefined on constants).
-    """
-    if s == 0:
-        return f.copy()
-    g = f.grid
-    mean = np.max(np.abs(f.mean_coefficient()))
-    if s < 0 and mean != 0.0:
-        raise DomainError(f"negative-order multiplier on a field with nonzero mean ({mean:.3e})")
-    # the table is zero on the Nyquist modes already
-    return SpectralVectorField(f.coeffs * g.abs_k_power(s), g)
-
-
-def leray_project(f: SpectralVectorField) -> SpectralVectorField:
-    """Project onto divergence-free fields: f_hat -> f_hat - k (k.f_hat)/|k|^2."""
-    if f.ncomp != 2:
-        raise ConfigurationError("Leray projection requires a 2-component field")
-    g = f.grid
-    frac = (g.kx * f.coeffs[0] + g.ky * f.coeffs[1]) * g.inv_k2
-    out = np.where(g.nyquist_free, f.coeffs, 0.0)
-    out[0] -= g.kx * frac
-    out[1] -= g.ky * frac
-    # k=0 mode passes through unchanged
-    out[:, 0, 0] = f.coeffs[:, 0, 0]
-    return SpectralVectorField(out, g)
-
-
-def dealias(f: SpectralVectorField) -> SpectralVectorField:
-    """Zero every mode with max(|kx|,|ky|) at or beyond the 2/3 cutoff."""
-    g = f.grid
-    return SpectralVectorField(f.coeffs * g.dealias_mask, g)
-
-
-def divergence(f: SpectralVectorField) -> np.ndarray:
-    """Spectral divergence i k . f_hat as a raw (n, n//2 + 1) array."""
-    if f.ncomp != 2:
-        raise ConfigurationError("divergence requires a 2-component field")
-    g = f.grid
-    return 1j * (g.kx * f.coeffs[0] + g.ky * f.coeffs[1]) * g.nyquist_free
-
-
-def spectral_l2(f: SpectralVectorField) -> float:
-    """L2 norm via Parseval: L * sqrt(sum w |f_hat|^2) over the half spectrum."""
-    g = f.grid
-    return float(g.box_length * np.sqrt(np.sum(g.parseval_weight * np.abs(f.coeffs) ** 2)))
-
-
-def spectral_inner(f: SpectralVectorField, h: SpectralVectorField) -> float:
-    """Real L2 inner product of the underlying real fields."""
-    g = f.grid
-    return float(g.box_length**2
-                 * np.sum(g.parseval_weight * np.real(f.coeffs * np.conj(h.coeffs))))
-
-
-def hermitian_error(f: SpectralVectorField) -> float:
-    """Max |f_hat(-k) - conj(f_hat(k))| on the self-conjugate columns 0 and n/2;
-    the layout implies the mirror of every other stored mode."""
-    cols = f.coeffs[:, :, [0, f.grid.n // 2]]
-    mirrored = np.conj(np.roll(cols[:, ::-1], 1, axis=1))
-    return float(np.max(np.abs(cols - mirrored)))

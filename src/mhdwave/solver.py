@@ -85,7 +85,6 @@ __all__ = [
     "State",
     "SolverConfig",
     "Trajectory",
-    "compute_nonlinear",
     "step_exp",
     "run",
 ]
@@ -327,21 +326,6 @@ def _nonlinear_terms(state: State, work: _Workspace | None = None):
     f_psi += np.multiply(c_12, t12_hat, out=t12_hat)
     np.multiply(c_e, f_a, out=f_a)
     return f_psi, f_a, vmax
-
-
-def compute_nonlinear(state: State):
-    """N_u = P(b.grad b - u.grad u), N_b = b.grad u - u.grad b, dealiased:
-    grad^perp of the scalar forcings.
-
-    Only the retained modes of the state enter (the input 2/3 rule), so a
-    finite state and its dealiased copy give equal forcings.  Both outputs are
-    mean-free and divergence-free.  Raises ``BlowUpError`` if the retained
-    modes are not finite.
-    """
-    f_psi, f_a, _ = _nonlinear_terms(state)
-    g = state.grid
-    return (SpectralVectorField(g.grad_perp * f_psi, g),
-            SpectralVectorField(g.grad_perp * f_a, g))
 
 
 class _StepperCache:

@@ -168,6 +168,7 @@ class TestCli:
         pytest.param(None, id="missing"),
         pytest.param("t,u_L2\n" + "".join(f"{t}.0,{'nan' if t == 9 else 1 / t}\n"
                                           for t in range(1, 31)), id="non_finite"),
+        pytest.param("t\n" + "".join(f"{t}.0\n" for t in range(1, 31)), id="no_norm_column"),
     ])
     def test_fit_decay_bad_series_exit_code(self, tmp_path, capsys, text):
         series = tmp_path / "series.csv"
@@ -176,6 +177,7 @@ class TestCli:
         rc = main(["fit-decay", "--output", str(tmp_path / "fit"), str(series)])
         assert rc == 4
         assert '"error": "data"' in capsys.readouterr().err
+        assert not (tmp_path / "fit" / "fit_summary.csv").exists()
 
     def test_dt_beyond_t_end_exit_code(self, tmp_path, capsys):
         doc = dict(SMALL_RUN, time={"dt": 1e10, "t_end": 1})
@@ -557,6 +559,18 @@ class TestCli:
         assert "configuration error: diagnostics:" in capsys.readouterr().err
         assert built == [] and steps == []
         assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_simulate_without_norms_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # a series of t alone has nothing to fit: refused before any step or directory
+        doc = dict(SMALL_RUN, diagnostics={"q_list": [], "s_list_u": [], "s_list_b": []})
+        cfgp = write_config(tmp_path, doc)
+        steps = count_steps(monkeypatch)
+        rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x"),
+                   "--checkpoint-every", "5"])
+        assert rc == 2
+        assert "configuration error: diagnostics:" in capsys.readouterr().err
+        assert steps == []
+        assert not (tmp_path / "x").exists()
 
     def test_fit_error_names_the_norm(self, tmp_path, capsys):
         series = tmp_path / "series.csv"

@@ -14,7 +14,6 @@ from mhdwave.decay import (
     default_fit_window,
     fit_power_law,
     gamma_prefactor_scan,
-    linear_singular_limit_error,
     predicted_exponent,
     run_decay_experiment,
     singular_limit_experiment,
@@ -30,7 +29,7 @@ from mhdwave.grid import GridSpec
 from mhdwave.initial import make_initial_data
 from mhdwave.solver import SolverConfig, run
 
-from conftest import expand_half_spectrum
+from conftest import expand_half_spectrum, linear_singular_limit_error
 
 
 class TestPredictedExponent:

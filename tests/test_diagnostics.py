@@ -8,33 +8,38 @@ from mhdwave.diagnostics import (
     linear_energy_residual,
     lq_norm,
     norm_observer,
-    sobolev_seminorm,
 )
 from mhdwave.errors import DomainError, UsageError
 from mhdwave.grid import (
     GridSpec,
     RealField,
     SpectralVectorField,
-    fractional_laplacian_apply,
-    spectral_l2,
     transform_inverse,
 )
 from mhdwave.initial import make_initial_data
 from mhdwave.solver import SolverConfig, State, run
 
-from conftest import random_divfree, random_state, single_mode_field, zero_field
+from conftest import (
+    fractional_laplacian_apply,
+    meshgrid,
+    random_divfree,
+    random_state,
+    single_mode_field,
+    sobolev_seminorm,
+    zero_field,
+)
 
 
 class TestLqNorm:
     def test_sin_l2(self):
         g = GridSpec(32, 2 * np.pi)
-        X, _ = g.meshgrid()
+        X, _ = meshgrid(g)
         f = RealField(np.sin(X)[None], g)
         assert lq_norm(f, 2) == pytest.approx(np.pi * np.sqrt(2.0), rel=1e-12)
 
     def test_sin_l4(self):
         g = GridSpec(32, 2 * np.pi)
-        X, _ = g.meshgrid()
+        X, _ = meshgrid(g)
         f = RealField(np.sin(X)[None], g)
         assert lq_norm(f, 4) == pytest.approx((1.5 * np.pi**2) ** 0.25, rel=1e-12)
 
@@ -71,7 +76,7 @@ class TestLqNorm:
         vals = {}
         for n in (32, 64):
             g = GridSpec(n, 2 * np.pi)
-            X, Y = g.meshgrid()
+            X, Y = meshgrid(g)
             f = RealField((np.sin(X) * np.cos(2 * Y) + 0.3 * np.cos(3 * X))[None], g)
             vals[n] = lq_norm(f, 4)
         assert vals[64] == pytest.approx(vals[32], rel=1e-12)

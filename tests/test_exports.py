@@ -1,6 +1,6 @@
-"""Every name the package and its modules export resolves, and so does every
-module attribute the benchmark's hooks wrap; a fresh import loads scipy
-itself but not its transforms."""
+"""Every name the package and its modules export resolves and has a caller
+outside the tests, and every module attribute the benchmark's hooks wrap
+resolves; a fresh import loads scipy itself but not its transforms."""
 
 import ast
 import importlib
@@ -23,12 +23,37 @@ from mhdwave.solver import SolverConfig, run
 from conftest import count_steps
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mhdwave.__path__))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _program_names():
+    """Every name loaded and every attribute read in the package's modules
+    (not ``__init__``) and in the benchmark's modules (not its tests)."""
+    paths = [p for p in (ROOT / "src" / "mhdwave").glob("*.py") if p.name != "__init__.py"]
+    paths += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_resolves(name):
     module = importlib.import_module(f"mhdwave.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_every_export_has_a_program_caller():
+    # an oracle only the tests call lives in tests/conftest.py, not in the package
+    called = _program_names()
+    uncalled = [f"{name}.{export}" for name in MODULES
+                for export in getattr(importlib.import_module(f"mhdwave.{name}"), "__all__", ())
+                if export not in called]
+    assert uncalled == []
 
 
 def test_package_reexports_public_names():
@@ -46,7 +71,7 @@ def test_package_reexports_public_names():
 def test_benchmark_hooks_find_their_targets(monkeypatch):
     # perfbench wraps these module attributes by name; a missing one leaves
     # its metrics null.  The hooks go on copies, so the modules stay unpatched.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
     modules = {name: importlib.import_module(f"mhdwave.{name}")
                for name in ("checkpoint", "decay", "diagnostics", "grid", "initial", "solver")}
@@ -92,7 +117,7 @@ def test_fresh_process_loads_scipy_but_not_its_transforms():
     # the benchmark's environment record reads sys.modules["scipy"] and its
     # transform counter wraps solver._fft; scipy.fft and scipy.special are
     # the import time the numpy transforms save
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     out = subprocess.run([sys.executable, "-c", _FRESH_STEP], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     seen = json.loads(out.stdout.splitlines()[-1])

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from mhdwave.errors import ConfigurationError
-from mhdwave.grid import GridSpec, divergence, spectral_l2, transform_inverse
+from mhdwave.grid import GridSpec, transform_inverse
 from mhdwave.initial import make_initial_data
 from mhdwave.solver import State
+
+from conftest import divergence, meshgrid, spectral_l2
 
 
 def fields(st):
@@ -24,7 +26,7 @@ class TestTaylorGreen:
         g = GridSpec(32, 2 * np.pi)
         amp = 1.7
         u0, b0, a0 = fields(make_initial_data("taylor_green", {"amplitude": amp}, g))
-        X, Y = g.meshgrid()
+        X, Y = meshgrid(g)
         u = transform_inverse(u0).values
         assert np.max(np.abs(u[0] - amp * np.sin(X) * np.cos(Y))) < 1e-13
         assert np.max(np.abs(u[1] + amp * np.cos(X) * np.sin(Y))) < 1e-13
