@@ -4,7 +4,8 @@ Subcommands: simulate, sweep, fit-decay, verify-kernels, verify-lemmas,
 compare-mhd.  Each takes the same three flags: ``--config`` (the JSON run
 description), ``--seed`` (overrides ``initial_data.seed``) and
 ``--output`` (the directory written to, ``out`` by default).  ``sweep``
-runs its gamma members concurrently, one thread each up to the CPU count;
+and ``compare-mhd`` run their members (the gammas, and compare-mhd's
+gamma = 0 baseline) concurrently, one thread each up to the CPU count;
 the output does not depend on how many run at once.
 
 Each subcommand returns its tables, and one writer emits them: every

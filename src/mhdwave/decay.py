@@ -331,6 +331,18 @@ def _positive_gammas(gammas) -> list:
     return gammas
 
 
+def _each_member(fn, items) -> list:
+    """``[fn(x) for x in items]``, the calls run concurrently, one thread
+    each up to the CPU count (numpy's transforms and array operations
+    release the GIL).  The first error in item order is raised, and the
+    members not yet started then never start."""
+    pool = ThreadPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def gamma_prefactor_scan(gammas, base: DecayExperimentConfig) -> dict:
     """Per-gamma decay fits on a fixed experiment: ``{gamma: DecayResult}``
     in ascending gamma.
@@ -338,18 +350,16 @@ def gamma_prefactor_scan(gammas, base: DecayExperimentConfig) -> dict:
     The rate is gamma-independent in the theory (only the prefactor
     carries gamma), so fitted exponents are expected stable across the
     sweep; prefactor monotonicity is reported, never asserted against the
-    non-explicit constants.  Members run concurrently, one thread each up
-    to the CPU count (numpy's transforms and array operations release the
-    GIL); each run owns its arrays, so a member's series is bitwise that
-    of a solo run.
+    non-explicit constants.  Members run concurrently (``_each_member``);
+    each run owns its arrays, so a member's series is bitwise that of a
+    solo run.
     """
     gammas = sorted(_positive_gammas(gammas))
 
     def member(g):
         return run_decay_experiment(replace(base, gamma=g))
 
-    with ThreadPoolExecutor(max_workers=min(len(gammas), os.cpu_count() or 1)) as pool:
-        return dict(zip(gammas, pool.map(member, gammas)))
+    return dict(zip(gammas, _each_member(member, gammas)))
 
 
 def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
@@ -359,13 +369,17 @@ def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
     Returns (gammas_desc, errors) with gammas sorted descending; the
     expected first-order convergence shows up as successive ratios near
     1/2 when gammas are halved.  ``T`` must be a whole number of steps
-    ``base.dt``; errors about it name the path ``T``.
+    ``base.dt``; errors about it name the path ``T``.  The baseline and
+    the gamma members run concurrently (``_each_member``), each with its
+    own arrays, so every error is bitwise that of solo runs, and a failing
+    run raises the error the first failing run in the order (baseline,
+    gammas descending) would.
     """
     gammas = _positive_gammas(gammas)
     if not 0 < T < np.inf:
         raise ConfigurationError(f"must be positive and finite, got {T}", path="T")
     try:
-        _step_count(replace(base, t_end=T))
+        n_steps = _step_count(replace(base, t_end=T))
     except ConfigurationError:
         raise ConfigurationError(f"{T} is not a whole number of steps at dt={base.dt}",
                                  path="T") from None
@@ -374,18 +388,17 @@ def singular_limit_experiment(gammas, T: float, base: DecayExperimentConfig):
     initial = make_initial_data(base.family, base.params, grid)
 
     def final_state(gamma):
-        cfg = replace(base, gamma=gamma, t_end=T,
-                      snapshot_every=max(1, int(round(T / base.dt))))
-        traj = run(cfg, initial, observer=None, keep_states=True)
-        return traj.states[-1]
+        # the sink sees the state at T and no other, so no snapshot is copied
+        final = []
+        run(replace(base, gamma=gamma, t_end=T), initial, checkpoint_every=n_steps,
+            checkpoint_sink=final.append)
+        return final[0]
 
-    ref = final_state(0.0)
-    errors = []
-    for g in gammas:
-        st = final_state(g)
-        # ||grad^perp f|| of the psi and A differences, from their power spectra
-        errors.append(sum(_perp_seminorm(grid, _power(x - y, grid), 0.0)
-                          for x, y in ((st.psi_hat, ref.psi_hat), (st.a_hat, ref.a_hat))))
+    ref, *finals = _each_member(final_state, [0.0, *gammas])
+    # ||grad^perp f|| of the psi and A differences, from their power spectra
+    errors = [sum(_perp_seminorm(grid, _power(x - y, grid), 0.0)
+                  for x, y in ((st.psi_hat, ref.psi_hat), (st.a_hat, ref.a_hat)))
+              for st in finals]
     return gammas, errors
 
 

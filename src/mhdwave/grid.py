@@ -219,10 +219,6 @@ class SpectralVectorField:
             )
         self.coeffs = c
 
-    @property
-    def ncomp(self) -> int:
-        return self.coeffs.shape[0]
-
 
 def transform_inverse(f: SpectralVectorField) -> RealField:
     """Half-spectrum Fourier coefficients -> physical values (multiplies by n^2)."""

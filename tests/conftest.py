@@ -45,7 +45,7 @@ def fractional_laplacian_apply(f: SpectralVectorField, s: float) -> SpectralVect
 
 def leray_project(f: SpectralVectorField) -> SpectralVectorField:
     """Project onto divergence-free fields: f_hat -> f_hat - k (k.f_hat)/|k|^2."""
-    if f.ncomp != 2:
+    if f.coeffs.shape[0] != 2:
         raise ConfigurationError("Leray projection requires a 2-component field")
     g = f.grid
     frac = (g.kx * f.coeffs[0] + g.ky * f.coeffs[1]) * g.inv_k2
@@ -65,7 +65,7 @@ def dealias(f: SpectralVectorField) -> SpectralVectorField:
 
 def divergence(f: SpectralVectorField) -> np.ndarray:
     """Spectral divergence i k . f_hat as a raw (n, n//2 + 1) array."""
-    if f.ncomp != 2:
+    if f.coeffs.shape[0] != 2:
         raise ConfigurationError("divergence requires a 2-component field")
     g = f.grid
     return 1j * (g.kx * f.coeffs[0] + g.ky * f.coeffs[1]) * g.nyquist_free

@@ -2,13 +2,14 @@ import math
 import os
 import sys
 import threading
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mhdwave import decay
+from mhdwave import decay, solver
 from mhdwave.decay import (
     DecayExperimentConfig,
     default_fit_window,
@@ -23,6 +24,7 @@ from mhdwave.errors import (
     ConfigurationError,
     DataError,
     DomainError,
+    StepSizeError,
     WindowError,
 )
 from mhdwave.grid import GridSpec
@@ -221,6 +223,72 @@ class TestSingularLimit:
         assert gs == [0.1, 0.05, 0.025]
         assert errs[1] < errs[0] and errs[2] < errs[1]
         assert errs[1] / errs[0] <= 0.7 and errs[2] / errs[1] <= 0.7
+
+    def test_concurrent_members_match_solo_runs(self, monkeypatch):
+        # the baseline and the gammas run at once on a 4-CPU count, switching
+        # often: every error is bitwise that of solo runs of the baseline and
+        # its gamma
+        cfg = _fast_experiment(grid=GridSpec(32, 4 * np.pi), dt=0.02,
+                               params={"amplitude": 0.05, "k_max": 2.0, "seed": 4})
+        gammas, T = [0.1, 0.05, 0.025], 1.0
+        initial = make_initial_data(cfg.family, cfg.params, cfg.grid)
+
+        def solo(gamma):
+            member = replace(cfg, gamma=gamma, t_end=T, snapshot_every=50)
+            return run(member, initial, keep_states=True).states[-1]
+
+        ref = solo(0.0)
+        expect = []
+        for g in gammas:
+            st = solo(g)
+            expect.append(sum(decay._perp_seminorm(cfg.grid, decay._power(x - y, cfg.grid), 0.0)
+                              for x, y in ((st.psi_hat, ref.psi_hat), (st.a_hat, ref.a_hat))))
+        threads = set()
+        run_member = decay.run
+
+        def traced(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return run_member(*args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(decay, "run", traced)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            gs, errs = singular_limit_experiment(gammas, T, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert gs == gammas
+        assert len(threads) > 1
+        assert [repr(e) for e in errs] == [repr(e) for e in expect]
+
+    def test_failing_member_stops_members_not_started(self, monkeypatch):
+        # dt is past the CFL limit, so the baseline fails at its first step;
+        # two threads, and the gamma members are slow to build their tables:
+        # the error is the baseline's, and the last member never starts
+        cfg = _fast_experiment(grid=GridSpec(32, 4 * np.pi), dt=0.5,
+                               params={"amplitude": 0.05, "k_max": 2.0, "seed": 4})
+        gammas, T = [0.1, 0.05, 0.025], 1.0
+        initial = make_initial_data(cfg.family, cfg.params, cfg.grid)
+        with pytest.raises(StepSizeError) as solo:
+            run(replace(cfg, gamma=0.0, t_end=T, snapshot_every=2), initial)
+        builds = []
+        build = solver._StepperCache
+
+        def counted(config):
+            builds.append(config.gamma)
+            if config.gamma > 0:
+                time.sleep(0.3)
+            return build(config)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(solver, "_StepperCache", counted)
+        with pytest.raises(StepSizeError) as got:
+            singular_limit_experiment(gammas, T, cfg)
+        assert str(got.value) == str(solo.value)
+        assert got.value.t == solo.value.t == 0.0
+        assert 0.0 in builds
+        assert len(builds) < 4
 
 
 @pytest.fixture(scope="module")

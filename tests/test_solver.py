@@ -165,6 +165,22 @@ class TestNonlinear:
             for got, ref in zip(reused, fresh):
                 assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("n", [16, 24, 48])
+    def test_second_call_on_a_workspace_matches_fresh(self, n):
+        # the forward transform writes the first call's forcings into the
+        # workspace, past the 2/3 cutoff too, and the caller may overwrite
+        # them; the second call zeroes those columns before its inverse
+        g = GridSpec(n, 2 * np.pi)
+        work = solver._Workspace(g)
+        for f in solver._nonlinear_terms(random_state(g, 1, 2.0), work)[:2]:
+            f[...] = np.nan
+        st = random_state(g, 2, 0.5)
+        *reused, vmax_reused = solver._nonlinear_terms(st, work)
+        *fresh, vmax_fresh = solver._nonlinear_terms(st, solver._Workspace(g))
+        assert repr(vmax_reused) == repr(vmax_fresh)
+        for got, ref in zip(reused, fresh):
+            assert got.tobytes() == ref.tobytes()
+
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(n=hst.sampled_from([8, 12, 16, 24, 48, 96]), seed=hst.integers(0, 2**32 - 1),
            batch=hst.integers(1, 4))
@@ -193,7 +209,9 @@ class TestNonlinear:
         assert not any(table[:, keep:].any() for table in solver._forcing_tables(g))
         prod = np.random.default_rng(seed).standard_normal((batch, n, n))
         ref = scipy.fft.rfft2(prod, axes=(-2, -1))
-        got = solver._forward_retained(prod.copy(), keep)
+        out = np.empty(ref.shape, dtype=np.complex128)
+        got = solver._forward_retained(prod.copy(), keep, out)
+        assert got is out
         assert got.shape == ref.shape
         assert got[..., :keep].tobytes() == ref[..., :keep].tobytes()
 
@@ -208,7 +226,7 @@ class TestNonlinear:
         *got, vmax = solver._nonlinear_terms(st)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_forward_retained",
-                       lambda prod, keep: scipy.fft.rfft2(prod, axes=(-2, -1)))
+                       lambda prod, keep, out: scipy.fft.rfft2(prod, axes=(-2, -1)))
             *ref, vmax_ref = solver._nonlinear_terms(st)
         assert vmax == vmax_ref
         for a, b in zip(got, ref):
