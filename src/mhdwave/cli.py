@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.metadata
 import json
 import sys
 import time
@@ -98,10 +99,10 @@ def _emit(args) -> int:
     """Run ``args.func(cfg, args)`` and write what it returns into ``args.output``.
 
     The manifest head (config hash, echo of the ``args.echo`` arguments,
-    timestamp) is taken, and ``args.output`` checked, before the run.  Each
-    returned table is written as ``<kind>.csv`` in the returned order; the
-    ``checkpoint`` entry lists the files ``simulate`` already wrote, in the
-    order it wrote them.
+    timestamp, numpy and scipy versions) is taken, and ``args.output``
+    checked, before the run.  Each returned table is written as
+    ``<kind>.csv`` in the returned order; the ``checkpoint`` entry lists
+    the files ``simulate`` already wrote, in the order it wrote them.
     """
     cfg = parse_config_file(args.config) if args.config else parse_config("{}")
     if args.seed is not None:
@@ -110,6 +111,8 @@ def _emit(args) -> int:
         "kind": "run",
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        # read from the installed metadata, so that no scipy module is imported
+        "versions": {"numpy": np.__version__, "scipy": importlib.metadata.version("scipy")},
         "args": {"command": args.command, **{k: getattr(args, k) for k in args.echo}},
         "config_hash": config_hash(cfg),
         "config": json.loads(serialize_config(cfg)),

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,6 +433,15 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
     steps ``_observed`` picks; rows are collected into the returned
     ``Trajectory``.  Deterministic: identical config and initial data give
     bitwise-identical snapshots.  Step errors carry the failure time.
+
+    ``checkpoint_sink(state)`` is called on every multiple of
+    ``checkpoint_every`` steps, on a writer thread that the run owns, while
+    the stepping and the observer go on.  The calls run in step order, one
+    at a time: each waits for the one before, and ``run`` returns only
+    after the last.  The state handed over is never written again, since
+    every step builds new arrays.  Errors are raised in step order: an
+    error of the sink call for step i comes before an error of step i + 1
+    or of its observer, and after a failed sink call no other is made.
     """
     if not isinstance(initial, State):
         initial = State.from_vectors(*initial)
@@ -451,14 +461,29 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
     traj.append(t0, observer(state) if observer else {})
     if keep_states:
         traj.states.append(state.copy())
-    for i in range(1, n_steps + 1):
-        state = stepper(state, config, cache)
-        # exact multiples of dt suppress timestamp round-off drift
-        state.t = t0 + i * config.dt
-        if _observed(i, n_steps, config.snapshot_every):
-            traj.append(state.t, observer(state) if observer else {})
-            if keep_states:
-                traj.states.append(state.copy())
-        if checkpoint_every and checkpoint_sink and i % checkpoint_every == 0:
-            checkpoint_sink(state)
+    # the executor starts its thread at the first sink call only
+    writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mhdwave-checkpoint")
+    pending = None  # the sink call in flight
+    try:
+        for i in range(1, n_steps + 1):
+            state = stepper(state, config, cache)
+            # exact multiples of dt suppress timestamp round-off drift
+            state.t = t0 + i * config.dt
+            if _observed(i, n_steps, config.snapshot_every):
+                traj.append(state.t, observer(state) if observer else {})
+                if keep_states:
+                    traj.states.append(state.copy())
+            if checkpoint_every and checkpoint_sink and i % checkpoint_every == 0:
+                if pending is not None:
+                    pending.result()
+                pending = writer.submit(checkpoint_sink, state)
+    except Exception:
+        # the call in flight is an earlier step's, so its error comes first
+        if pending is not None:
+            pending.result()
+        raise
+    finally:
+        writer.shutdown()
+    if pending is not None:
+        pending.result()
     return traj

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
 from mhdwave import cli, decay
 from mhdwave.checkpoint import save_checkpoint
@@ -439,6 +440,38 @@ class TestCli:
         assert rc == 4
         assert '"error": "data"' in capsys.readouterr().err
         assert not (out / "manifest.jsonl").exists()
+
+    def test_failed_checkpoint_write_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the second write fails on the writer thread: no write after it, no
+        # series and no manifest, and the first checkpoint stays
+        calls = []
+
+        def save(path, state, gamma):
+            calls.append(path.name)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            save_checkpoint(path, state, gamma)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save)
+        out = tmp_path / "x"
+        rc = main(["simulate", "--config", write_config(tmp_path, SMALL_RUN),
+                   "--output", str(out), "--checkpoint-every", "1"])
+        assert rc == 4
+        assert '"error": "data"' in capsys.readouterr().err
+        assert len(calls) == 2
+        assert [p.name for p in out.iterdir()] == ["checkpoint_t00000.020000.mhdw"]
+
+    @pytest.mark.parametrize("argv,doc", [(["simulate"], SMALL_RUN),
+                                          (["sweep", "--gammas", "1.0"], SWEEP_RUN)],
+                             ids=["simulate", "sweep"])
+    def test_manifest_records_versions(self, tmp_path, argv, doc):
+        # the versions describe the run's environment, not the run: the hash
+        # is that of the config alone
+        out = tmp_path / "out"
+        assert main(argv + ["--config", write_config(tmp_path, doc), "--output", str(out)]) == 0
+        head = json.loads((out / "manifest.jsonl").read_text().splitlines()[0])
+        assert head["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
+        assert head["config_hash"] == config_hash(parse_config(json.dumps(doc)))
 
     def test_sweep_and_compare_mhd_cfl_violation_exit_code(self, tmp_path):
         doc = dict(SWEEP_RUN, initial_data=dict(SWEEP_RUN["initial_data"], amplitude=50.0))

@@ -157,6 +157,49 @@ class TestKernelPairProperties:
         assert float(K1) == 0.0
 
 
+def _scaled_sample(branch, x, y):
+    """(kappa, tau) = (gamma k2, t / gamma) on the named branch of the
+    kernels; ``x`` and ``y`` in [0, 1] place kappa and tau inside it."""
+    log_tau = -4.0 + y * 6.5  # tau in [1e-4, 316]: past the st <= 30 cut at small D
+    if branch == "hyperbolic":
+        kappa = 10.0 ** (-6.0 + x * (6.0 + math.log10(0.2499)))
+    elif branch == "oscillatory":
+        kappa = 10.0 ** (math.log10(0.2501) + x * (4.0 - math.log10(0.2501)))
+    elif branch == "double_root":
+        kappa = (1.0 - (2.0 * x - 1.0) * 0.999 * DEGENERATE_D) / 4.0
+    elif branch == "short_step":
+        # lam_scale dt = max(1, sqrt(kappa)) tau below the series cut 0.05
+        kappa = 10.0 ** (-6.0 + 10.0 * x)
+        log_tau = -4.0 + y * (math.log10(0.05) + 4.0) - math.log10(max(1.0, math.sqrt(kappa)))
+    else:
+        kappa = 0.0
+    return kappa, 10.0**log_tau
+
+
+@pytest.mark.parametrize("branch", ["hyperbolic", "oscillatory", "double_root", "short_step",
+                                    "k2_zero"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(log_gamma=hst.floats(-3.0, 3.0), x=hst.floats(0.0, 1.0), y=hst.floats(0.0, 1.0))
+def test_gamma_scaling_identity(branch, log_gamma, x, y):
+    # b(t) = B(t / gamma) with B'' + B' + gamma k2 B = 0, so
+    # K(t; gamma, k2) = K(t / gamma; 1, gamma k2) and W(dt; gamma, k2) =
+    # gamma W(dt / gamma; 1, gamma k2); every branch test is a function of
+    # (t / gamma, gamma k2) too
+    gamma = 10.0**log_gamma
+    kappa, tau = _scaled_sample(branch, x, y)
+    k2, t = kappa / gamma, tau * gamma
+    K0, K1 = (float(k) for k in kernel_pair(gamma, k2, t))
+    K0s, K1s = (float(k) for k in kernel_pair(1.0, gamma * k2, t / gamma))
+    W = duhamel_k1_weight(gamma, k2, t)
+    Ws = gamma * duhamel_k1_weight(1.0, gamma * k2, t / gamma)
+    # relative to the non-oscillating envelope, as the oscillatory kernels
+    # cross zero; W > 0 for t > 0
+    env = math.exp(-tau / 2.0)
+    assert abs(K0 - K0s) <= 2.5e-12 * max(abs(K0s), env)
+    assert abs(K1 - K1s) <= 2.2e-11 * max(abs(K1s), env * tau)
+    assert abs(W - Ws) <= 3.8e-12 * abs(Ws)
+
+
 class TestModePropagator:
     """The 2x2 per-mode matrix of ``propagator_tables``, as the solver steps with it."""
 
@@ -264,6 +307,14 @@ class TestKernelBounds:
     def test_theta_one_finite(self):
         rep = verify_kernel_bounds(0.5)
         assert np.isfinite(rep.c_emp("fren-2", theta=1.0))
+
+    def test_constants_do_not_depend_on_gamma(self):
+        # both samples scale with gamma as the kernels' arguments do
+        ref = verify_kernel_bounds(1.0).rows
+        for gamma in (0.01, 100.0):
+            for row, base in zip(verify_kernel_bounds(gamma).rows, ref):
+                assert row.gamma == gamma
+                assert row.c_emp == pytest.approx(base.c_emp, rel=1e-12, abs=0.0)
 
 def test_propagator_tables_consistency():
     # the vectorized tables against the scalar kernel symbols and weight

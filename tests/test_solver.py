@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -569,3 +571,152 @@ class TestState:
                      (by_fields.states[-1].a_hat, by_state.states[-1].a_hat),
                      (by_fields.states[-1].at_hat, by_state.states[-1].at_hat)):
             assert np.array_equal(a, b)
+
+
+class SinkError(Exception):
+    pass
+
+
+class Interrupt(BaseException):
+    pass
+
+
+class TestCheckpointSink:
+    """``run`` hands each checkpoint to its writer thread and steps on."""
+
+    @staticmethod
+    def config(grid, t_end=0.2):
+        return SolverConfig(gamma=0.5, dt=0.01, t_end=t_end, grid=grid)
+
+    @staticmethod
+    def data(grid):
+        return make_initial_data("random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 8},
+                                 grid)
+
+    def test_every_multiple_in_order(self, grid16):
+        seen = []
+        run(self.config(grid16), self.data(grid16), checkpoint_every=3,
+            checkpoint_sink=lambda st: seen.append(st.t))
+        assert seen == [i * 0.01 for i in range(3, 21, 3)]
+
+    def test_calls_never_overlap(self, grid16):
+        # the observer stays on the caller's thread; the sink runs on another
+        active, peak, threads = [0], [0], set()
+        observer_threads = set()
+
+        def sink(st):
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+            threads.add(threading.get_ident())
+            time.sleep(0.002)
+            active[0] -= 1
+
+        def observer(st):
+            observer_threads.add(threading.get_ident())
+            return {}
+
+        run(self.config(grid16), self.data(grid16), observer, checkpoint_every=1,
+            checkpoint_sink=sink)
+        assert peak[0] == 1
+        assert observer_threads == {threading.get_ident()}
+        assert threading.get_ident() not in threads
+
+    def test_handed_state_is_never_changed(self, grid16):
+        # the run steps on while the sink sleeps: the state's bytes after the
+        # sleep are those of the snapshot taken when it was handed over
+        late = []
+
+        def sink(st):
+            time.sleep(0.003)
+            late.append((st.t, st.psi_hat.tobytes() + st.a_hat.tobytes()
+                         + st.at_hat.tobytes()))
+
+        traj = run(self.config(grid16), self.data(grid16), keep_states=True,
+                   checkpoint_every=2, checkpoint_sink=sink)
+        kept = {st.t: st.psi_hat.tobytes() + st.a_hat.tobytes() + st.at_hat.tobytes()
+                for st in traj.states}
+        assert len(late) == 10
+        for t, raw in late:
+            assert raw == kept[t]
+
+    def test_last_call_done_when_run_returns(self, grid16):
+        done = []
+
+        def sink(st):
+            time.sleep(0.05)
+            done.append(st.t)
+
+        run(self.config(grid16), self.data(grid16), checkpoint_every=10, checkpoint_sink=sink)
+        assert done == [0.1, 0.2]
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_failing_call_is_raised_and_is_the_last(self, grid16, k):
+        calls = []
+
+        def sink(st):
+            calls.append(st.t)
+            if len(calls) == k:
+                raise SinkError(k)
+
+        with pytest.raises(SinkError):
+            run(self.config(grid16), self.data(grid16), checkpoint_every=1,
+                checkpoint_sink=sink)
+        # a call after the failed one would have landed by now
+        time.sleep(0.01)
+        assert len(calls) == k
+
+    def test_sink_error_before_later_step_error(self, grid16, monkeypatch):
+        # step 2 fails while the sink call of step 1 is still in flight
+        step = solver._STEPPERS["exp_integrator"]
+        steps = []
+
+        def failing_step(state, config, cache):
+            steps.append(state.t)
+            if len(steps) == 2:
+                raise StepSizeError("step 2", t=state.t)
+            return step(state, config, cache)
+
+        def sink(st):
+            time.sleep(0.05)
+            raise SinkError(st.t)
+
+        monkeypatch.setitem(solver._STEPPERS, "exp_integrator", failing_step)
+        with pytest.raises(SinkError):
+            run(self.config(grid16), self.data(grid16), checkpoint_every=1,
+                checkpoint_sink=sink)
+        assert len(steps) == 2
+
+    def test_sink_error_before_later_observer_error(self, grid16):
+        rows = []
+
+        def observer(st):
+            rows.append(st.t)
+            if len(rows) == 3:  # the row of step 2
+                raise ValueError("observer")
+            return {}
+
+        def sink(st):
+            time.sleep(0.05)
+            raise SinkError(st.t)
+
+        with pytest.raises(SinkError):
+            run(self.config(grid16), self.data(grid16), observer, checkpoint_every=1,
+                checkpoint_sink=sink)
+        assert len(rows) == 3
+
+    def test_interrupt_leaves_no_writer_thread(self, grid16, monkeypatch):
+        step = solver._STEPPERS["exp_integrator"]
+        steps = []
+
+        def interrupted(state, config, cache):
+            steps.append(state.t)
+            if len(steps) == 4:
+                raise Interrupt
+            return step(state, config, cache)
+
+        before = threading.active_count()
+        monkeypatch.setitem(solver._STEPPERS, "exp_integrator", interrupted)
+        with pytest.raises(Interrupt):
+            run(self.config(grid16), self.data(grid16), checkpoint_every=1,
+                checkpoint_sink=lambda st: time.sleep(0.01))
+        assert threading.active_count() == before
