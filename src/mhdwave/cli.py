@@ -5,8 +5,8 @@ compare-mhd.  Each takes the same three flags: ``--config`` (the JSON run
 description), ``--seed`` (overrides ``initial_data.seed``) and
 ``--output`` (the directory written to, ``out`` by default).  ``sweep``
 and ``compare-mhd`` run their members (the gammas, and compare-mhd's
-gamma = 0 baseline) concurrently, one thread each up to the CPU count;
-the output does not depend on how many run at once.
+gamma = 0 baseline) concurrently, one thread each up to the CPUs the
+process may use; the output does not depend on how many run at once.
 
 Each subcommand returns its tables, and one writer emits them: every
 table as ``<kind>.csv``, then a ``manifest.jsonl`` naming the config hash

@@ -331,12 +331,21 @@ def _positive_gammas(gammas) -> list:
     return gammas
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one (``os.cpu_count`` counts the machine's, also
+    under ``taskset``), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _each_member(fn, items) -> list:
     """``[fn(x) for x in items]``, the calls run concurrently, one thread
-    each up to the CPU count (numpy's transforms and array operations
+    each up to the usable CPUs (numpy's transforms and array operations
     release the GIL).  The first error in item order is raised, and the
     members not yet started then never start."""
-    pool = ThreadPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1))
+    pool = ThreadPoolExecutor(max_workers=min(len(items), _usable_cpus()))
     try:
         return list(pool.map(fn, items))
     finally:

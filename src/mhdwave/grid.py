@@ -39,16 +39,27 @@ __all__ = [
 ]
 
 
-# Bytes a nonlinear step holds per grid point.  A (n, n//2 + 1) complex
-# array is about 8 B a point, a real one 4 B and a real (n, n) array 8 B:
-# the state and the next state (6 complex: 48), the two linear-update
-# temporaries (16), the scratch spectrum of (u, b), its inverse and the
-# products (4 complex + 7 real full: 88), the forward transform's output
-# (3 complex: 24), the eight step tables and three forcing tables (44),
-# the masked grad^perp table of the inverse (2 complex on the retained
-# two thirds of the half-spectrum columns: 11) and the grid's kx, ky, k2, |k|, 1/k2 and
-# grad^perp (36).
-_BYTES_PER_POINT = 267
+# Bytes a nonlinear run with an observer and a checkpoint sink holds per
+# grid point at its peak.  A (n, n//2 + 1) complex array is about 8 B a
+# point (it has n more entries than n^2 / 2), a real one 4 B and a
+# boolean one 0.5 B.  For the whole run: the grid's kx, ky, k2, |k|,
+# 1/k2 and grad^perp (36) and its two masks (1), the eight step tables
+# and three forcing tables (44), the masked grad^perp table of the
+# inverse (2 complex on the retained two thirds of the half-spectrum
+# columns: 11), the scratch spectrum of (u, b), which also takes the
+# forward transform (4 complex: 32), and the norm observer's |k|^p
+# tables (three, as for the energy triple: 12).  Four states (12
+# complex: 96): the initial state ``run`` is given, the newest (the one
+# a step is making, or the one observed), the one before it, which the
+# step reads and the checkpoint writer may still be writing, and the one
+# a sink may keep until its next call.  On top, the larger of what a
+# step makes besides its state (one linear-update temporary: 8; the step
+# adds its second products in place) and what an observer call makes
+# (72: the power spectra, and u and b on the grid with the transforms'
+# temporaries for an L^q norm with q != 2).  The inverse and the
+# products of one row block are 7 real rows of n, under 1 MB at any
+# n <= 2**14, and are left out.
+_BYTES_PER_POINT = 304
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,7 @@ class GridSpec:
     ----------
     n : int
         Points per axis; must be even and at least 8 (powers of two give
-        the fastest transforms), and small enough that a nonlinear step
+        the fastest transforms), and small enough that a nonlinear run
         fits in physical memory.
     box_length : float
         Physical side length L of the box.
@@ -74,7 +85,7 @@ class GridSpec:
         need = _BYTES_PER_POINT * self.n**2
         if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
             raise ConfigurationError(
-                f"n={self.n} needs about {need / 2**30:.3g} GiB a step, more than the "
+                f"n={self.n} needs about {need / 2**30:.3g} GiB to run, more than the "
                 "physical memory", path="grid.n")
         if not 0 < self.box_length < np.inf:
             raise ConfigurationError(

@@ -159,7 +159,7 @@ class TestGammaScan:
             gamma_prefactor_scan([0.5, -1.0], _fast_experiment())
 
     def test_concurrent_members_match_solo_runs(self, monkeypatch):
-        # one thread per member on a 4-CPU count, switching often: every
+        # one thread per member with 4 usable CPUs, switching often: every
         # member's series is bitwise that of its gamma run alone
         base = _fast_experiment(grid=GridSpec(32, 8 * np.pi), t_end=10.0, window=(2.0, 9.0))
         gammas = [2.0, 0.25, 1.0, 0.5]
@@ -172,7 +172,7 @@ class TestGammaScan:
             members[cfg.gamma] = run_member(cfg)
             return members[cfg.gamma]
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(decay, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(decay, "run_decay_experiment", traced)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -188,6 +188,36 @@ class TestGammaScan:
                 got, ref = members[g].trajectory.series(nid), solo[g].trajectory.series(nid)
                 assert got.tobytes() == ref.tobytes()
                 assert sweep[g].comparison(nid).fit == solo[g].comparison(nid).fit
+
+
+class TestEachMember:
+    @staticmethod
+    def pool_sizes(monkeypatch):
+        sizes, pool = [], decay.ThreadPoolExecutor
+
+        def spy(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(decay, "ThreadPoolExecutor", spy)
+        return sizes
+
+    def test_pool_sized_by_the_affinity_set(self, monkeypatch):
+        # under taskset -c 0 on a 2-CPU machine: one usable CPU, one thread
+        sizes = self.pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert decay._each_member(lambda x: 2 * x, [1, 2, 3]) == [2, 4, 6]
+        assert sizes == [1]
+
+    def test_pool_falls_back_to_the_cpu_count(self, monkeypatch):
+        # where the platform reports no affinity set
+        sizes = self.pool_sizes(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, expect in ((3, 3), (None, 1), (8, 5)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert decay._each_member(lambda x: -x, range(5)) == [0, -1, -2, -3, -4]
+            assert sizes.pop() == expect
 
 
 class TestSingularLimit:
@@ -225,7 +255,7 @@ class TestSingularLimit:
         assert errs[1] / errs[0] <= 0.7 and errs[2] / errs[1] <= 0.7
 
     def test_concurrent_members_match_solo_runs(self, monkeypatch):
-        # the baseline and the gammas run at once on a 4-CPU count, switching
+        # the baseline and the gammas run at once with 4 usable CPUs, switching
         # often: every error is bitwise that of solo runs of the baseline and
         # its gamma
         cfg = _fast_experiment(grid=GridSpec(32, 4 * np.pi), dt=0.02,
@@ -250,7 +280,7 @@ class TestSingularLimit:
             threads.add(threading.get_ident())
             return run_member(*args, **kwargs)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(decay, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(decay, "run", traced)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -281,7 +311,7 @@ class TestSingularLimit:
                 time.sleep(0.3)
             return build(config)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(decay, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(solver, "_StepperCache", counted)
         with pytest.raises(StepSizeError) as got:
             singular_limit_experiment(gammas, T, cfg)

@@ -1,6 +1,9 @@
 import sys
 import threading
 import time
+import tracemalloc
+import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -9,7 +12,8 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as hst
 
-from mhdwave import solver
+from mhdwave import grid as grid_module, solver
+from mhdwave.diagnostics import norm_observer
 from mhdwave.errors import BlowUpError, ConfigurationError, StepSizeError
 from mhdwave.grid import (
     GridSpec,
@@ -122,14 +126,15 @@ class TestNonlinear:
             assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * np.max(np.abs(ref.coeffs))
 
     def test_one_step_makes_seven_transforms(self, grid16, monkeypatch):
-        # a 2D transform is one of numpy's axis-wise pairs, counted once per
-        # batch member: ifft along x then irfft along y on the way in, rfft
-        # along y then fft along x on the way out
-        calls = {"ifft": [], "irfft": [], "rfft": [], "fft": []}
+        # a 2D transform is one of numpy's axis-wise pairs: ifft along x then
+        # irfft along y on the way in, rfft along y then fft along x on the
+        # way out.  The x passes take whole columns, once per batch member;
+        # the y passes take blocks of rows, so they count rows / n
+        calls = {"ifft": 0, "irfft": 0, "rfft": 0, "fft": 0}
         other = []
 
         class Counting:
-            """numpy.fft, recording the batch of each call to a 1D transform."""
+            """numpy.fft, counting the 2D transforms each 1D call makes up."""
 
             def __getattr__(self, name):
                 fn = getattr(np.fft, name)
@@ -137,18 +142,122 @@ class TestNonlinear:
                     other.append(name)
                     return fn
 
-                def counted(x, *args, **kwargs):
-                    calls[name].append(int(np.prod(np.shape(x)[:-2])))
-                    return fn(x, *args, **kwargs)
+                def counted(x, *args, axis=-1, **kwargs):
+                    shape = np.shape(x)
+                    lines = int(np.prod(shape)) // shape[axis]
+                    # a y pass transforms rows of the (n, n/2+1) or (n, n) plane
+                    calls[name] += lines / (grid16.n if axis == -1 else shape[-1])
+                    return fn(x, *args, axis=axis, **kwargs)
 
                 return counted
 
         monkeypatch.setattr(solver, "_fft", Counting())
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.01, grid=grid16)
-        step_exp(random_state(grid16, 3), cfg)
-        assert other == []
-        assert calls["ifft"] == calls["irfft"] and calls["rfft"] == calls["fft"]
-        assert (sum(calls["irfft"]), sum(calls["rfft"])) == (4, 3)
+        for rows in (1, 3, 5, 16):
+            monkeypatch.setattr(solver, "_BLOCK_POINTS", rows * grid16.n)
+            assert solver._Workspace(grid16).rows == rows
+            calls.update(dict.fromkeys(calls, 0))
+            step_exp(random_state(grid16, 3), cfg)
+            assert other == []
+            assert calls == {"ifft": 4, "irfft": 4, "rfft": 3, "fft": 3}, rows
+
+    @pytest.mark.parametrize("n, rows", [(48, 20), (48, 1), (48, 47), (16, 5), (256, 64),
+                                         (512, 32)])
+    def test_row_blocks_match_one_block(self, n, rows, monkeypatch):
+        # forcings and vmax are byte-equal at every block height, also with a
+        # remainder block (48 = 2 x 20 + 8); 256 and 512 are the block
+        # heights the grids get, against one block of n rows
+        g = GridSpec(n, 2 * np.pi)
+        if n <= 128:
+            monkeypatch.setattr(solver, "_BLOCK_POINTS", rows * n)
+        assert solver._Workspace(g).rows == rows
+        for seed, scale in ((1, 2.0), (2, 1e-3), (3, 50.0)):
+            st = random_state(g, seed, scale)
+            *blocked, vmax = solver._nonlinear_terms(st)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "_BLOCK_POINTS", n * n)
+                *one, vmax_one = solver._nonlinear_terms(st)
+            assert repr(vmax) == repr(vmax_one)
+            for got, ref in zip(blocked, one):
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("rows", [1, 20])
+    def test_blowup_in_a_later_block(self, value, rows, monkeypatch):
+        # a non-finite value confined to the last block is caught before that
+        # block's forward transform, at the state's time, with no warning
+        g = GridSpec(48, 2 * np.pi)
+        monkeypatch.setattr(solver, "_BLOCK_POINTS", rows * g.n)
+        irfft, heights = np.fft.irfft, []
+
+        def poisoned(x, *args, out, **kwargs):
+            irfft(x, *args, out=out, **kwargs)
+            heights.append(out.shape[-2])
+            if sum(heights) == g.n:  # the last block
+                out[1, -1, 5] = value
+            return out
+
+        monkeypatch.setattr(solver, "_fft", types.SimpleNamespace(
+            ifft=np.fft.ifft, irfft=poisoned, rfft=np.fft.rfft, fft=np.fft.fft))
+        st = random_state(g, 8)
+        st.t = 2.75
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as err:
+                solver._nonlinear_terms(st)
+        assert err.value.t == 2.75
+        assert len(heights) == -(-g.n // rows) > 1
+
+    @staticmethod
+    def round_trip(spec, prod, keep, rows, monkeypatch):
+        """The inverse of ``spec`` and the forward transform of ``prod`` that
+        ``_row_blocks`` makes with blocks of ``rows`` rows."""
+        n = prod.shape[-1]
+        monkeypatch.setattr(solver, "_BLOCK_POINTS", rows * n)
+        work = solver._Workspace(GridSpec(n, 2 * np.pi))
+        assert work.rows == min(rows, n)
+        work.spec[...] = spec
+        inverse, done = np.empty((4, n, n)), 0
+        for phys, block in solver._row_blocks(work, keep):
+            inverse[:, done:done + len(phys[0])] = phys
+            block[...] = prod[:, done:done + len(phys[0])]
+            done += len(phys[0])
+        assert done == n
+        return inverse, work.spec[:3]
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=hst.sampled_from([8, 12, 16, 24, 48, 96]), seed=hst.integers(0, 2**32 - 1),
+           rows=hst.integers(1, 96))
+    def test_retained_inverse_is_irfft2(self, n, seed, rows):
+        # byte-equal to scipy's irfft2 at every block height, also where n/3
+        # is a whole number and the cutoff lands on a column index
+        g = GridSpec(n, 2 * np.pi)
+        keep = solver._velocity_table(g).shape[-1]
+        assert g.dealias_mask[:, :keep].any(axis=0).all()
+        assert not g.dealias_mask[:, keep:].any()
+        rng = np.random.default_rng(seed)
+        spec = (rng.standard_normal((4, n, g.half))
+                + 1j * rng.standard_normal((4, n, g.half))) * g.dealias_mask
+        ref = scipy.fft.irfft2(spec, s=(n, n), axes=(-2, -1))
+        with pytest.MonkeyPatch.context() as mp:
+            got, _ = self.round_trip(spec, np.zeros((3, n, n)), keep, rows, mp)
+        assert got.tobytes() == ref.tobytes()
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=hst.sampled_from([8, 12, 16, 24, 48, 96]), seed=hst.integers(0, 2**32 - 1),
+           rows=hst.integers(1, 96))
+    def test_retained_forward_is_rfft2(self, n, seed, rows):
+        # byte-equal to scipy's rfft2 on the retained columns, the only ones
+        # the forcing tables do not zero, at every block height
+        g = GridSpec(n, 2 * np.pi)
+        keep = solver._velocity_table(g).shape[-1]
+        assert not any(table[:, keep:].any() for table in solver._forcing_tables(g))
+        prod = np.random.default_rng(seed).standard_normal((3, n, n))
+        ref = scipy.fft.rfft2(prod, axes=(-2, -1))
+        with pytest.MonkeyPatch.context() as mp:
+            _, got = self.round_trip(np.zeros((4, n, g.half)), prod, keep, rows, mp)
+        assert got.shape == ref.shape
+        assert got[..., :keep].tobytes() == ref[..., :keep].tobytes()
 
     @pytest.mark.parametrize("n", [16, 32])
     @settings(derandomize=True, max_examples=20, deadline=None)
@@ -183,40 +292,6 @@ class TestNonlinear:
         for got, ref in zip(reused, fresh):
             assert got.tobytes() == ref.tobytes()
 
-    @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(n=hst.sampled_from([8, 12, 16, 24, 48, 96]), seed=hst.integers(0, 2**32 - 1),
-           batch=hst.integers(1, 4))
-    def test_retained_inverse_is_irfft2(self, n, seed, batch):
-        # byte-equal to scipy's irfft2, also where n/3 is a whole number and
-        # the cutoff lands on a column index
-        g = GridSpec(n, 2 * np.pi)
-        keep = solver._velocity_table(g).shape[-1]
-        assert g.dealias_mask[:, :keep].any(axis=0).all()
-        assert not g.dealias_mask[:, keep:].any()
-        rng = np.random.default_rng(seed)
-        spec = (rng.standard_normal((batch, n, g.half))
-                + 1j * rng.standard_normal((batch, n, g.half))) * g.dealias_mask
-        ref = scipy.fft.irfft2(spec, s=(n, n), axes=(-2, -1))
-        got = solver._inverse_retained(spec.copy(), keep, np.empty((batch, n, n)))
-        assert got.tobytes() == ref.tobytes()
-
-    @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(n=hst.sampled_from([8, 12, 16, 24, 48, 96]), seed=hst.integers(0, 2**32 - 1),
-           batch=hst.integers(1, 3))
-    def test_retained_forward_is_rfft2(self, n, seed, batch):
-        # byte-equal to scipy's rfft2 on the retained columns, the only ones
-        # the forcing tables do not zero
-        g = GridSpec(n, 2 * np.pi)
-        keep = solver._velocity_table(g).shape[-1]
-        assert not any(table[:, keep:].any() for table in solver._forcing_tables(g))
-        prod = np.random.default_rng(seed).standard_normal((batch, n, n))
-        ref = scipy.fft.rfft2(prod, axes=(-2, -1))
-        out = np.empty(ref.shape, dtype=np.complex128)
-        got = solver._forward_retained(prod.copy(), keep, out)
-        assert got is out
-        assert got.shape == ref.shape
-        assert got[..., :keep].tobytes() == ref[..., :keep].tobytes()
-
     @pytest.mark.parametrize("n", [16, 24, 48])
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(seed=hst.integers(0, 2**32 - 1), scale=hst.floats(1e-3, 1e2))
@@ -226,9 +301,16 @@ class TestNonlinear:
         g = GridSpec(n, 2 * np.pi)
         st = random_state(g, seed, scale)
         *got, vmax = solver._nonlinear_terms(st)
+
+        def full_transforms(work, keep):
+            # one block of n rows, both ways through scipy's full 2D transforms
+            phys = scipy.fft.irfft2(work.spec, s=(n, n), axes=(-2, -1))
+            prod = np.empty((3, n, n))
+            yield phys, prod
+            work.spec[:3] = scipy.fft.rfft2(prod, axes=(-2, -1))
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_forward_retained",
-                       lambda prod, keep, out: scipy.fft.rfft2(prod, axes=(-2, -1)))
+            mp.setattr(solver, "_row_blocks", full_transforms)
             *ref, vmax_ref = solver._nonlinear_terms(st)
         assert vmax == vmax_ref
         for a, b in zip(got, ref):
@@ -408,6 +490,39 @@ class TestMhdBaseline:
 
 
 class TestRun:
+    def test_traced_peak_within_the_memory_guard(self):
+        # a short nonlinear run at n = 256, four row blocks, as simulate runs
+        # it with more: the grid and the initial data built in the trace, the
+        # norm observer with the energy triple and an L4 norm, a checkpoint
+        # every step, and a sink that keeps each state until its next call
+        # and lags the stepping, so that four states are alive at once.  What
+        # the run allocates stays within the bytes per point GridSpec checks
+        # n by, with what that count leaves out: the n more entries of each
+        # half-spectrum array, the row blocks' scratch and 64 KiB of Python
+        # objects (rows, futures)
+        held = []
+
+        def sink(state):
+            time.sleep(0.05)
+            held[:] = [state]
+
+        observer = norm_observer((2.0, 4.0), (0.0, 1.0), (0.0, 1.0), m=1.0)
+        tracemalloc.start()
+        try:
+            g = GridSpec(256, 32 * np.pi)
+            data = make_initial_data("random_band",
+                                     {"amplitude": 0.05, "k_max": 0.8, "seed": 5}, g)
+            cfg = SolverConfig(gamma=1.0, dt=0.1, t_end=0.4, grid=g)
+            run(cfg, data, observer, checkpoint_every=1, checkpoint_sink=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work = solver._Workspace(g)
+        assert work.rows < g.n
+        assert len(held) == 1 and held[0].t == cfg.t_end
+        bound = grid_module._BYTES_PER_POINT * g.n * (g.n + 2) + work.phys.nbytes + work.prod.nbytes
+        assert peak <= bound + 2**16
+
     def test_t_end_zero_single_snapshot(self, grid16):
         cfg = SolverConfig(gamma=1.0, dt=0.1, t_end=0.0, grid=grid16)
         u0 = random_divfree(grid16, 30)
@@ -499,8 +614,6 @@ class TestRun:
     def test_small_amplitude_run_stays_bounded(self, grid16):
         # sup_t of the energy functional never exceeds its initial value by
         # more than a small reported factor (no growth for small data)
-        from mhdwave.diagnostics import norm_observer
-
         gamma, m = 0.5, 1.0
         data = make_initial_data(
             "random_band", {"amplitude": 0.05, "k_max": 3.0, "seed": 13}, grid16
