@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .grid import (  # noqa: F401
     GridSpec,
-    RealField,
     SpectralVectorField,
     transform_inverse,
 )

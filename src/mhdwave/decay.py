@@ -212,8 +212,9 @@ class DecayExperimentConfig(SolverConfig):
             raise ConfigurationError("window must satisfy 0 < t_lo < t_hi", path="fit.window")
 
     def norm_ids(self) -> list:
-        """Column ids of the tracked norms, in series order; none is a
-        ``ConfigurationError`` at ``diagnostics``."""
+        """Column ids of the tracked norms, in series order; none, or two norms
+        with one id (``{:g}`` of q or s), is a ``ConfigurationError`` at
+        ``diagnostics``."""
         ids = []
         for q in self.q_list:
             ids += [f"u_L{q:g}", f"b_L{q:g}"]
@@ -221,6 +222,10 @@ class DecayExperimentConfig(SolverConfig):
         ids += [f"b_H{s:g}" for s in self.s_list_b]
         if not ids:
             raise ConfigurationError("no norm to track: q_list, s_list_u and s_list_b are empty",
+                                     path="diagnostics")
+        repeated = [norm_id for j, norm_id in enumerate(ids) if norm_id in ids[:j]]
+        if repeated:
+            raise ConfigurationError(f"two tracked norms share the column id {repeated[0]!r}",
                                      path="diagnostics")
         return ids
 

@@ -11,8 +11,9 @@ The solver state holds the potentials psi, A and d_t A of u, b and d_t b
 H^s seminorm of u is the H^(s+1) seminorm of psi.  So the observer takes
 q = 2 and every Sobolev column from Parseval sums on the potentials,
 ||u||_Hs = L sqrt(sum w |k|^(2s+2) |psi_hat|^2) over the half spectrum (w
-the grid's Parseval weight), and transforms u and b back to the grid only
-for the other q.  The energy functionals of the damped-wave system are
+the grid's Parseval weight), and maps psi and A to u and b on the grid
+(``grid.transform_inverse``) only for the other q.  The energy functionals
+of the damped-wave system are
 
     X_m = ||L^m u||^2 + ||L^m b||^2 + 2 g^2 ||d_t L^m b||^2 + 2 g ||L^{m+1} b||^2
     Y_m = 2 g <d_t L^m b, L^m b>
@@ -31,8 +32,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .grid import GridSpec, RealField, transform_inverse
+from .errors import BlowUpError, DomainError, UsageError
+from .grid import GridSpec, transform_inverse
 from .solver import State, Trajectory
 
 __all__ = [
@@ -43,21 +44,27 @@ __all__ = [
 ]
 
 
-def lq_norm(f: RealField, q: float) -> float:
-    """(sum |f|^q (L/n)^2)^(1/q); q = inf gives max |f|.
+def lq_norm(mag: np.ndarray, grid: GridSpec, q: float) -> float:
+    """(sum mag^q (L/n)^2)^(1/q) of the pointwise magnitude ``mag`` of a field
+    on ``grid``; q = inf gives max mag.
 
-    Evaluated as M (sum (|f|/M)^q (L/n)^2)^(1/q) with M = max |f|, which
-    cannot underflow or overflow at large q.  Vector fields use the
-    pointwise Euclidean magnitude.  Norms with 1 <= q < 2 are supported for
-    reporting the integrability of initial data; q < 1 is rejected.
+    Evaluated as M (sum (mag/M)^q (L/n)^2)^(1/q) with M = max mag, which
+    cannot underflow or overflow at large q.  Norms with 1 <= q < 2 are
+    supported for reporting the integrability of initial data; q < 1 is
+    rejected.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1 or inf, got {q}")
-    mag = f.magnitude()
     peak = float(np.max(mag))
     if math.isinf(q) or peak == 0.0:
         return peak
-    return peak * float((np.sum((mag / peak) ** q) * f.grid.cell_area) ** (1.0 / q))
+    return peak * float((np.sum((mag / peak) ** q) * grid.cell_area) ** (1.0 / q))
+
+
+def _magnitude(potential: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Pointwise |grad^perp potential| on the grid."""
+    f = transform_inverse(potential, grid)
+    return np.sqrt(f[0] ** 2 + f[1] ** 2)
 
 
 def _power(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -97,10 +104,11 @@ def norm_observer(q_list=(2.0,), s_list_u=(0.0,), s_list_b=(0.0,), m: float | No
     """Observer returning a flat dict of the configured norms per state.
 
     The weighted |c|^2 of psi and A is computed once and feeds every Sobolev
-    column, the energy triple and the q = 2 norms (Parseval); u and b are
-    transformed back to the grid only for the other q.  The energy triple
-    (columns ``X_m``, ``Y_m``, ``Z_m``, with ``m`` and ``gamma`` beside
-    them) is computed only when ``m`` is given.
+    column, the energy triple and the q = 2 norms (Parseval); for the other
+    q the pointwise magnitudes of u and b are built once per row, from psi
+    and A.  The energy triple (columns ``X_m``, ``Y_m``, ``Z_m``, with ``m``
+    and ``gamma`` beside them) is computed only when ``m`` is given.  A row
+    with a cell that is not finite is a ``BlowUpError`` at the state's time.
     """
 
     def observe(state: State) -> dict:
@@ -114,13 +122,13 @@ def norm_observer(q_list=(2.0,), s_list_u=(0.0,), s_list_b=(0.0,), m: float | No
             return _perp_seminorm(g, powers[potential], s)
 
         row = {"t": state.t}
-        phys = None
+        mags = None
         for q in q_list:
             if q == 2:
                 lq = (seminorm(0, 0.0), seminorm(1, 0.0))
             else:
-                phys = phys or (transform_inverse(state.u_hat), transform_inverse(state.b_hat))
-                lq = (lq_norm(phys[0], q), lq_norm(phys[1], q))
+                mags = mags or [_magnitude(c, g) for c in (state.psi_hat, state.a_hat)]
+                lq = (lq_norm(mags[0], g, q), lq_norm(mags[1], g, q))
             row[f"u_L{q:g}"], row[f"b_L{q:g}"] = lq
         for s in s_list_u:
             row[f"u_H{s:g}"] = seminorm(0, s)
@@ -131,6 +139,8 @@ def norm_observer(q_list=(2.0,), s_list_u=(0.0,), s_list_b=(0.0,), m: float | No
                                         _powers=(*powers, _power(state.at_hat, g)))
             row["X_m"], row["Y_m"], row["Z_m"] = triple
             row["m"], row["gamma"] = m, gamma
+        if not all(map(math.isfinite, row.values())):
+            raise BlowUpError(f"non-finite norm at t={state.t}", t=state.t)
         return row
 
     return observe

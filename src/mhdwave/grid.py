@@ -33,7 +33,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "GridSpec",
-    "RealField",
     "SpectralVectorField",
     "transform_inverse",
 ]
@@ -178,42 +177,13 @@ class GridSpec:
 
 
 @dataclass
-class RealField:
-    """Field values on the physical grid, shape (c, n, n) with c in {1, 2}."""
-
-    values: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim == 2:
-            v = v[None, :, :]
-        if v.ndim != 3 or v.shape[0] not in (1, 2) or v.shape[1:] != (self.grid.n, self.grid.n):
-            raise ConfigurationError(
-                f"field shape {np.shape(self.values)} does not match grid n={self.grid.n}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ConfigurationError("field contains non-finite entries")
-        self.values = v
-
-    @property
-    def ncomp(self) -> int:
-        return self.values.shape[0]
-
-    def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean magnitude (the scalar itself for 1 component)."""
-        if self.ncomp == 1:
-            return np.abs(self.values[0])
-        return np.sqrt(self.values[0] ** 2 + self.values[1] ** 2)
-
-
-@dataclass
 class SpectralVectorField:
     """Half-spectrum Fourier coefficients, shape (c, n, n//2 + 1), c in {1, 2}.
 
     The coefficients of a real field: the unstored half of the plane is the
     Hermitian mirror of the stored one.  Only the self-conjugate columns 0
-    and n/2 hold both k and -k.
+    and n/2 hold both k and -k.  The solver and the checkpoint loader are its
+    only program callers; ``solver.State`` says why it stays.
     """
 
     coeffs: np.ndarray
@@ -231,8 +201,7 @@ class SpectralVectorField:
         self.coeffs = c
 
 
-def transform_inverse(f: SpectralVectorField) -> RealField:
-    """Half-spectrum Fourier coefficients -> physical values (multiplies by n^2)."""
-    g = f.grid
-    vals = np.fft.irfft2(f.coeffs, s=(g.n, g.n), axes=(-2, -1)) * g.n**2
-    return RealField(vals, g)
+def transform_inverse(potential: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The (2, n, n) grid values of grad^perp of a half-spectrum potential
+    (multiplies by n^2)."""
+    return np.fft.irfft2(grid.grad_perp * potential, s=(grid.n, grid.n), axes=(-2, -1)) * grid.n**2

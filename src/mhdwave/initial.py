@@ -35,7 +35,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
-from .grid import GridSpec, SpectralVectorField, transform_inverse
+from .grid import GridSpec, transform_inverse
 from .solver import State
 
 __all__ = ["make_initial_data", "INITIAL_FAMILIES"]
@@ -54,8 +54,8 @@ def _peak_normalized(psi: np.ndarray, grid: GridSpec, amplitude: float) -> np.nd
     Normalizes to a unit-peak shape first and multiplies by the amplitude
     last, so scaling in the amplitude parameter is exactly linear.
     """
-    peak = float(np.max(transform_inverse(
-        SpectralVectorField(grid.grad_perp * psi, grid)).magnitude()))
+    f = transform_inverse(psi, grid)
+    peak = float(np.max(np.sqrt(f[0] ** 2 + f[1] ** 2)))
     if peak == 0.0:
         return psi
     return psi * (1.0 / peak) * amplitude

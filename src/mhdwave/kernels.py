@@ -180,6 +180,13 @@ def duhamel_k1_weight(gamma: float, k2, dt):
     (gamma (lam_+ - lam_-)) away from degeneracies; series branches for
     |D| < DEGENERATE_D, for k2 = 0 (where lam_+ = 0: W = dt + gamma
     expm1(-dt/gamma)), and for steps so short the difference cancels.
+
+    Accuracy is least just past the short-step series (t/gamma in [0.05,
+    0.1]).  There the worst relative error against a 50-digit reference was
+    6e-16 for |D| < 1e-6, and 1.4e-11, 3.7e-12, 1.3e-12 and 1.0e-12 on the
+    |D| bands (1e-6, 1e-5), (1e-5, 1e-4), (1e-4, 1e-3) and (1e-3, 1e-2):
+    below |D| = 1e-4 the two closed-form terms cancel, leaving about
+    3.5 eps / (sqrt|D| t/gamma).
     """
     _check_gamma(gamma)
     if np.any(np.asarray(dt) < 0):

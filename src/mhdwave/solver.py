@@ -125,6 +125,11 @@ class State:
         if any(np.shape(c) != shape for c in (self.psi_hat, self.a_hat, self.at_hat)):
             raise ConfigurationError(f"state potentials must have the half shape {shape}")
 
+    # The vector-field layer (grid.SpectralVectorField, from_vectors, the
+    # u_hat/b_hat/bt_hat views, _potential, _grad_perp, run's vector triple,
+    # keep_states and Trajectory.states) stays only for the benchmark's
+    # linear_energy resume check, which only a benchmark change may move;
+    # the v1/v2 checkpoint load maps through from_vectors.
     @classmethod
     def from_vectors(cls, u: SpectralVectorField, b: SpectralVectorField,
                      bt: SpectralVectorField, t: float = 0.0) -> "State":

@@ -4,7 +4,7 @@ import pytest
 from mhdwave import solver
 from mhdwave.diagnostics import _perp_seminorm, _power
 from mhdwave.errors import ConfigurationError, DomainError
-from mhdwave.grid import GridSpec, RealField, SpectralVectorField
+from mhdwave.grid import GridSpec, SpectralVectorField
 from mhdwave.kernels import propagator_tables
 from mhdwave.solver import State
 
@@ -19,11 +19,25 @@ def meshgrid(grid):
     return np.meshgrid(x1d, x1d, indexing="ij")
 
 
-def transform_forward(f: RealField) -> SpectralVectorField:
-    """Physical values -> half-spectrum Fourier coefficients (divides by n^2)."""
+def transform_forward(values, grid) -> SpectralVectorField:
+    """Physical values, (c, n, n) or (n, n) -> half-spectrum Fourier
+    coefficients (divides by n^2)."""
+    coeffs = np.fft.rfft2(np.asarray(values, dtype=np.float64), axes=(-2, -1)) / grid.n**2
+    return SpectralVectorField(coeffs, grid)
+
+
+def grid_values(f: SpectralVectorField) -> np.ndarray:
+    """Half-spectrum Fourier coefficients -> (c, n, n) physical values
+    (multiplies by n^2), the call ``grid.transform_inverse`` makes."""
     g = f.grid
-    coeffs = np.fft.rfft2(f.values, axes=(-2, -1)) / g.n**2
-    return SpectralVectorField(coeffs, g)
+    return np.fft.irfft2(f.coeffs, s=(g.n, g.n), axes=(-2, -1)) * g.n**2
+
+
+def magnitude(values: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean magnitude of (c, n, n) grid values, c in {1, 2}."""
+    if len(values) == 1:
+        return np.abs(values[0])
+    return np.sqrt(values[0] ** 2 + values[1] ** 2)
 
 
 def fractional_laplacian_apply(f: SpectralVectorField, s: float) -> SpectralVectorField:
@@ -144,8 +158,7 @@ def grid32():
 def random_spectral(grid, seed, ncomp=2):
     """Hermitian random spectral field (built from real white noise)."""
     rng = np.random.default_rng(seed)
-    f = RealField(rng.standard_normal((ncomp, grid.n, grid.n)), grid)
-    return transform_forward(f)
+    return transform_forward(rng.standard_normal((ncomp, grid.n, grid.n)), grid)
 
 
 def random_divfree(grid, seed):

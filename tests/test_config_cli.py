@@ -605,6 +605,40 @@ class TestCli:
         assert steps == []
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("diagnostics", [
+        pytest.param({"q_list": [2, 2.0000001, 4, 4]}, id="q_list"),
+        pytest.param({"s_list_u": [0, 1, 1.0]}, id="s_list_u"),
+        pytest.param({"s_list_b": [1.5, 1.5]}, id="s_list_b"),
+    ])
+    def test_norms_sharing_a_column_id_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                 diagnostics, command):
+        # {:g} ids that coincide would overwrite each other's cells in a row:
+        # refused before any step or directory
+        cfgp = write_config(tmp_path, dict(SWEEP_RUN, diagnostics=diagnostics))
+        steps = count_steps(monkeypatch)
+        extra = ["--gammas", "0.5"] if command == "sweep" else ["--checkpoint-every", "5"]
+        rc = main([command, "--config", cfgp, "--output", str(tmp_path / "x"), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: diagnostics: two tracked norms share" in err
+        assert steps == []
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("amplitude", [1e160, 1e200])
+    def test_non_finite_norm_row_exit_code(self, tmp_path, capsys, amplitude):
+        # finite grid values whose squares overflow: the L2 and H^s cells are
+        # inf and the L4 cells NaN, a solver error at t = 0 with no series.csv
+        doc = dict(SMALL_RUN, initial_data=dict(SMALL_RUN["initial_data"], amplitude=amplitude),
+                   diagnostics={"q_list": [2, 4]}, solver={"nonlinear": False})
+        cfgp = write_config(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "solver" and err["t"] == 0.0
+        assert not (tmp_path / "x" / "series.csv").exists()
+
     def test_fit_error_names_the_norm(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
         series.write_text("t,u_L2,b_L2\n" + "".join(f"{t}.0,{1 / t!r},0.0\n"

@@ -1,6 +1,7 @@
 """Every name the package and its modules export resolves and has a caller
 outside the tests, and every module attribute the benchmark's hooks wrap
-resolves; a fresh import loads scipy itself but not its transforms."""
+resolves; the vector-field layer stays inside the solver and the checkpoint
+loader; a fresh import loads scipy itself but not its transforms."""
 
 import ast
 import importlib
@@ -54,6 +55,25 @@ def test_every_export_has_a_program_caller():
                 for export in getattr(importlib.import_module(f"mhdwave.{name}"), "__all__", ())
                 if export not in called]
     assert uncalled == []
+
+
+def test_vector_field_layer_stays_in_solver_and_checkpoint():
+    # the program reads u and b from the potentials; the vector-field layer
+    # serves only the solver's vector-triple path and the v1/v2 checkpoint
+    # load.  __init__ re-exports the class and grid defines it; neither uses it.
+    layer = {"SpectralVectorField", "u_hat", "b_hat", "bt_hat"}
+    skip = {"__init__.py", "solver.py", "checkpoint.py"}
+    uses = {}
+    for path in sorted((ROOT / "src" / "mhdwave").glob("*.py")):
+        if path.name in skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in layer:
+                uses.setdefault(path.name, set()).add(name)
+    assert uses == {}
 
 
 def test_package_reexports_public_names():

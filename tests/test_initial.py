@@ -6,7 +6,7 @@ from mhdwave.grid import GridSpec, transform_inverse
 from mhdwave.initial import make_initial_data
 from mhdwave.solver import State
 
-from conftest import divergence, meshgrid, spectral_l2
+from conftest import divergence, magnitude, meshgrid, spectral_l2
 
 
 def fields(st):
@@ -25,9 +25,10 @@ class TestTaylorGreen:
     def test_exact_pattern(self):
         g = GridSpec(32, 2 * np.pi)
         amp = 1.7
-        u0, b0, a0 = fields(make_initial_data("taylor_green", {"amplitude": amp}, g))
+        st = make_initial_data("taylor_green", {"amplitude": amp}, g)
+        u0, b0, a0 = fields(st)
         X, Y = meshgrid(g)
-        u = transform_inverse(u0).values
+        u = transform_inverse(st.psi_hat, g)
         assert np.max(np.abs(u[0] - amp * np.sin(X) * np.cos(Y))) < 1e-13
         assert np.max(np.abs(u[1] + amp * np.cos(X) * np.sin(Y))) < 1e-13
         assert np.max(np.abs(divergence(u0))) < 1e-13
@@ -50,12 +51,11 @@ class TestGaussianVortexPair:
         L = 16 * np.pi
         g = GridSpec(128, L)
         width = L / 16
-        u0, b0, _ = fields(make_initial_data(
-            "gaussian_vortex_pair", {"amplitude": 1.0, "width": width}, g
-        ))
+        st = make_initial_data("gaussian_vortex_pair", {"amplitude": 1.0, "width": width}, g)
+        u0, b0, _ = fields(st)
         assert spectral_div_rel(u0) <= 1e-12
         assert spectral_div_rel(b0) <= 1e-12
-        u = transform_inverse(u0).magnitude()
+        u = magnitude(transform_inverse(st.psi_hat, g))
         peak = np.max(u)
         assert peak == pytest.approx(1.0, rel=1e-12)  # peak-normalized amplitude
         # physical decay at distance L/2 from the center (box corner)
@@ -110,11 +110,11 @@ class TestRandomBand:
 
     def test_a0_amplitude(self):
         g = GridSpec(32, 2 * np.pi)
-        a0 = make_initial_data(
+        st = make_initial_data(
             "random_band", {"amplitude": 1.0, "k_max": 4.0, "seed": 2, "a0_amplitude": 0.5}, g
-        ).bt_hat
-        assert spectral_l2(a0) > 0
-        assert np.max(np.abs(transform_inverse(a0).magnitude())) == pytest.approx(0.5)
+        )
+        assert spectral_l2(st.bt_hat) > 0
+        assert np.max(magnitude(transform_inverse(st.at_hat, g))) == pytest.approx(0.5)
 
 
 def test_unknown_family_rejected():

@@ -291,6 +291,41 @@ class TestDuhamelWeight:
             duhamel_k1_weight(1.0, 1.0, -0.5)
 
 
+def mp_duhamel_weight(gamma, k2, dt, dps=50):
+    """W = int_0^dt K1 in extended precision, from the antiderivative of K1."""
+    with mp.workdps(dps):
+        g, k2m, dtm = mp.mpf(gamma), mp.mpf(k2), mp.mpf(dt)
+        sq = mp.sqrt(1 - 4 * g * k2m)  # imaginary for D < 0
+        lp, lm = (-1 + sq) / (2 * g), (-1 - sq) / (2 * g)
+        return float(mp.re((mp.expm1(lp * dtm) / lp - mp.expm1(lm * dtm) / lm)
+                           / (g * (lp - lm))))
+
+
+# |D| band -> the worst relative error of W there that the README and the
+# duhamel_k1_weight docstring state, for t / gamma in [0.05, 0.1]: just past
+# the short-step cut, where the closed form cancels most
+_W_BANDS = {
+    "series": (1e-7, 0.999e-6, 1e-15),
+    "1e-6": (1e-6, 1e-5, 2e-11),
+    "1e-5": (1e-5, 1e-4, 5e-12),
+    "1e-4": (1e-4, 1e-3, 2e-12),
+    "1e-3": (1e-3, 1e-2, 2e-12),
+}
+
+
+@pytest.mark.parametrize("band", list(_W_BANDS))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(log_gamma=hst.floats(-1.0, 1.0), x=hst.floats(0.0, 1.0), negative=hst.booleans(),
+       tau=hst.floats(0.05, 0.1))
+def test_duhamel_weight_accuracy_near_the_double_root(band, log_gamma, x, negative, tau):
+    lo, hi, bound = _W_BANDS[band]
+    gamma = 10.0**log_gamma
+    D = lo * (hi / lo) ** x * (-1.0 if negative else 1.0)
+    k2, dt = (1.0 - D) / (4.0 * gamma), tau * gamma
+    ref = mp_duhamel_weight(gamma, k2, dt)
+    assert abs(duhamel_k1_weight(gamma, k2, dt) - ref) <= bound * abs(ref)
+
+
 class TestKernelBounds:
     def test_s2_constant_at_least_one(self):
         rep = verify_kernel_bounds(1.0)
