@@ -27,8 +27,8 @@ from .decay import (  # noqa: F401
     TheoryRate,
     fit_power_law,
     gamma_prefactor_scan,
-    predicted_exponent,
     run_decay_experiment,
     singular_limit_experiment,
+    theory_rate,
     verify_expintegral,
 )

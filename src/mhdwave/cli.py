@@ -40,10 +40,10 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, parse_config, parse_config_file, serialize_config
 from .decay import (
     _fit_norm,
-    _theory_rate,
     default_fit_window,
     gamma_prefactor_scan,
     singular_limit_experiment,
+    theory_rate,
     verify_expintegral,
 )
 from .diagnostics import norm_observer
@@ -51,6 +51,7 @@ from .errors import (
     BlowUpError,
     ConfigurationError,
     DataError,
+    DomainError,
     MhdWaveError,
     StepSizeError,
     WindowError,
@@ -218,8 +219,8 @@ def cmd_fit_decay(cfg, args) -> dict:
     for j, nid in enumerate(header[1:], start=1):
         fit = _fit_norm(nid, zip(t, data[:, j]), window)
         try:
-            theory = _theory_rate(nid, cfg)  # same pairing as the live experiment
-        except (ValueError, MhdWaveError):
+            theory = theory_rate(nid, cfg.m)  # same pairing as the live experiment
+        except DomainError:
             theory = None
         cells = ["", ""] if theory is None else [
             _float_cell(theory.exponent), _float_cell(fit.exponent - theory.exponent)]

@@ -3,21 +3,23 @@
 The theorems being exercised predict, for data that is small in H^m and
 integrable at order c (1 <= c < 2),
 
-    ||u||_Lq + ||b||_Lq          ~ t^(1/q - 1/2)            (q >= 2)
+    ||u||_Lq + ||b||_Lq          ~ t^(1/q - 1/c)            (q >= 2)
     ||L^beta u|| + ||L^beta b||  ~ (1+t)^((1-beta)/2 - 1/c)  (0 <= beta <= m)
     ||L^rho b||                  ~ (1+t)^((1-rho)/2 - 1/c)   (0 <= rho < m+1)
 
 with prefactors growing in gamma like gamma^(1 + 1/c - (1-beta)/2).  On a
 periodic box the algebraic decay window closes at t ~ (L/2pi)^2 when the
 spectral gap takes over, so fits are restricted to a window well inside
-that scale.  Every fit is paired with the c = 1 rate: the initial-data
-families are localized or band-limited, so they lie in L^1.
+that scale.  Every fit is paired with the c = 1 rate (``theory_rate``),
+also for data that lies in no L^1, as ``random_band`` with a spectral
+exponent below 0.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -33,7 +35,7 @@ from .solver import SolverConfig, Trajectory, _observed, _step_count, run
 __all__ = [
     "TheoryRate",
     "PowerLawFit",
-    "predicted_exponent",
+    "theory_rate",
     "fit_power_law",
     "DecayExperimentConfig",
     "DecayResult",
@@ -48,45 +50,47 @@ __all__ = [
 class TheoryRate:
     """Predicted exponent (and gamma power of the prefactor) for one norm."""
 
-    kind: str
     exponent: float
     prefactor_gamma_power: float
-    exponent_exact: Fraction | None = None
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(10**9) if float(x).is_integer() else Fraction(str(x))
+def _as_fraction(x: float) -> Fraction:
+    """The decimal ``x`` prints as, exactly; an integer as itself."""
+    return Fraction(x) if x.is_integer() else Fraction(str(x))
 
 
-def predicted_exponent(kind: str, *, q=None, beta=None, rho=None, c=None, m=None) -> TheoryRate:
-    """Exact theory rate for ``Lq``, ``Hbeta``, or ``Hrho_b``.
+# a tracked norm's column id: the field, L (an L^q norm) or H (an H^s
+# seminorm), and q or s as a number
+_NORM_ID = re.compile(r"([ub])_([LH])([-+.0-9e]+)")
 
-    Rational inputs give exact rational arithmetic (the float fields are
-    derived from the Fraction).
+
+def theory_rate(norm_id: str, m: float) -> TheoryRate | None:
+    """The c = 1 rate of the tracked norm ``norm_id`` for data small in H^m.
+
+    The order of ``u_Hs`` and ``b_Hs`` is s; an L^q norm takes the
+    interpolated order 1 - 2/q (||f||_Lq <= C ||L^order f|| in 2D).  The
+    exponent is (1 - order)/2 - 1 and the gamma power (3 + order)/2, in
+    exact arithmetic from the order.  None for q < 2, which no theorem
+    covers, and for an id that names no tracked norm; a negative order,
+    or a b order >= m + 1, is a ``DomainError``.
     """
-    if kind == "Lq":
-        if q is None or q < 2:
-            raise DomainError(f"Lq rate requires q >= 2, got {q}")
-        expo = Fraction(1, 1) / _as_fraction(q) - Fraction(1, 2)
-        return TheoryRate("Lq", float(expo), 1.0, expo)
-    if kind in ("Hbeta", "Hrho_b"):
-        order = beta if kind == "Hbeta" else rho
-        if order is None or order < 0:
-            raise DomainError(f"{kind} rate requires a nonnegative order")
-        if c is None or not 1 <= c < 2:
-            raise DomainError(f"{kind} rate requires 1 <= c < 2, got {c}")
-        if kind == "Hbeta" and m is not None and order > m:
-            raise DomainError(f"beta must satisfy beta <= m, got beta={order}, m={m}")
-        if kind == "Hrho_b" and m is not None and order >= m + 1:
-            raise DomainError(f"rho must satisfy rho < m+1, got rho={order}, m={m}")
-        of = _as_fraction(order)
-        cf = _as_fraction(c)
-        expo = (1 - of) / 2 - 1 / cf
-        pref = 1 + 1 / cf - (1 - of) / 2
-        return TheoryRate(kind, float(expo), float(pref), expo)
-    raise DomainError(f"unknown rate kind {kind!r}")
+    match = _NORM_ID.fullmatch(norm_id)
+    if match is None:
+        return None
+    name, kind, number = match.groups()
+    try:
+        value = float(number)
+    except ValueError:  # as "1.2.3" or "e"
+        return None
+    if not math.isfinite(value) or (kind == "L" and value < 2):
+        return None
+    order = 1.0 - 2.0 / value if kind == "L" else value
+    if order < 0:
+        raise DomainError(f"{norm_id}: no rate for a negative order")
+    if name == "b" and order >= m + 1:
+        raise DomainError(f"{norm_id}: a rate of b needs an order < m + 1 = {m + 1:g}")
+    half = (1 - _as_fraction(order)) / 2
+    return TheoryRate(float(half - 1), float(2 - half))
 
 
 @dataclass
@@ -250,28 +254,6 @@ class DecayResult:
         raise KeyError(norm_id)
 
 
-def _interp_beta_for_lq(q: float) -> float:
-    # ||f||_Lq <= C ||L^beta f||_L2 in 2D at beta = 1 - 2/q
-    return 1.0 - 2.0 / q
-
-
-def _theory_rate(norm_id: str, cfg: DecayExperimentConfig) -> TheoryRate | None:
-    """The c = 1 theory rate of a norm id: for an L^q norm the Sobolev-family
-    rate at the interpolated order beta = 1 - 2/q; None for q < 2, which no
-    theorem covers (the interpolated order is < 0)."""
-    kind_field, spec_part = norm_id.split("_", 1)
-    if spec_part.startswith("L"):
-        q = float(spec_part[1:])
-        if q < 2:
-            return None
-        beta = _interp_beta_for_lq(q)
-        return predicted_exponent("Hbeta", beta=beta, c=1, m=max(cfg.m, beta))
-    s = float(spec_part[1:])
-    if kind_field == "b":
-        return predicted_exponent("Hrho_b", rho=s, c=1, m=cfg.m)
-    return predicted_exponent("Hbeta", beta=s, c=1, m=max(cfg.m, s))
-
-
 def _fit_norm(norm_id: str, series, window) -> PowerLawFit:
     """``fit_power_law`` of one norm's series; its errors name the norm."""
     try:
@@ -283,11 +265,11 @@ def _fit_norm(norm_id: str, series, window) -> PowerLawFit:
 def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
     """Integrate, track the configured norms, and fit each against theory.
 
-    An L^q norm is compared with the Sobolev-family rate at the interpolated
-    order, as ``_theory_rate`` says.  No tracked norm (``ConfigurationError`` at
-    ``diagnostics``) and a norm that stays zero, which admits no log-log
-    fit, fail before the integration: zero data, and in a linear run a norm
-    of u with psi = 0 or of b with A = d_t A = 0 (``DataError``).
+    Each norm is compared with its ``theory_rate``.  No tracked norm
+    (``ConfigurationError`` at ``diagnostics``) and a norm that stays zero,
+    which admits no log-log fit, fail before the integration: zero data,
+    and in a linear run a norm of u with psi = 0 or of b with A = d_t A = 0
+    (``DataError``).
     """
     ids = cfg.norm_ids()
     grid = cfg.grid
@@ -305,7 +287,7 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
     window = cfg.window if cfg.window is not None else default_fit_window(cfg.t_end, grid)
     # an order the theory does not cover, or a window that cannot hold a
     # fit of the snapshot times run will stamp, fails before the integration
-    theory = {i: _theory_rate(i, cfg) for i in ids}
+    theory = {i: theory_rate(i, cfg.m) for i in ids}
     t0, n_steps = initial.t, _step_count(cfg, initial.t)
     _window_points(((t0 + i * cfg.dt, None) for i in range(n_steps + 1)
                     if _observed(i, n_steps, cfg.snapshot_every)), window)

@@ -158,7 +158,25 @@ class TestCli:
         header = rows[0].split(",")
         row = rows[1].split(",")
         delta = float(row[header.index("delta")])
-        assert abs(delta) < 1e-9  # fitted -0.5 against the Hbeta(0, c=1) rate
+        assert abs(delta) < 1e-9  # fitted -0.5 against the u_L2 rate, 1/2 - 1
+
+    def test_fit_decay_leaves_foreign_columns_without_theory(self, tmp_path):
+        # only u_ or b_, then L or H, then a number, names a tracked norm
+        cols = ["u_L4", "x_H1", "u_Q3", "b_Z0.5", "uu_L2"]
+        series = tmp_path / "series.csv"
+        with open(series, "w") as fh:
+            fh.write(",".join(["t"] + cols) + "\n")
+            for ti in np.linspace(1.0, 30.0, 40):
+                fh.write(",".join([repr(float(ti))] + [repr(float(3.0 * ti**-0.5))] * 5) + "\n")
+        cfgp = write_config(tmp_path, {"fit": {"window": [1.0, 30.0]}})
+        out = tmp_path / "fit"
+        assert main(["fit-decay", "--config", cfgp, "--output", str(out), str(series)]) == 0
+        rows = [r.split(",") for r in (out / "fit_summary.csv").read_text().strip().splitlines()]
+        theory, delta = rows[0].index("theory"), rows[0].index("delta")
+        cells = {r[0]: (r[theory], r[delta]) for r in rows[1:]}
+        assert list(cells) == cols
+        assert cells.pop("u_L4")[0] == "-0.75"
+        assert set(cells.values()) == {("", "")}
 
     @pytest.mark.parametrize("text", [
         pytest.param("t,u_L2\n1.0,0.5\n", id="one_row_no_window"),
@@ -488,11 +506,23 @@ class TestCli:
         rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
                    "--gammas", "0.5,1.0"])
         assert rc == 4
-        assert "Hbeta rate requires a nonnegative order" in capsys.readouterr().err
+        assert "u_H-0.5: no rate for a negative order" in capsys.readouterr().err
         assert steps == []
         # simulate has no theory rate to resolve and writes the column
         assert main(["simulate", "--config", cfgp, "--output", str(tmp_path / "sim")]) == 0
         assert "u_H-0.5" in (tmp_path / "sim" / "series.csv").read_text().splitlines()[0]
+
+    def test_sweep_b_order_beyond_m_fails_before_stepping(self, tmp_path, capsys, monkeypatch):
+        # the rate of b covers orders below m + 1
+        doc = dict(SWEEP_RUN, diagnostics=dict(SWEEP_RUN["diagnostics"], s_list_b=[2], m=1))
+        cfgp = write_config(tmp_path, doc)
+        steps = count_steps(monkeypatch)
+        rc = main(["sweep", "--config", cfgp, "--output", str(tmp_path / "s"),
+                   "--gammas", "0.5,1.0"])
+        assert rc == 4
+        assert "b_H2: a rate of b needs an order < m + 1 = 2" in capsys.readouterr().err
+        assert steps == []
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("doc,message", [
         # the default window of a t_end = 0.5 run is (5.0, 0.4)

@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +11,13 @@ import pytest
 from mhdwave import decay, solver
 from mhdwave.decay import (
     DecayExperimentConfig,
+    TheoryRate,
     default_fit_window,
     fit_power_law,
     gamma_prefactor_scan,
-    predicted_exponent,
     run_decay_experiment,
     singular_limit_experiment,
+    theory_rate,
     verify_expintegral,
 )
 from mhdwave.errors import (
@@ -34,41 +34,49 @@ from mhdwave.solver import SolverConfig, run
 from conftest import expand_half_spectrum, linear_singular_limit_error
 
 
-class TestPredictedExponent:
-    def test_lq_examples(self):
-        assert predicted_exponent("Lq", q=2).exponent == 0.0
-        assert predicted_exponent("Lq", q=4).exponent == -0.25
-        assert predicted_exponent("Lq", q=4).exponent_exact == Fraction(-1, 4)
+class TestTheoryRate:
+    def test_examples(self):
+        for norm_id, exponent, power in (("u_L2", -0.5, 1.5), ("u_L4", -0.75, 1.75),
+                                         ("u_H1", -1.0, 2.0), ("b_H1.5", -1.25, 2.25)):
+            assert theory_rate(norm_id, 1.0) == TheoryRate(exponent, power), norm_id
 
-    def test_hbeta_example(self):
-        r = predicted_exponent("Hbeta", beta=1, c=1)
-        assert r.exponent == -1.0
-        assert r.prefactor_gamma_power == 2.0
+    def test_exact_arithmetic(self):
+        # the order 1 - 2/3 is taken exactly from its float: float arithmetic
+        # would give -0.6666666666666667
+        assert theory_rate("u_L3", 1.0).exponent == -0.6666666666666666
 
-    def test_hbeta_zero_order(self):
-        for c in (1, 1.5, Fraction(4, 3)):
-            r = predicted_exponent("Hbeta", beta=0, c=c)
-            assert r.exponent_exact == Fraction(1, 2) - 1 / Fraction(c)
-
-    def test_hrho_b(self):
-        r = predicted_exponent("Hrho_b", rho=1.5, c=1, m=1)
-        assert r.exponent == -1.25
+    @pytest.mark.parametrize("norm_id", ["u_L1.5", "x_H1", "u_Q3", "b_Z0.5", "uu_L2",
+                                         "u_Linf", "u_Lnan", "b_H1e999", "u_H", "u_L1.2.3"])
+    def test_no_rate(self, norm_id):
+        # no theorem covers q < 2, and the other ids name no tracked norm
+        assert theory_rate(norm_id, 1.0) is None
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            predicted_exponent("Lq", q=1.5)
-        with pytest.raises(DomainError):
-            predicted_exponent("Hbeta", beta=-0.5, c=1)
-        with pytest.raises(DomainError):
-            predicted_exponent("Hbeta", beta=0, c=2.0)
-        with pytest.raises(DomainError):
-            predicted_exponent("Hrho_b", rho=2.0, c=1, m=1)
-        with pytest.raises(DomainError):
-            predicted_exponent("Hgamma", beta=0, c=1)
+        with pytest.raises(DomainError, match="u_H-0.5"):
+            theory_rate("u_H-0.5", 1.0)
+        with pytest.raises(DomainError, match="b_H2"):
+            theory_rate("b_H2", 1.0)
+        assert theory_rate("b_H1.9", 1.0).exponent == pytest.approx(-1.45)
+        # u has no upper bound on its order
+        assert theory_rate("u_H2", 1.0).exponent == -1.5
 
-    def test_exact_rational_arithmetic(self):
-        r = predicted_exponent("Hbeta", beta=Fraction(1, 3), c=Fraction(3, 2))
-        assert r.exponent_exact == (1 - Fraction(1, 3)) / 2 - Fraction(2, 3)
+    def test_every_tracked_norm(self):
+        cfg = DecayExperimentConfig(grid=GridSpec(16, 2 * np.pi), m=1.0,
+                                    q_list=(1.0, 1.5, 2.0, 3.0, 4.0, 7.5),
+                                    s_list_u=(0.0, 0.1, 1.0, 2.5), s_list_b=(0.0, 0.5, 1.5, 1.9))
+        specs = [(f, "L", q) for q in cfg.q_list for f in "ub"]
+        specs += [("u", "H", s) for s in cfg.s_list_u] + [("b", "H", s) for s in cfg.s_list_b]
+        ids = cfg.norm_ids()
+        assert len(ids) == len(specs)
+        for norm_id, (field, kind, value) in zip(ids, specs):
+            assert norm_id.startswith(f"{field}_{kind}")
+            rate = theory_rate(norm_id, cfg.m)
+            if kind == "L" and value < 2:
+                assert rate is None, norm_id
+                continue
+            order = 1 - 2 / value if kind == "L" else value
+            assert rate.exponent == pytest.approx((1 - order) / 2 - 1, abs=1e-15), norm_id
+            assert rate.prefactor_gamma_power == pytest.approx((3 + order) / 2, abs=1e-15)
 
 
 class TestFitPowerLaw:
@@ -137,7 +145,7 @@ class TestDecayExperiment:
         assert c.theory.exponent == -0.5
         assert abs(c.fit.exponent - c.theory.exponent) <= 0.25
         assert res.comparison("u_H1").theory.exponent == -1.0
-        # an Lq norm is paired with the Sobolev-family rate at beta = 1 - 2/q
+        # an Lq norm is paired with the Sobolev-family rate at order 1 - 2/q
         assert res.comparison("u_L4").theory.exponent == -0.75
 
     def test_default_window(self):
