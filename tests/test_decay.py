@@ -34,12 +34,22 @@ from mhdwave.solver import SolverConfig, run
 from conftest import expand_half_spectrum, linear_singular_limit_error
 
 
-class TestTheoryRate:
-    def test_examples(self):
-        for norm_id, exponent, power in (("u_L2", -0.5, 1.5), ("u_L4", -0.75, 1.75),
-                                         ("u_H1", -1.0, 2.0), ("b_H1.5", -1.25, 2.25)):
-            assert theory_rate(norm_id, 1.0) == TheoryRate(exponent, power), norm_id
+class TestPredictedExponent:
+    def test_lq_examples(self):
+        assert theory_rate("u_L2", 1.0) == TheoryRate(-0.5, 1.5)
+        assert theory_rate("u_L4", 1.0) == TheoryRate(-0.75, 1.75)
+        assert theory_rate("b_L4", 1.0) == TheoryRate(-0.75, 1.75)
 
+    def test_hbeta_example(self):
+        r = theory_rate("u_H1", 1.0)
+        assert r.exponent == -1.0
+        assert r.prefactor_gamma_power == 2.0
+
+    def test_hrho_b(self):
+        assert theory_rate("b_H1.5", 1.0) == TheoryRate(-1.25, 2.25)
+
+
+class TestTheoryRate:
     def test_exact_arithmetic(self):
         # the order 1 - 2/3 is taken exactly from its float: float arithmetic
         # would give -0.6666666666666667
