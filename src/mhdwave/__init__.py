@@ -3,11 +3,7 @@ damped wave-type MHD system on a periodic box."""
 
 __version__ = "0.1.0"
 
-from .grid import (  # noqa: F401
-    GridSpec,
-    SpectralVectorField,
-    transform_inverse,
-)
+from .grid import GridSpec, transform_inverse  # noqa: F401
 from .initial import make_initial_data  # noqa: F401
 from .kernels import duhamel_k1_weight, verify_kernel_bounds  # noqa: F401
 from .solver import (  # noqa: F401

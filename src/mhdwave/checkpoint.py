@@ -5,10 +5,10 @@ L f64 | gamma f64 | t f64`` (36 bytes) followed by three coefficient
 blocks.  Version 3 (written) stores the potentials psi, A and d_t A of the
 solver state, each a (n, n//2 + 1) complex128 block in row-major
 half-spectrum order, so a file is 36 + 3 * 16 * n * (n//2 + 1) bytes.
-Older files hold the fields u, b and d_t b and are still read, through the
-map ``State.from_vectors``: version 2 as (2, n, n//2 + 1) half-spectrum
-blocks, version 1 as (2, n, n) full-spectrum blocks, of which the first
-n//2 + 1 columns are kept.
+Older files hold the fields u, b and d_t b and are still read, each
+through the map ``solver._potential`` to its potential: version 2 as
+(2, n, n//2 + 1) half-spectrum blocks, version 1 as (2, n, n)
+full-spectrum blocks, of which the first n//2 + 1 columns are kept.
 
 A checkpoint is written to a temporary file beside the target and renamed
 over it, so a write that fails part-way leaves the previous one intact.
@@ -29,8 +29,8 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .grid import GridSpec, SpectralVectorField
-from .solver import State
+from .grid import GridSpec
+from .solver import State, _potential
 
 __all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -80,6 +80,4 @@ def load_checkpoint(path):
     blocks = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(shape)
     if version == VERSION:
         return State(*(c.astype(np.complex128) for c in blocks), grid, t), gamma
-    fields = (SpectralVectorField(c[:, :, : grid.half].astype(np.complex128), grid)
-              for c in blocks)
-    return State.from_vectors(*fields, t), gamma
+    return State(*(_potential(c[:, :, : grid.half], grid) for c in blocks), grid, t), gamma

@@ -77,19 +77,17 @@ _SECTIONS = {
 }
 
 
-def _initial_params(i: dict, family) -> dict:
+def _initial_params(i: dict, family: str) -> dict:
     """The ``make_initial_data`` params of an ``initial_data`` section; keys
     the family does not read are accepted and ignored."""
-    used = {"amplitude", "amplitude_b"}
-    if isinstance(family, str):
-        used |= set(INITIAL_FAMILIES.get(family, ()))
+    used = {"amplitude", "amplitude_b", *INITIAL_FAMILIES.get(family, ())}
     params = {"amplitude": 0.05, "seed": 0}
     for key in ("amplitude", "amplitude_b", "width", "separation", "k_min", "k_max",
                 "spectral_exponent", "a0_amplitude"):
         if i.get(key) is None:
             continue
         val = _number(i[key], f"initial_data.{key}")
-        if key in ("amplitude", "a0_amplitude") and val < 0:
+        if key in ("amplitude", "amplitude_b", "a0_amplitude") and val < 0:
             raise ConfigurationError(f"{key} must be >= 0", path=f"initial_data.{key}")
         if key in used:
             params[key] = val
@@ -103,9 +101,10 @@ def _initial_params(i: dict, family) -> dict:
 
 def parse_config(text: str) -> DecayExperimentConfig:
     """Parse and validate a JSON config document."""
+    # the decoder recurses once per nesting level: a deep document raises RecursionError
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"malformed config document: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
@@ -131,6 +130,8 @@ def parse_config(text: str) -> DecayExperimentConfig:
     if "snapshot_every" in t:
         kw["snapshot_every"] = _integer(t["snapshot_every"], "time.snapshot_every")
     kw["family"] = i.get("family", "random_band")
+    if not isinstance(kw["family"], str):
+        raise ConfigurationError("family must be a string", path="initial_data.family")
     kw["params"] = _initial_params(i, kw["family"])
     for key in ("q_list", "s_list_u", "s_list_b"):
         if key in d:

@@ -100,12 +100,6 @@ class PowerLawFit:
     exponent: float
     log_prefactor: float
     r2: float
-    split_disagreement: float = 0.0
-
-    @property
-    def non_power_law(self) -> bool:
-        """Window-split slopes differing by > 0.2 flag a non-power-law series."""
-        return self.split_disagreement > 0.2
 
 
 def _logfit(logt: np.ndarray, logv: np.ndarray):
@@ -143,17 +137,7 @@ def fit_power_law(series, window) -> PowerLawFit:
         raise DataError("nonpositive values inside the fit window")
     if np.any(t <= 0):
         raise DataError("nonpositive times inside the fit window")
-    logt, logv = np.log(t), np.log(v)
-    slope, intercept, r2 = _logfit(logt, logv)
-    # split-window diagnostic: exponential series masquerade as power laws
-    # with high r2, but their local slope drifts between window halves
-    half = len(pts) // 2
-    split = 0.0
-    if half >= 3 and len(pts) - half >= 3:
-        s1, _, _ = _logfit(logt[:half], logv[:half])
-        s2, _, _ = _logfit(logt[half:], logv[half:])
-        split = abs(s2 - s1)
-    return PowerLawFit(slope, intercept, r2, split)
+    return PowerLawFit(*_logfit(np.log(t), np.log(v)))
 
 
 # ---------------------------------------------------------------------------

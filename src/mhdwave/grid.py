@@ -33,7 +33,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "GridSpec",
-    "SpectralVectorField",
     "transform_inverse",
 ]
 
@@ -174,31 +173,6 @@ class GridSpec:
     @property
     def cell_area(self) -> float:
         return (self.box_length / self.n) ** 2
-
-
-@dataclass
-class SpectralVectorField:
-    """Half-spectrum Fourier coefficients, shape (c, n, n//2 + 1), c in {1, 2}.
-
-    The coefficients of a real field: the unstored half of the plane is the
-    Hermitian mirror of the stored one.  Only the self-conjugate columns 0
-    and n/2 hold both k and -k.  The solver and the checkpoint loader are its
-    only program callers; ``solver.State`` says why it stays.
-    """
-
-    coeffs: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim == 2:
-            c = c[None, :, :]
-        if c.ndim != 3 or c.shape[0] not in (1, 2) or c.shape[1:] != (self.grid.n, self.grid.half):
-            raise ConfigurationError(
-                f"coefficient shape {np.shape(self.coeffs)} is not the half spectrum "
-                f"of grid n={self.grid.n}"
-            )
-        self.coeffs = c
 
 
 def transform_inverse(potential: np.ndarray, grid: GridSpec) -> np.ndarray:

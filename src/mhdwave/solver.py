@@ -77,6 +77,7 @@ divergence-free, mean-free data it is exact up to round-off.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -90,7 +91,7 @@ import numpy.fft as _fft
 import scipy  # noqa: F401
 
 from .errors import BlowUpError, ConfigurationError, StepSizeError
-from .grid import GridSpec, SpectralVectorField
+from .grid import GridSpec
 from .kernels import heat_weight, propagator_tables
 
 __all__ = [
@@ -107,12 +108,7 @@ _CFL_SAFETY = 0.8
 @dataclass
 class State:
     """The advanced potentials (psi_hat, a_hat, at_hat) of (u, b, d_t b) at
-    time t, each a (n, n//2 + 1) half spectrum.
-
-    ``u_hat``, ``b_hat`` and ``bt_hat`` are the fields grad^perp of the
-    potentials, built on each access as read-only ``SpectralVectorField``
-    views.
-    """
+    time t, each a (n, n//2 + 1) half spectrum."""
 
     psi_hat: np.ndarray
     a_hat: np.ndarray
@@ -125,27 +121,20 @@ class State:
         if any(np.shape(c) != shape for c in (self.psi_hat, self.a_hat, self.at_hat)):
             raise ConfigurationError(f"state potentials must have the half shape {shape}")
 
-    # The vector-field layer (grid.SpectralVectorField, from_vectors, the
-    # u_hat/b_hat/bt_hat views, _potential, _grad_perp, run's vector triple,
-    # keep_states and Trajectory.states) stays only for the benchmark's
-    # linear_energy resume check, which only a benchmark change may move;
-    # the v1/v2 checkpoint load maps through from_vectors.
-    @classmethod
-    def from_vectors(cls, u: SpectralVectorField, b: SpectralVectorField,
-                     bt: SpectralVectorField, t: float = 0.0) -> "State":
-        """The potentials of the fields (u, b, d_t b); see the module notes."""
-        return cls(_potential(u), _potential(b), _potential(bt), u.grid, t)
-
+    # The views u_hat, b_hat and bt_hat (the fields grad^perp of the
+    # potentials), run's vector triple, keep_states and Trajectory.states
+    # stay only for the benchmark's linear_energy resume check, which only
+    # a benchmark change may move.
     @property
-    def u_hat(self) -> SpectralVectorField:
+    def u_hat(self) -> "_Vector":
         return _grad_perp(self.psi_hat, self.grid)
 
     @property
-    def b_hat(self) -> SpectralVectorField:
+    def b_hat(self) -> "_Vector":
         return _grad_perp(self.a_hat, self.grid)
 
     @property
-    def bt_hat(self) -> SpectralVectorField:
+    def bt_hat(self) -> "_Vector":
         return _grad_perp(self.at_hat, self.grid)
 
     def copy(self) -> "State":
@@ -153,16 +142,20 @@ class State:
                      self.t)
 
 
-def _potential(f: SpectralVectorField) -> np.ndarray:
-    """psi with grad^perp psi the divergence-free, mean-free part of f."""
-    g = f.grid
-    return (g.ky * f.coeffs[0] - g.kx * f.coeffs[1]) * (1j * g.inv_k2)
+# a vector field's (2, n, n//2 + 1) half spectrum and its grid
+_Vector = collections.namedtuple("_Vector", "coeffs grid")
 
 
-def _grad_perp(c: np.ndarray, grid: GridSpec) -> SpectralVectorField:
-    view = SpectralVectorField(grid.grad_perp * c, grid)
-    view.coeffs.flags.writeable = False
-    return view
+def _potential(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """psi with grad^perp psi the divergence-free, mean-free part of the
+    vector field with the half spectrum ``coeffs``."""
+    return (grid.ky * coeffs[0] - grid.kx * coeffs[1]) * (1j * grid.inv_k2)
+
+
+def _grad_perp(c: np.ndarray, grid: GridSpec) -> _Vector:
+    coeffs = grid.grad_perp * c
+    coeffs.flags.writeable = False
+    return _Vector(coeffs, grid)
 
 
 @dataclass
@@ -461,7 +454,8 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
 
     ``initial`` is a ``State``, as ``make_initial_data`` (t0 = 0) and
     ``load_checkpoint`` return, or the vector triple ``(u0, b0, a0)`` of u,
-    b and d_t b at t0 = 0, mapped to potentials by ``State.from_vectors``;
+    b and d_t b at t0 = 0, each with the ``coeffs`` and ``grid`` of a
+    ``State.u_hat`` view, mapped to potentials as the module notes say;
     either is dealiased first and must live on ``config.grid``.  Step i is
     stamped t0 + i dt, and ``observer(state) -> dict`` is evaluated on the
     steps ``_observed`` picks; rows are collected into the returned
@@ -478,7 +472,7 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
     or of its observer, and after a failed sink call no other is made.
     """
     if not isinstance(initial, State):
-        initial = State.from_vectors(*initial)
+        initial = State(*(_potential(f.coeffs, f.grid) for f in initial), initial[0].grid)
     if initial.grid != config.grid:
         raise ConfigurationError(
             f"initial data lives on {initial.grid}, the config on {config.grid}", path="grid.n")

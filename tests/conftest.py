@@ -1,10 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from mhdwave import solver
 from mhdwave.diagnostics import _perp_seminorm, _power
 from mhdwave.errors import ConfigurationError, DomainError
-from mhdwave.grid import GridSpec, SpectralVectorField
+from mhdwave.grid import GridSpec
 from mhdwave.kernels import propagator_tables
 from mhdwave.solver import State
 
@@ -12,6 +14,38 @@ from mhdwave.solver import State
 # Reference implementations.  No program path calls them; the tests hold the
 # package's half-spectrum layout, multiplier tables and nonlinear forcing to
 # these direct forms.
+
+
+@dataclass
+class SpectralVectorField:
+    """Half-spectrum Fourier coefficients, shape (c, n, n//2 + 1), c in {1, 2}.
+
+    The coefficients of a real field: the unstored half of the plane is the
+    Hermitian mirror of the stored one.  Only the self-conjugate columns 0
+    and n/2 hold both k and -k.  The program works on the potentials; the
+    oracles below work on the fields.
+    """
+
+    coeffs: np.ndarray
+    grid: GridSpec
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=np.complex128)
+        if c.ndim == 2:
+            c = c[None, :, :]
+        if c.ndim != 3 or c.shape[0] not in (1, 2) or c.shape[1:] != (self.grid.n, self.grid.half):
+            raise ConfigurationError(
+                f"coefficient shape {np.shape(self.coeffs)} is not the half spectrum "
+                f"of grid n={self.grid.n}"
+            )
+        self.coeffs = c
+
+
+def state_from_vectors(u, b, bt, t=0.0) -> State:
+    """The state of the fields (u, b, d_t b), through ``solver._potential``,
+    the map of run's vector triple and of v1/v2 checkpoints."""
+    return State(*(solver._potential(f.coeffs, f.grid) for f in (u, b, bt)), u.grid, t)
+
 
 def meshgrid(grid):
     """The physical grid points (X, Y), each (n, n), x along axis 0."""
@@ -172,7 +206,7 @@ def random_state(grid, seed, scale=1.0):
     """A state whose fields (u, b, d_t b) are ``scale`` times independent
     ``random_divfree`` fields."""
     fields = (random_divfree(grid, seed + offset) for offset in (0, 1000, 2000))
-    return State.from_vectors(*(SpectralVectorField(f.coeffs * scale, grid) for f in fields))
+    return state_from_vectors(*(SpectralVectorField(f.coeffs * scale, grid) for f in fields))
 
 
 def vector_nonlinear(state):

@@ -20,13 +20,14 @@ from mhdwave.decay import (
     verify_expintegral,
 )
 from mhdwave.diagnostics import linear_energy_residual, norm_observer
-from mhdwave.grid import GridSpec, SpectralVectorField
+from mhdwave.grid import GridSpec
 from mhdwave.initial import make_initial_data
 from mhdwave.kernels import kernel_pair, propagator_tables
 from mhdwave.checkpoint import load_checkpoint, save_checkpoint
 from mhdwave.solver import SolverConfig, run
 
 from conftest import (
+    SpectralVectorField,
     compute_nonlinear,
     dealias,
     expand_half_spectrum,

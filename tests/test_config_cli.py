@@ -63,6 +63,11 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             parse_config("{not json")
 
+    def test_deeply_nested_document(self):
+        # json's decoder recurses once per nesting level
+        with pytest.raises(ConfigurationError, match="malformed config document"):
+            parse_config(DEEP)
+
     def test_round_trip(self):
         cfg = parse_config(MINIMAL)
         echo = serialize_config(cfg)
@@ -87,6 +92,18 @@ def write_config(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+# a document nested past the decoder's recursion limit
+DEEP = "[" * 10**5 + "]" * 10**5
+
+# the documents test_bad_cli_input_exit_code reads, by file name
+BAD_DOCUMENTS = {
+    "gamma0.json": {"physics": {"gamma": 0}},
+    "family_list.json": {"initial_data": {"family": ["x"]}},
+    "family_object.json": {"initial_data": {"family": {"a": 1}}},
+    "amplitude_b.json": {"initial_data": {"amplitude_b": -1}},
+}
 
 
 SMALL_RUN = {
@@ -257,10 +274,20 @@ class TestCli:
         # gamma = 0 runs the MHD system, which has no damped-wave kernels
         pytest.param(["verify-kernels", "--config", "gamma0.json"], 2, "physics.gamma:",
                      id="verify_kernels_gamma_zero"),
+        pytest.param(["simulate", "--config", "family_list.json"], 2, "initial_data.family:",
+                     id="family_list"),
+        pytest.param(["simulate", "--config", "family_object.json"], 2,
+                     "initial_data.family:", id="family_object"),
+        pytest.param(["simulate", "--config", "amplitude_b.json"], 2,
+                     "initial_data.amplitude_b:", id="negative_amplitude_b"),
+        pytest.param(["simulate", "--config", "deep.json"], 2, "malformed config document",
+                     id="deeply_nested"),
     ])
     def test_bad_cli_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, rc, where):
         monkeypatch.chdir(tmp_path)
-        write_config(tmp_path, {"physics": {"gamma": 0}}, "gamma0.json")
+        for name, doc in BAD_DOCUMENTS.items():
+            write_config(tmp_path, doc, name)
+        (tmp_path / "deep.json").write_text(DEEP)
         assert main(argv + ["--output", str(tmp_path / "x")]) == rc
         assert where in capsys.readouterr().err
         assert not (tmp_path / "x" / "series.csv").exists()

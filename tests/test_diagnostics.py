@@ -10,11 +10,12 @@ from mhdwave.diagnostics import (
     norm_observer,
 )
 from mhdwave.errors import BlowUpError, DomainError, UsageError
-from mhdwave.grid import GridSpec, SpectralVectorField, transform_inverse
+from mhdwave.grid import GridSpec, transform_inverse
 from mhdwave.initial import make_initial_data
-from mhdwave.solver import SolverConfig, State, run
+from mhdwave.solver import SolverConfig, run
 
 from conftest import (
+    SpectralVectorField,
     fractional_laplacian_apply,
     grid_values,
     magnitude,
@@ -23,6 +24,7 @@ from conftest import (
     random_state,
     single_mode_field,
     sobolev_seminorm,
+    state_from_vectors,
     zero_field,
 )
 
@@ -121,14 +123,14 @@ class TestSobolevSeminorm:
 
 class TestEnergyFunctionals:
     def test_zero_state(self, grid16):
-        st = State.from_vectors(zero_field(grid16), zero_field(grid16), zero_field(grid16))
+        st = state_from_vectors(zero_field(grid16), zero_field(grid16), zero_field(grid16))
         assert energy_functionals(st, 1.0, 0.5) == (0.0, 0.0, 0.0)
 
     def test_single_mode_formula(self, grid16):
         # |k| = 1 makes every multiplier 1: X_1 = A_P^2 (1 + 2 gamma)
         gamma = 2.0
         b = single_mode_field(grid16, (1, 0), 0.7)
-        st = State.from_vectors(zero_field(grid16), b, zero_field(grid16))
+        st = state_from_vectors(zero_field(grid16), b, zero_field(grid16))
         a2 = sobolev_seminorm(b, 0.0) ** 2
         x, y, z = energy_functionals(st, 1.0, gamma)
         assert x == pytest.approx(a2 * (1 + 2 * gamma), rel=1e-12)
@@ -317,7 +319,7 @@ class TestNormObserver:
         # so negative orders are defined on every state
         c = random_divfree(grid16, 2).coeffs
         c[0, 0, 0] = 1.0
-        st = State.from_vectors(SpectralVectorField(c, grid16), zero_field(grid16),
+        st = state_from_vectors(SpectralVectorField(c, grid16), zero_field(grid16),
                                 zero_field(grid16))
         assert np.all(st.u_hat.coeffs[:, 0, 0] == 0)
         row = norm_observer((2.0,), (-1.0,), (0.0,))(st)

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as hst
 
 from mhdwave.diagnostics import lq_norm
 from mhdwave.errors import ConfigurationError, DomainError
-from mhdwave.grid import GridSpec, SpectralVectorField, transform_inverse
+from mhdwave.grid import GridSpec, transform_inverse
 
 from conftest import (
+    SpectralVectorField,
     dealias,
     divergence,
     expand_half_spectrum,
@@ -82,7 +83,7 @@ class TestTransforms:
         assert spectral_l2(f) == pytest.approx(l2_phys, rel=1e-12)
 
     def test_dimension_mismatch(self, grid32):
-        # a field carries its grid, and the field checks its shape against it
+        # the reference field carries its grid and checks its shape against it
         with pytest.raises(ConfigurationError):
             SpectralVectorField(np.zeros((2, 16, 9)), grid32)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as hst
 from mhdwave import grid as grid_module, solver
 from mhdwave.diagnostics import norm_observer
 from mhdwave.errors import BlowUpError, ConfigurationError, StepSizeError
-from mhdwave.grid import GridSpec, SpectralVectorField
+from mhdwave.grid import GridSpec
 from mhdwave.initial import make_initial_data
 from mhdwave.kernels import heat_weight, propagator_tables
 from mhdwave.solver import (
@@ -26,6 +26,7 @@ from mhdwave.solver import (
 )
 
 from conftest import (
+    SpectralVectorField,
     compute_nonlinear,
     dealias,
     divergence,
@@ -39,6 +40,7 @@ from conftest import (
     single_mode_field,
     spectral_inner,
     spectral_l2,
+    state_from_vectors,
     transform_forward,
     vector_nonlinear,
     zero_field,
@@ -46,7 +48,7 @@ from conftest import (
 
 
 def mode_state(grid, kindex, b_amp=1.0, u_amp=0.0, a_amp=0.0):
-    return State.from_vectors(
+    return state_from_vectors(
         single_mode_field(grid, kindex, u_amp),
         single_mode_field(grid, kindex, b_amp),
         single_mode_field(grid, kindex, a_amp),
@@ -80,14 +82,14 @@ def advective_reference(st):
 class TestNonlinear:
     def test_u_equals_b_kills_magnetic_term(self, grid16):
         u = random_divfree(grid16, 1)
-        st = State.from_vectors(u, SpectralVectorField(u.coeffs.copy(), u.grid),
+        st = state_from_vectors(u, SpectralVectorField(u.coeffs.copy(), u.grid),
                                 zero_field(grid16), 0.0)
         _, n_b = compute_nonlinear(st)
         assert np.max(np.abs(n_b.coeffs)) == 0.0
 
     def test_b_zero(self, grid16):
         u = random_divfree(grid16, 2)
-        st = State.from_vectors(u, zero_field(grid16), zero_field(grid16), 0.0)
+        st = state_from_vectors(u, zero_field(grid16), zero_field(grid16), 0.0)
         n_u, n_b = compute_nonlinear(st)
         assert np.max(np.abs(n_b.coeffs)) == 0.0
         # N_u = -P(u.grad u): compare against an independent composition
@@ -337,7 +339,7 @@ class TestNonlinear:
         g = grid16
         u = single_mode_field(g, (1, 0), 1.0, component=1)   # u = (0, cos x)
         b = single_mode_field(g, (0, 1), 1.0, component=0)   # b = (cos y, 0)
-        st = State.from_vectors(u, b, zero_field(g), 0.0)
+        st = state_from_vectors(u, b, zero_field(g), 0.0)
         n_u, n_b = compute_nonlinear(st)
         # (b.grad)u = cos y d_x (0, cos x) = (0, -cos y sin x)
         # (u.grad)b = cos x d_y (cos y, 0) = (-cos x sin y, 0)
@@ -375,7 +377,7 @@ class TestNonlinear:
 class TestStepExp:
     def test_zero_data_stays_zero(self, grid16):
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16)
-        st = State.from_vectors(zero_field(grid16), zero_field(grid16), zero_field(grid16))
+        st = state_from_vectors(zero_field(grid16), zero_field(grid16), zero_field(grid16))
         out = step_exp(st, cfg)
         assert np.all(out.u_hat.coeffs == 0) and np.all(out.b_hat.coeffs == 0)
 
@@ -627,14 +629,14 @@ class TestRun:
 class TestState:
     def test_vector_round_trip(self, grid32):
         fields = [random_divfree(grid32, seed) for seed in (1, 2, 3)]
-        st = State.from_vectors(*fields)
+        st = state_from_vectors(*fields)
         for f, view in zip(fields, (st.u_hat, st.b_hat, st.bt_hat)):
             assert np.max(np.abs(view.coeffs - f.coeffs)) <= 1e-15 * np.max(np.abs(f.coeffs))
 
     def test_vector_map_projects(self, grid16):
         # the map to potentials keeps the divergence-free, mean-free part
         f = random_spectral(grid16, 4)
-        u = State.from_vectors(f, zero_field(grid16), zero_field(grid16)).u_hat
+        u = state_from_vectors(f, zero_field(grid16), zero_field(grid16)).u_hat
         p = leray_project(f)
         p.coeffs[:, 0, 0] = 0.0
         assert np.max(np.abs(u.coeffs - p.coeffs)) <= 1e-15 * np.max(np.abs(p.coeffs))
@@ -646,7 +648,7 @@ class TestState:
         # on mean-free, dealiased states the map of run's vector branch and of
         # v1/v2 checkpoints undoes grad^perp to round-off
         st = random_state(GridSpec(n, box_length), seed, scale)
-        back = State.from_vectors(st.u_hat, st.b_hat, st.bt_hat)
+        back = state_from_vectors(st.u_hat, st.b_hat, st.bt_hat)
         for a, b in ((st.psi_hat, back.psi_hat), (st.a_hat, back.a_hat),
                      (st.at_hat, back.at_hat)):
             assert np.max(np.abs(b - a)) <= 1e-15 * np.max(np.abs(a))
@@ -671,7 +673,7 @@ class TestState:
         fields = (data.u_hat, data.b_hat, data.bt_hat)
         cfg = SolverConfig(gamma=0.5, dt=0.01, t_end=0.1, grid=grid16)
         by_fields = run(cfg, fields, keep_states=True)
-        start = State.from_vectors(*fields, t=3.0)
+        start = state_from_vectors(*fields, t=3.0)
         by_state = run(replace(cfg, t_end=3.1), start, keep_states=True)
         assert by_fields.times[-1] == 0.1
         assert by_state.times[-1] == by_state.states[-1].t == 3.1
