@@ -23,6 +23,14 @@ of the damped-wave system are
 satisfies d/dt [ (X_m + Y_m)/2 ] + Z_m = 0 exactly.  The observer computes
 the triple only when it is given an order m, and then records m and g in
 the row, so that ``linear_energy_residual`` can check them.
+
+The u_L2, b_L2 and H^s columns, which reach the CSVs, are bitwise
+Parseval sums: each is one ``_perp_seminorm`` sum in one fixed operation
+order.  The triple reaches no CSV: it is one contraction, six weighted
+sums over the modes, equal to the seminorm form to round-off.  Its sums
+run in ``np.einsum`` without ``optimize``, never in ``np.dot``: numpy
+hands dot products to BLAS, whose worker threads spin-wait after each
+call and take the core the stepping and the checkpoint writer need.
 """
 
 from __future__ import annotations
@@ -77,25 +85,49 @@ def _perp_seminorm(grid: GridSpec, power: np.ndarray, s: float) -> float:
     return float(grid.box_length * np.sqrt(np.sum(grid.abs_k_power(2.0 * s + 2.0) * power)))
 
 
+@functools.lru_cache(maxsize=4)
+def _weighted_k_power(grid: GridSpec, p: float) -> np.ndarray:
+    """The Parseval weight times the multiplier, w |k|^p; read-only."""
+    table = grid.parseval_weight * grid.abs_k_power(p)
+    table.flags.writeable = False
+    return table
+
+
+def _contract(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a * b over two arrays of one 2-D shape, in numpy's own einsum loop
+    (no BLAS)."""
+    return float(np.einsum("ij,ij", a, b))
+
+
+def _float_view(c: np.ndarray) -> np.ndarray:
+    """A complex half spectrum as its (n, 2 half) interleaved (re, im) floats."""
+    return np.ascontiguousarray(c, dtype=np.complex128).view(np.float64)
+
+
 def energy_functionals(state: State, m: float, gamma: float, *, _powers=None):
     """The triple (X_m, Y_m, Z_m); X_m, Z_m >= 0, Y_m any sign.
 
-    ``_powers`` lets the norm observer pass the weighted power spectra of
-    (psi, A, d_t A) it has already computed.
+    Six contractions: |k|^(2m+2) and |k|^(2m+4) against the weighted power
+    spectra of psi and A, and t = w |k|^(2m+2) d_t A against d_t A and A
+    on the interleaved float views, where sum t c reads sum Re(t conj c).
+    ``_powers`` lets the norm observer pass the power spectra of (psi, A)
+    it has already computed.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
     g = state.grid
     if _powers is None:
-        _powers = [_power(c, g) for c in (state.psi_hat, state.a_hat, state.at_hat)]
-    pu, pb, pbt = _powers
-    um, bm, btm = (_perp_seminorm(g, p, m) for p in _powers)
-    um1 = _perp_seminorm(g, pu, m + 1)
-    bm1 = _perp_seminorm(g, pb, m + 1)
-    x = um**2 + bm**2 + 2.0 * gamma**2 * btm**2 + 2.0 * gamma * bm1**2
-    cross = g.parseval_weight * np.real(state.at_hat * np.conj(state.a_hat))
-    y = 2.0 * gamma * g.box_length**2 * float(np.sum(g.abs_k_power(2.0 * m + 2.0) * cross))
-    z = um1**2 + bm1**2 + gamma * btm**2
+        _powers = [_power(c, g) for c in (state.psi_hat, state.a_hat)]
+    pu, pb = _powers
+    km, km1 = g.abs_k_power(2.0 * m + 2.0), g.abs_k_power(2.0 * m + 4.0)
+    um, bm, um1, bm1 = (_contract(k, p) for k in (km, km1) for p in (pu, pb))
+    t = _float_view(_weighted_k_power(g, 2.0 * m + 2.0) * state.at_hat)
+    btm = _contract(t, _float_view(state.at_hat))
+    cross = _contract(t, _float_view(state.a_hat))
+    area = g.box_length**2
+    x = area * (um + bm + 2.0 * gamma**2 * btm + 2.0 * gamma * bm1)
+    y = 2.0 * gamma * area * cross
+    z = area * (um1 + bm1 + gamma * btm)
     return x, y, z
 
 
@@ -135,9 +167,8 @@ def norm_observer(q_list=(2.0,), s_list_u=(0.0,), s_list_b=(0.0,), m: float | No
         for s in s_list_b:
             row[f"b_H{s:g}"] = seminorm(1, s)
         if m is not None:
-            triple = energy_functionals(state, m, gamma,
-                                        _powers=(*powers, _power(state.at_hat, g)))
-            row["X_m"], row["Y_m"], row["Z_m"] = triple
+            row["X_m"], row["Y_m"], row["Z_m"] = energy_functionals(state, m, gamma,
+                                                                    _powers=powers)
             row["m"], row["gamma"] = m, gamma
         if not all(map(math.isfinite, row.values())):
             raise BlowUpError(f"non-finite norm at t={state.t}", t=state.t)

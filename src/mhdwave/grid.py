@@ -45,16 +45,19 @@ __all__ = [
 # and three forcing tables (44), the masked grad^perp table of the
 # inverse (2 complex on the retained two thirds of the half-spectrum
 # columns: 11), the scratch spectrum of (u, b), which also takes the
-# forward transform (4 complex: 32), and the norm observer's |k|^p
-# tables (three, as for the energy triple: 12).  Four states (12
-# complex: 96): the initial state ``run`` is given, the newest (the one
-# a step is making, or the one observed), the one before it, which the
-# step reads and the checkpoint writer may still be writing, and the one
-# a sink may keep until its next call.  On top, the larger of what a
-# step makes besides its state (one linear-update temporary: 8; the step
-# adds its second products in place) and what an observer call makes
-# (72: the power spectra, and u and b on the grid with the transforms'
-# temporaries for an L^q norm with q != 2).  The inverse and the
+# forward transform (4 complex: 32), and the norm observer's tables (16:
+# three |k|^p, as for the energy triple, and the triple's weighted
+# w |k|^(2m+2)).  Four states (12 complex: 96): the initial state ``run``
+# is given, the newest (the one a step is making, or the one observed),
+# the one before it, which the step reads and the checkpoint writer may
+# still be writing, and the one a sink may keep until its next call.  On
+# top, the larger of what a step makes besides its state (one
+# linear-update temporary: 8; the step adds its second products in
+# place) and what an observer call makes (68: the power spectra of psi
+# and A, and u and b on the grid with the transforms' temporaries for an
+# L^q norm with q != 2; tracemalloc reads 64.4 for one call at n = 256,
+# and 18 without such a norm, where the energy triple adds one complex
+# temporary and no power spectrum of d_t A).  The inverse and the
 # products of one row block are 7 real rows of n, under 1 MB at any
 # n <= 2**14, and are left out.
 _BYTES_PER_POINT = 304

@@ -130,10 +130,10 @@ def make_initial_data(family: str, params: dict, grid: GridSpec) -> State:
     family : str
         One of ``INITIAL_FAMILIES``.
     params : dict
-        ``amplitude`` (> 0, required) scales u0 and, unless ``amplitude_b``
-        is given, b0.  Family-specific keys: ``width``/``separation`` for
+        ``amplitude`` (>= 0, required) scales u0 and, unless ``amplitude_b``
+        (>= 0) is given, b0.  Family-specific keys: ``width``/``separation`` for
         the Gaussian pair; ``k_min``/``k_max``/``spectral_exponent``/
-        ``seed``/``a0_amplitude`` for the random band.
+        ``seed``/``a0_amplitude`` (>= 0) for the random band.
 
     Returns
     -------
@@ -145,6 +145,8 @@ def make_initial_data(family: str, params: dict, grid: GridSpec) -> State:
         raise ConfigurationError("params must include amplitude >= 0",
                                  path="initial_data.amplitude")
     amplitude_b = params.pop("amplitude_b", amplitude)
+    if amplitude_b < 0:
+        raise ConfigurationError("amplitude_b must be >= 0", path="initial_data.amplitude_b")
     at = np.zeros((grid.n, grid.half), dtype=np.complex128)
 
     if family == "taylor_green":
@@ -161,6 +163,9 @@ def make_initial_data(family: str, params: dict, grid: GridSpec) -> State:
         k_max = params.pop("k_max", grid.n / 8 * 2.0 * np.pi / grid.box_length)
         slope = params.pop("spectral_exponent", 0.0)
         a0_amplitude = params.pop("a0_amplitude", 0.0)
+        if a0_amplitude < 0:
+            raise ConfigurationError("a0_amplitude must be >= 0",
+                                     path="initial_data.a0_amplitude")
         rng = Generator(Philox(key=seed))
 
         def draw(amp):

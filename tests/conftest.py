@@ -169,6 +169,22 @@ def compute_nonlinear(state: State):
             SpectralVectorField(g.grad_perp * f_a, g))
 
 
+def energy_functionals_reference(state: State, m: float, gamma: float):
+    """The triple (X_m, Y_m, Z_m) from its seminorms, as the paper writes it:
+    five H^s seminorms from the power spectra of psi, A and d_t A, and the
+    inner product of d_t L^m b with L^m b from the cross spectrum."""
+    g = state.grid
+    pu, pb, pbt = (_power(c, g) for c in (state.psi_hat, state.a_hat, state.at_hat))
+    um, bm, btm = (_perp_seminorm(g, p, m) for p in (pu, pb, pbt))
+    um1 = _perp_seminorm(g, pu, m + 1)
+    bm1 = _perp_seminorm(g, pb, m + 1)
+    x = um**2 + bm**2 + 2.0 * gamma**2 * btm**2 + 2.0 * gamma * bm1**2
+    cross = g.parseval_weight * np.real(state.at_hat * np.conj(state.a_hat))
+    y = 2.0 * gamma * g.box_length**2 * float(np.sum(g.abs_k_power(2.0 * m + 2.0) * cross))
+    z = um1**2 + bm1**2 + gamma * btm**2
+    return x, y, z
+
+
 def linear_singular_limit_error(gamma: float, T: float, initial: State) -> float:
     """Closed-form per-mode e(gamma) for the linear (forcing-free) flow from
     ``initial``: psi takes the same heat flow in both systems, so only A

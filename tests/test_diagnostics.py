@@ -16,6 +16,7 @@ from mhdwave.solver import SolverConfig, run
 
 from conftest import (
     SpectralVectorField,
+    energy_functionals_reference,
     fractional_laplacian_apply,
     grid_values,
     magnitude,
@@ -125,6 +126,31 @@ class TestEnergyFunctionals:
     def test_zero_state(self, grid16):
         st = state_from_vectors(zero_field(grid16), zero_field(grid16), zero_field(grid16))
         assert energy_functionals(st, 1.0, 0.5) == (0.0, 0.0, 0.0)
+
+    def test_y_zero_without_d_t_b(self, grid16):
+        st = state_from_vectors(random_divfree(grid16, 1), random_divfree(grid16, 2),
+                                zero_field(grid16))
+        x, y, z = energy_functionals(st, 1.0, 0.5)
+        assert y == 0.0 and x > 0 and z > 0
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=hst.sampled_from([16, 32, 48]), seed=hst.integers(0, 2**32 - 1),
+           scales=hst.tuples(*[hst.floats(-3.0, 3.0)] * 3), m=hst.floats(0.0, 2.0),
+           gamma=hst.floats(1e-2, 10.0))
+    def test_matches_seminorm_form(self, n, seed, scales, m, gamma):
+        # u, b and d_t b each scaled by 10^scale.  X and Z are sums of
+        # nonnegative terms; the round-off of Y's mixed-sign sum is bounded
+        # by the Cauchy-Schwarz bound of |Y|, 2 gamma ||L^m b|| ||d_t L^m b||
+        g = GridSpec(n, 2 * np.pi)
+        fields = (SpectralVectorField(random_divfree(g, seed + offset).coeffs * 10.0**p, g)
+                  for offset, p in zip((0, 1000, 2000), scales))
+        st = state_from_vectors(*fields)
+        x, y, z = energy_functionals(st, m, gamma)
+        ref_x, ref_y, ref_z = energy_functionals_reference(st, m, gamma)
+        assert x == pytest.approx(ref_x, rel=1e-12)
+        assert z == pytest.approx(ref_z, rel=1e-12)
+        bound = 2.0 * gamma * sobolev_seminorm(st.b_hat, m) * sobolev_seminorm(st.bt_hat, m)
+        assert y == pytest.approx(ref_y, rel=1e-12, abs=1e-12 * bound)
 
     def test_single_mode_formula(self, grid16):
         # |k| = 1 makes every multiplier 1: X_1 = A_P^2 (1 + 2 gamma)

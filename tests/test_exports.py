@@ -105,6 +105,38 @@ def test_benchmark_hooks_find_their_targets(monkeypatch):
     assert modules["solver"]._STEPPERS == steppers
 
 
+# numpy hands these to BLAS, whose OpenBLAS worker threads spin-wait after
+# each call.  With np.dot in the energy triple, 2000 observer calls at
+# n = 256 took 2.36 s of process CPU for 1.64 s of wall time on a 2-vCPU VM,
+# and stole the stepping thread's core; with np.einsum, 1.05 s for 1.06 s.
+# einsum's optimize argument may route through tensordot, so it is refused.
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def _blas_uses(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names = (
+            {node.id} if isinstance(node, ast.Name) else
+            {node.attr} if isinstance(node, ast.Attribute) else
+            {*node.name.split("."), node.asname} if isinstance(node, ast.alias) else
+            set((node.module or "").split(".")) if isinstance(node, ast.ImportFrom) else
+            set())
+        found += [f"{node.lineno}: {name}" for name in sorted(names & _BLAS_NAMES)]
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        if (isinstance(node, ast.Call) and "einsum" in (getattr(node.func, "attr", None),
+                                                        getattr(node.func, "id", None))
+                and any(k.arg == "optimize" for k in node.keywords)):
+            found.append(f"{node.lineno}: einsum(optimize=...)")
+    return found
+
+
+@pytest.mark.parametrize("module", ["diagnostics", "solver"])
+def test_no_blas_on_the_step_or_observer_path(module):
+    assert _blas_uses(ROOT / "src" / "mhdwave" / f"{module}.py") == []
+
+
 def test_run_takes_every_step_from_the_stepper_table(monkeypatch):
     # perfbench counts steps and times set-up through this table
     grid = GridSpec(16, 2 * np.pi)

@@ -129,6 +129,22 @@ def test_unknown_param_rejected():
         make_initial_data("taylor_green", {"amplitude": 1.0, "vorticity": 3}, g)
 
 
+@pytest.mark.parametrize("family,key", [
+    ("taylor_green", "amplitude_b"),
+    ("gaussian_vortex_pair", "amplitude_b"),
+    ("random_band", "amplitude_b"),
+    ("random_band", "a0_amplitude"),
+])
+def test_negative_amplitude_rejected(family, key):
+    # a negative amplitude_b would flip the sign of b and a negative
+    # a0_amplitude would drop d_t A: each is refused at its key, as the
+    # config parser refuses it
+    g = GridSpec(16, 2 * np.pi)
+    with pytest.raises(ConfigurationError, match=f"{key} must be >= 0") as exc:
+        make_initial_data(family, {"amplitude": 1.0, key: -0.5}, g)
+    assert exc.value.path == f"initial_data.{key}"
+
+
 @pytest.mark.parametrize("family,params", [
     ("taylor_green", {"amplitude": 0.3}),
     ("gaussian_vortex_pair", {"amplitude": 1.0, "amplitude_b": 0.4}),
