@@ -1,7 +1,8 @@
 """Every name the package and its modules export resolves and has a caller
 outside the tests, and every module attribute the benchmark's hooks wrap
-resolves; of the vector-field layer only the solver's views remain; a fresh
-import loads scipy itself but not its transforms."""
+resolves; of the vector-field layer only the solver's views remain; the
+step and the observer make no BLAS call; a fresh import loads scipy itself
+but not its transforms."""
 
 import ast
 import importlib
@@ -108,7 +109,8 @@ def test_benchmark_hooks_find_their_targets(monkeypatch):
 # numpy hands these to BLAS, whose OpenBLAS worker threads spin-wait after
 # each call.  With np.dot in the energy triple, 2000 observer calls at
 # n = 256 took 2.36 s of process CPU for 1.64 s of wall time on a 2-vCPU VM,
-# and stole the stepping thread's core; with np.einsum, 1.05 s for 1.06 s.
+# the spinning thread holding the core the checkpoint writer runs on; with
+# np.einsum, 1.05 s for 1.06 s.
 # einsum's optimize argument may route through tensordot, so it is refused.
 _BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
 
