@@ -120,6 +120,7 @@ def energy_functionals(state: State, m: float, gamma: float, *, _powers=None):
         _powers = [_power(c, g) for c in (state.psi_hat, state.a_hat)]
     pu, pb = _powers
     km, km1 = g.abs_k_power(2.0 * m + 2.0), g.abs_k_power(2.0 * m + 4.0)
+    # each sum is a squared seminorm over L^2 (btm and cross below too)
     um, bm, um1, bm1 = (_contract(k, p) for k in (km, km1) for p in (pu, pb))
     t = _float_view(_weighted_k_power(g, 2.0 * m + 2.0) * state.at_hat)
     btm = _contract(t, _float_view(state.at_hat))
