@@ -2,13 +2,11 @@
 
 Layout (little-endian): header ``magic "MHDW" | version u32 | n u32 |
 L f64 | gamma f64 | t f64`` (36 bytes) followed by three coefficient
-blocks.  Version 3 (written) stores the potentials psi, A and d_t A of the
-solver state, each a (n, n//2 + 1) complex128 block in row-major
-half-spectrum order, so a file is 36 + 3 * 16 * n * (n//2 + 1) bytes.
-Older files hold the fields u, b and d_t b and are still read, each
-through the map ``solver._potential`` to its potential: version 2 as
-(2, n, n//2 + 1) half-spectrum blocks, version 1 as (2, n, n)
-full-spectrum blocks, of which the first n//2 + 1 columns are kept.
+blocks.  Version 3, the one version written and read, stores the
+potentials psi, A and d_t A of the solver state, each a (n, n//2 + 1)
+complex128 block in row-major half-spectrum order, so a file is
+36 + 3 * 16 * n * (n//2 + 1) bytes.  The header is read and checked
+first, and then at most one byte more than the blocks it promises.
 
 A checkpoint is written to a temporary file beside the target and renamed
 over it, so a write that fails part-way leaves the previous one intact.
@@ -30,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .grid import GridSpec
-from .solver import State, _potential
+from .solver import State
 
 __all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -56,28 +54,30 @@ def save_checkpoint(path, state: State, gamma: float) -> None:
 
 def load_checkpoint(path):
     """Returns (state, gamma).  A path that cannot be opened is a
-    ``DataError``; a malformed file, including a header whose gamma or t is
-    not finite or whose t is negative, is a ``ConfigurationError``."""
+    ``DataError``; a malformed file, including a version other than 3 and
+    a header whose gamma or t is not finite or is negative, is a
+    ``ConfigurationError``."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            header = fh.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise ConfigurationError(f"truncated checkpoint {path}")
+            magic, version, n, box_length, gamma, t = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise ConfigurationError(f"bad checkpoint magic {magic!r} in {path}")
+            if version != VERSION:
+                raise ConfigurationError(
+                    f"checkpoint {path} has version {version}; only version {VERSION} is read")
+            if not (0 <= gamma < math.inf and 0 <= t < math.inf):
+                raise ConfigurationError(f"checkpoint {path} header has gamma={gamma}, t={t}; "
+                                         "both must be finite and >= 0")
+            grid = GridSpec(n, box_length)
+            shape = (3, n, grid.half)
+            size = 16 * math.prod(shape)
+            body = fh.read(size + 1)
     except OSError as exc:
         raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise ConfigurationError(f"truncated checkpoint {path}")
-    magic, version, n, box_length, gamma, t = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ConfigurationError(f"bad checkpoint magic {magic!r}")
-    if version not in (1, 2, VERSION):
-        raise ConfigurationError(f"unsupported checkpoint version {version}")
-    if not (math.isfinite(gamma) and math.isfinite(t) and t >= 0):
-        raise ConfigurationError(f"checkpoint {path} header has gamma={gamma}, t={t}; "
-                                 "both must be finite and t >= 0")
-    grid = GridSpec(n, box_length)
-    shape = {1: (3, 2, n, n), 2: (3, 2, n, grid.half), 3: (3, n, grid.half)}[version]
-    if len(raw) != _HEADER.size + 16 * math.prod(shape):
+    if len(body) != size:
         raise ConfigurationError(f"checkpoint {path} does not hold three {shape[1:]} blocks")
-    blocks = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(shape)
-    if version == VERSION:
-        return State(*(c.astype(np.complex128) for c in blocks), grid, t), gamma
-    return State(*(_potential(c[:, :, : grid.half], grid) for c in blocks), grid, t), gamma
+    blocks = np.frombuffer(body, dtype="<c16").reshape(shape)
+    return State(*(c.astype(np.complex128) for c in blocks), grid, t), gamma

@@ -70,9 +70,9 @@ overwrite each other's products.
 ``run`` steps a state from its own time t to ``t_end``, so a resumed run
 keeps the time axis, also in step errors.  It also takes the vector triple
 (u0, b0, d_t b0) at t = 0 and maps it to the potentials with
-psi = (i ky u1 - i kx u2) / |k|^2, as version 1 and 2 checkpoints load.
-That map is the Leray projection followed by the removal of the mean; on
-divergence-free, mean-free data it is exact up to round-off.
+psi = (i ky u1 - i kx u2) / |k|^2 (``_potential``), the Leray projection
+followed by the removal of the mean; on divergence-free, mean-free data
+it is exact up to round-off.
 """
 
 from __future__ import annotations

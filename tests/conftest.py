@@ -43,7 +43,7 @@ class SpectralVectorField:
 
 def state_from_vectors(u, b, bt, t=0.0) -> State:
     """The state of the fields (u, b, d_t b), through ``solver._potential``,
-    the map of run's vector triple and of v1/v2 checkpoints."""
+    the map of run's vector triple."""
     return State(*(solver._potential(f.coeffs, f.grid) for f in (u, b, bt)), u.grid, t)
 
 

@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 
 import numpy as np
@@ -5,12 +7,13 @@ import pytest
 
 from mhdwave import checkpoint
 from mhdwave.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
+from mhdwave.cli import main
 from mhdwave.errors import ConfigurationError
 from mhdwave.grid import GridSpec
 from mhdwave.initial import make_initial_data
 from mhdwave.solver import SolverConfig, run
 
-from conftest import expand_half_spectrum, random_state
+from conftest import random_state
 
 
 def test_round_trip_exact(tmp_path, grid16):
@@ -74,30 +77,25 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, grid16, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == ["state.mhdw"]
 
 
-def test_version_1_file_loads(tmp_path, grid16):
-    # v1 (full-spectrum fields) and v2 (half-spectrum fields) files of the
-    # state load to the state of its v3 file (potentials) up to round-off
-    st = random_state(grid16, 7)
-    st.t = 0.5
-    v3 = tmp_path / "v3.mhdw"
-    save_checkpoint(v3, st, gamma=0.25)
-    new, g_new = load_checkpoint(v3)
-    old = {}
-    for version, expand in ((1, lambda c: expand_half_spectrum(c, 16)), (2, lambda c: c)):
-        p = tmp_path / f"v{version}.mhdw"
-        with open(p, "wb") as fh:
-            fh.write(struct.pack("<4sIIddd", MAGIC, version, 16, grid16.box_length, 0.25, 0.5))
-            for f in (st.u_hat, st.b_hat, st.bt_hat):
-                fh.write(expand(f.coeffs).astype("<c16").tobytes())
-        old[version], g_old = load_checkpoint(p)
-        assert (g_old, old[version].t, old[version].grid) == (g_new, new.t, new.grid)
-        for name in ("psi_hat", "a_hat", "at_hat"):
-            a, b = getattr(old[version], name), getattr(new, name)
-            assert a.shape == b.shape == (16, 9)
-            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
-    # both vector layouts hold the same fields, so they load identically
-    for name in ("psi_hat", "a_hat", "at_hat"):
-        assert np.all(getattr(old[1], name) == getattr(old[2], name))
+@pytest.mark.parametrize("version", [0, 1, 2, 4])
+def test_other_versions_refused(tmp_path, grid16, capsys, version):
+    # version 3 is the one layout read: a v3 file relabelled as any other
+    # version is refused by name, and a resume from it exits 2 before the run
+    p = tmp_path / "state.mhdw"
+    save_checkpoint(p, random_state(grid16, 7), gamma=0.25)
+    raw = bytearray(p.read_bytes())
+    raw[4:8] = struct.pack("<I", version)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ConfigurationError, match=re.escape(f"{p} has version {version}")):
+        load_checkpoint(p)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n": 16, "box_length": "2*pi"},
+                               "physics": {"gamma": 0.25}, "time": {"dt": 0.01, "t_end": 0.1}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--output", str(out), "--resume", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert str(p) in err and f"version {version}" in err
+    assert not out.exists()
 
 
 def test_bad_magic_rejected(tmp_path, grid16):
@@ -107,16 +105,55 @@ def test_bad_magic_rejected(tmp_path, grid16):
     raw = bytearray(p.read_bytes())
     raw[:4] = b"XXXX"
     p.write_bytes(bytes(raw))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=re.escape(f"magic b'XXXX' in {p}")):
         load_checkpoint(p)
 
 
-def test_truncated_rejected(tmp_path, grid16):
+@pytest.fixture
+def bounded_reads(monkeypatch):
+    """Checkpoint files whose read() of the whole rest raises, as a read of
+    /dev/zero would run out of memory."""
+
+    class BoundedFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def read(self, size=-1):
+            if size is None or size < 0:
+                raise AssertionError("read to the end of the file")
+            return self.fh.read(size)
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: BoundedFile(open(*a, **k)),
+                        raising=False)
+
+
+def test_reads_no_more_than_the_header_promises(tmp_path, grid16, bounded_reads):
+    st = random_state(grid16, 9)
+    p = tmp_path / "state.mhdw"
+    save_checkpoint(p, st, gamma=0.5)
+    loaded, gamma = load_checkpoint(p)
+    assert gamma == 0.5
+    for name in ("psi_hat", "a_hat", "at_hat"):
+        assert np.array_equal(getattr(loaded, name), getattr(st, name))
+
+
+@pytest.mark.parametrize("cut", [lambda raw: raw[:100], lambda raw: raw + b"\0"],
+                         ids=["short", "one_byte_long"])
+def test_truncated_rejected(tmp_path, grid16, bounded_reads, cut):
     st = random_state(grid16, 4)
     p = tmp_path / "state.mhdw"
     save_checkpoint(p, st, gamma=1.0)
-    p.write_bytes(p.read_bytes()[:100])
-    with pytest.raises(ConfigurationError):
+    p.write_bytes(cut(p.read_bytes()))
+    with pytest.raises(ConfigurationError, match=r"does not hold three \(16, 9\) blocks"):
         load_checkpoint(p)
 
 

@@ -768,7 +768,8 @@ class TestCli:
         ("gamma", math.nan, "header has gamma=nan, t=0.0"),
         ("t", 5.0, "time.t_end: 0.2 lies before the checkpoint time 5.0"),
         ("t", -1.0, "header has gamma=1.0, t=-1.0"),
-    ], ids=["t_nan", "gamma_nan", "t_past_t_end", "t_negative"])
+        ("gamma", -1.0, "header has gamma=-1.0"),
+    ], ids=["t_nan", "gamma_nan", "t_past_t_end", "t_negative", "gamma_negative"])
     def test_resume_bad_checkpoint_header_exit_code(self, tmp_path, capsys, field, value,
                                                      where):
         # t_end = 0.2: a checkpoint at t = 5 lies past the end of the run

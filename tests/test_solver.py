@@ -33,6 +33,7 @@ from conftest import (
     grid_values,
     hermitian_error,
     leray_project,
+    magnitude,
     meshgrid,
     random_divfree,
     random_spectral,
@@ -626,6 +627,39 @@ class TestRun:
         assert np.max(hm_u) <= 1.05 * x[0]
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=hst.sampled_from([16, 32]), seed=hst.integers(0, 2**32 - 1),
+       scale=hst.sampled_from([0.05, 0.5]), lam=hst.sampled_from([0.5, 2.0, 4.0]),
+       gamma=hst.one_of(hst.just(0.0), hst.floats(-2.0, 2.0).map(lambda e: 10.0**e)),
+       nonlinear=hst.booleans())
+def test_parabolic_scaling_is_bitwise(n, seed, scale, lam, gamma, nonlinear):
+    # x -> x / lam, t -> t / lam^2 maps the system at gamma on a box L to the
+    # system at gamma / lam^2 on the box L / lam: on the same lattice psi_hat
+    # and A_hat keep their arrays and d_t A_hat is lam^2 times its array.  At
+    # a power of two lam every table, transform and product scales exactly.
+    # The speed on the box L / lam is lam times vmax; dt is inside both CFL
+    # limits, where the floor max(1, vmax) does not enter.
+    grid, small = GridSpec(n, 4 * np.pi), GridSpec(n, 4 * np.pi / lam)
+    st = random_state(grid, seed, scale)
+    vmax = sum(float(np.max(magnitude(grid_values(f)))) for f in (st.u_hat, st.b_hat))
+    dt = 0.4 * grid.box_length / n * min(1.0 / max(1.0, vmax), lam / max(1.0, lam * vmax))
+    runs = []
+    for cfg, initial in (
+            (SolverConfig(gamma=gamma, dt=dt, t_end=4 * dt, grid=grid, nonlinear=nonlinear),
+             st),
+            (SolverConfig(gamma=gamma / lam**2, dt=dt / lam**2, t_end=4 * dt / lam**2,
+                          grid=small, nonlinear=nonlinear),
+             State(st.psi_hat, st.a_hat, lam**2 * st.at_hat, small))):
+        last = []
+        run(cfg, initial, checkpoint_every=4, checkpoint_sink=last.append)
+        runs.append(last[-1])
+    big, mapped = runs
+    assert mapped.t == big.t / lam**2
+    assert np.array_equal(mapped.psi_hat, big.psi_hat)
+    assert np.array_equal(mapped.a_hat, big.a_hat)
+    assert np.array_equal(mapped.at_hat, lam**2 * big.at_hat)
+
+
 class TestState:
     def test_vector_round_trip(self, grid32):
         fields = [random_divfree(grid32, seed) for seed in (1, 2, 3)]
@@ -645,8 +679,8 @@ class TestState:
     @given(n=hst.sampled_from([8, 16, 32]), box_length=hst.floats(0.1, 100.0),
            seed=hst.integers(0, 2**16), scale=hst.floats(1e-8, 1e8))
     def test_vector_map_inverts_the_views(self, n, box_length, seed, scale):
-        # on mean-free, dealiased states the map of run's vector branch and of
-        # v1/v2 checkpoints undoes grad^perp to round-off
+        # on mean-free, dealiased states the map of run's vector branch
+        # undoes grad^perp to round-off
         st = random_state(GridSpec(n, box_length), seed, scale)
         back = state_from_vectors(st.u_hat, st.b_hat, st.bt_hat)
         for a, b in ((st.psi_hat, back.psi_hat), (st.a_hat, back.a_hat),
