@@ -13,7 +13,10 @@ table as ``<kind>.csv``, then a ``manifest.jsonl`` naming the config hash
 and the emitted files.  The hash covers what decides the outputs, the
 config with the ``--seed`` override applied, and not where the run
 writes.  The manifest lists the CSVs in the order they were written,
-then any checkpoints in the order ``simulate`` wrote them.  CSV outputs
+then any checkpoints in the order ``simulate`` wrote them.  The
+subcommands hand the writer numbers, and it alone formats a cell: a float
+(numpy's too) as ``repr(float(x))``, the shortest decimal that reads back
+to it, a bool in lower case, anything else through ``str``.  CSV outputs
 are byte-deterministic for a fixed config and seed; wall-clock
 timestamps appear only in the manifest.
 
@@ -54,7 +57,6 @@ from .errors import (
     DomainError,
     MhdWaveError,
     StepSizeError,
-    WindowError,
 )
 from .initial import make_initial_data
 from .kernels import verify_kernel_bounds
@@ -92,8 +94,11 @@ def _gamma_list(text: str) -> list:
                                  path="gammas") from None
 
 
-def _float_cell(x) -> str:
-    return repr(float(x))
+def _cell(x) -> str:
+    """A CSV cell, in the format the module docstring states."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x).lower() if isinstance(x, bool) else str(x)
 
 
 def _emit(args) -> int:
@@ -133,7 +138,7 @@ def _emit(args) -> int:
         else:
             names = [f"{kind}.csv"]
             with open(outdir / names[0], "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(rows)
+                csv.writer(fh).writerows([_cell(x) for x in row] for row in rows)
         manifest += [{"kind": kind, "path": name, "config_hash": head["config_hash"]}
                      for name in names]
     with open(outdir / "manifest.jsonl", "w", encoding="utf-8") as fh:
@@ -165,9 +170,8 @@ def cmd_simulate(cfg, args) -> dict:
 
     traj = run(cfg, initial, observer,
                checkpoint_every=args.checkpoint_every, checkpoint_sink=sink)
-    rows = [["t"] + ids]
-    for t, snap in zip(traj.times, traj.snapshots):
-        rows.append([_float_cell(t)] + [_float_cell(snap[k]) for k in ids])
+    rows = [["t", *ids]] + [[t, *(snap[k] for k in ids)]
+                            for t, snap in zip(traj.times, traj.snapshots)]
     return {"series": rows, "checkpoint": ck_paths}
 
 
@@ -178,19 +182,14 @@ def cmd_sweep(cfg, args) -> dict:
     for g, res in sweep.items():
         for nid in ids:
             c = res.comparison(nid)
-            rows.append([
-                _float_cell(g), nid,
-                _float_cell(c.fit.exponent),
-                _float_cell(c.theory.exponent) if c.theory else "",
-                _float_cell(c.fit.r2),
-                _float_cell(np.exp(c.fit.log_prefactor)),
-                _float_cell(res.trajectory.series(nid)[-1]),
-            ])
+            rows.append([g, nid, c.fit.exponent, c.theory.exponent if c.theory else "",
+                         c.fit.r2, np.exp(c.fit.log_prefactor),
+                         res.trajectory.series(nid)[-1]])
     # prefactor curve per tracked norm, for offline plotting
-    curve = [["norm_id"] + [_float_cell(g) for g in sweep]]
+    curve = [["norm_id", *sweep]]
     for nid in ids:
-        curve.append([nid] + [_float_cell(np.exp(res.comparison(nid).fit.log_prefactor))
-                              for res in sweep.values()])
+        curve.append([nid, *(np.exp(res.comparison(nid).fit.log_prefactor)
+                             for res in sweep.values())])
     return {"sweep": rows, "prefactor_curve": curve}
 
 
@@ -222,28 +221,31 @@ def cmd_fit_decay(cfg, args) -> dict:
             theory = theory_rate(nid, cfg.m)  # same pairing as the live experiment
         except DomainError:
             theory = None
-        cells = ["", ""] if theory is None else [
-            _float_cell(theory.exponent), _float_cell(fit.exponent - theory.exponent)]
-        rows.append([nid, _float_cell(fit.exponent), *cells, _float_cell(fit.r2),
-                     _float_cell(window[0]), _float_cell(window[1])])
+        cells = ["", ""] if theory is None else [theory.exponent, fit.exponent - theory.exponent]
+        rows.append([nid, fit.exponent, *cells, fit.r2, *window])
     return {"fit_summary": rows}
 
 
 def cmd_verify_kernels(cfg, args) -> dict:
     if not cfg.gamma > 0:
         raise ConfigurationError("the damped-wave kernels need gamma > 0", path="physics.gamma")
-    return {"kernel_bounds": verify_kernel_bounds(cfg.gamma, refine=1).to_csv_rows(),
-            "kernel_bounds_refined": verify_kernel_bounds(cfg.gamma, refine=2).to_csv_rows()}
+    header = ["bound_id", "gamma", "theta", "C_emp", "n_samples"]
+    return {kind: [header] + [[r.bound_id, r.gamma, r.theta, r.c_emp, r.n_samples]
+                              for r in verify_kernel_bounds(cfg.gamma, refine)]
+            for kind, refine in (("kernel_bounds", 1), ("kernel_bounds_refined", 2))}
 
 
 def cmd_verify_lemmas(cfg, args) -> dict:
     report = verify_expintegral()
-    tables = {f"expintegral_{ineq}": report.to_csv_rows(ineq) for ineq in ("p-1", "p-2", "p-3")}
+    header = ["case", "regime", "R", "kappa", "t", "lhs", "rhs_shape", "C_emp"]
+    tables = {f"expintegral_{ineq}": [header] for ineq in ("p-1", "p-2", "p-3")}
+    for r in report.rows:
+        tables[f"expintegral_{r.ineq}"].append(
+            [r.ineq, r.regime, r.R, r.kappa, r.t, r.lhs, r.rhs_shape, r.ratio])
     stable = report.stable()
     rows = [["case", "regime", "C_emp", "C_emp_refined", "stable_1pct"]]
     for key, v in sorted(report.c_emp.items()):
-        rows.append([key[0], key[1], repr(float(v)), repr(float(report.c_emp_refined[key])),
-                     str(stable).lower()])
+        rows.append([*key, v, report.c_emp_refined[key], stable])
     return {**tables, "expintegral_summary": rows}
 
 
@@ -252,8 +254,7 @@ def cmd_compare_mhd(cfg, args) -> dict:
     rows = [["gamma", "error", "ratio_to_previous"]]
     for i, (g, e) in enumerate(zip(gs, errs)):
         # no ratio for the first row, nor after a zero error
-        ratio = _float_cell(e / errs[i - 1]) if i and errs[i - 1] else ""
-        rows.append([_float_cell(g), _float_cell(e), ratio])
+        rows.append([g, e, e / errs[i - 1] if i and errs[i - 1] else ""])
     return {"singular_limit": rows}
 
 
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "solver", "message": str(exc),
                           "t": getattr(exc, "t", None)}), file=sys.stderr)
         return EXIT_SOLVER
-    except (DataError, WindowError, MhdWaveError, OSError) as exc:  # OSError: a failed write
+    except (MhdWaveError, OSError) as exc:  # OSError: a failed write
         print(json.dumps({"error": "data", "message": str(exc)}), file=sys.stderr)
         return EXIT_DATA
 

@@ -1,18 +1,19 @@
 """Run configuration: parsing, validation, serialization.
 
-Configs are JSON documents with nested sections (grid, physics, time,
-initial_data, diagnostics, fit, solver); ``physics.gamma`` = 0 runs the
-MHD system.  Numeric values may be written as pi-expressions like
-``"32*pi"`` or ``"pi/4"``.  Unknown keys are rejected with the offending
-path.  The echo fills in every default of ``DecayExperimentConfig`` and
-the initial-data ``amplitude`` and ``seed``; the other family parameters
-(``k_min``, ``k_max``, ``width``, ...) appear only when the document sets
-them, and ``make_initial_data`` supplies their defaults.  A config describes what a run computes, not where it
-writes: that is the ``--output`` flag.
-
-A document parses into a ``DecayExperimentConfig``, the one run
-description; this module checks JSON types, and the range checks live
-with the types that own the values (``GridSpec``, ``SolverConfig``,
+A config is a JSON document of sections.  ``_KEYS`` maps each section to
+its keys and each key to its reader, which checks and converts the value;
+the parser and the echo both walk that one table.  A ``grid`` key is a
+``GridSpec`` argument, an ``initial_data`` key other than ``family`` a
+``make_initial_data`` param (dropped when the family does not read it),
+and any other key the ``DecayExperimentConfig`` field of its name.
+Unknown keys are rejected at their path.  ``null`` leaves a numeric
+``initial_data`` param or ``fit.window`` unset and is refused elsewhere.
+Numbers may be pi-expressions like ``"32*pi"`` or ``"pi/4"``.  The echo
+holds every field with its default filled in, the grid, and the params:
+``amplitude`` and ``seed`` always, the other family parameters only when
+the document sets them.  A config describes what a run computes, not
+where it writes (the ``--output`` flag).  Range checks live with the
+types that own the values (``GridSpec``, ``SolverConfig``,
 ``DecayExperimentConfig``).
 """
 
@@ -22,6 +23,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import asdict
 
 from .decay import DecayExperimentConfig
 from .errors import ConfigurationError, DataError
@@ -42,6 +44,9 @@ def _number(value, path: str) -> float:
         if m:
             coef = float(m.group("coef")) if m.group("coef") else 1.0
             div = float(m.group("div")) if m.group("div") else 1.0
+            if div == 0:
+                raise ConfigurationError(f"cannot parse number {value!r}: division by zero",
+                                         path=path)
             value = coef * math.pi / div
         else:
             try:
@@ -59,44 +64,62 @@ def _number(value, path: str) -> float:
     return value
 
 
-def _integer(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError("expected an integer", path=path)
+def _must_be(kind: type, message: str):
+    """A reader of values of the JSON type ``kind`` exactly (a bool is no int)."""
+
+    def read(value, path: str):
+        if type(value) is not kind:
+            raise ConfigurationError(message, path=path)
+        return value
+
+    return read
+
+
+_integer = _must_be(int, "expected an integer")
+
+
+def _numbers(value, path: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{path.rsplit('.', 1)[1]} must be a list", path=path)
+    return tuple(_number(v, path) for v in value)
+
+
+def _param(value, path: str) -> float | None:
+    """A numeric initial-data param; ``null`` leaves it unset."""
+    return None if value is None else _number(value, path)
+
+
+def _amplitude(value, path: str) -> float | None:
+    value = _param(value, path)
+    if value is not None and value < 0:
+        raise ConfigurationError(f"{path.rsplit('.', 1)[1]} must be >= 0", path=path)
     return value
 
 
-_SECTIONS = {
-    "grid": {"n", "box_length"},
-    "physics": {"gamma"},
-    "time": {"dt", "t_end", "snapshot_every"},
-    "initial_data": {"family", "amplitude", "amplitude_b", "width", "separation",
-                     "k_min", "k_max", "spectral_exponent", "a0_amplitude", "seed"},
-    "diagnostics": {"q_list", "s_list_u", "s_list_b", "m"},
-    "fit": {"window"},
-    "solver": {"nonlinear"},
+def _window(value, path: str) -> tuple | None:
+    if value is None:
+        return None
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigurationError("window must be [t_lo, t_hi]", path=path)
+    return _number(value[0], path), _number(value[1], path)
+
+
+# section -> key -> reader(value, path), which returns None for a key left unset
+_KEYS = {
+    "grid": {"n": _integer, "box_length": _number},
+    "physics": {"gamma": _number},
+    "time": {"dt": _number, "t_end": _number, "snapshot_every": _integer},
+    "initial_data": {
+        "family": _must_be(str, "family must be a string"), "amplitude": _amplitude,
+        "amplitude_b": _amplitude, "width": _param, "separation": _param, "k_min": _param,
+        "k_max": _param, "spectral_exponent": _param, "a0_amplitude": _amplitude,
+        "seed": _must_be(int, "seed must be an integer"),
+    },
+    "diagnostics": {"q_list": _numbers, "s_list_u": _numbers, "s_list_b": _numbers,
+                    "m": _number},
+    "fit": {"window": _window},
+    "solver": {"nonlinear": _must_be(bool, "nonlinear must be a boolean")},
 }
-
-
-def _initial_params(i: dict, family: str) -> dict:
-    """The ``make_initial_data`` params of an ``initial_data`` section; keys
-    the family does not read are accepted and ignored."""
-    used = {"amplitude", "amplitude_b", *INITIAL_FAMILIES.get(family, ())}
-    params = {"amplitude": 0.05, "seed": 0}
-    for key in ("amplitude", "amplitude_b", "width", "separation", "k_min", "k_max",
-                "spectral_exponent", "a0_amplitude"):
-        if i.get(key) is None:
-            continue
-        val = _number(i[key], f"initial_data.{key}")
-        if key in ("amplitude", "amplitude_b", "a0_amplitude") and val < 0:
-            raise ConfigurationError(f"{key} must be >= 0", path=f"initial_data.{key}")
-        if key in used:
-            params[key] = val
-    if "seed" in i:
-        seed = i["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigurationError("seed must be an integer", path="initial_data.seed")
-        params["seed"] = seed
-    return params
 
 
 def parse_config(text: str) -> DecayExperimentConfig:
@@ -108,51 +131,28 @@ def parse_config(text: str) -> DecayExperimentConfig:
         raise ConfigurationError(f"malformed config document: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    unknown = set(doc) - set(_SECTIONS)
+    unknown = sorted(set(doc) - set(_KEYS))
     if unknown:
-        raise ConfigurationError(f"unknown key {sorted(unknown)[0]!r}", path=sorted(unknown)[0])
-    for section, keys in _SECTIONS.items():
+        raise ConfigurationError(f"unknown key {unknown[0]!r}", path=unknown[0])
+    values = {}
+    for section, readers in _KEYS.items():
         sub = doc.get(section, {})
         if not isinstance(sub, dict):
             raise ConfigurationError("section must be an object", path=section)
-        bad = set(sub) - keys
-        if bad:
-            k = sorted(bad)[0]
-            raise ConfigurationError(f"unknown key {k!r}", path=f"{section}.{k}")
-    g, p, t, i, d, f, s = (doc.get(section, {}) for section in _SECTIONS)
-
-    kw = {}
-    if "gamma" in p:
-        kw["gamma"] = _number(p["gamma"], "physics.gamma")
-    for key in ("dt", "t_end"):
-        if key in t:
-            kw[key] = _number(t[key], f"time.{key}")
-    if "snapshot_every" in t:
-        kw["snapshot_every"] = _integer(t["snapshot_every"], "time.snapshot_every")
-    kw["family"] = i.get("family", "random_band")
-    if not isinstance(kw["family"], str):
-        raise ConfigurationError("family must be a string", path="initial_data.family")
-    kw["params"] = _initial_params(i, kw["family"])
-    for key in ("q_list", "s_list_u", "s_list_b"):
-        if key in d:
-            if not isinstance(d[key], list):
-                raise ConfigurationError(f"{key} must be a list", path=f"diagnostics.{key}")
-            kw[key] = tuple(_number(v, f"diagnostics.{key}") for v in d[key])
-    if "m" in d:
-        kw["m"] = _number(d["m"], "diagnostics.m")
-    if f.get("window") is not None:
-        w = f["window"]
-        if not isinstance(w, list) or len(w) != 2:
-            raise ConfigurationError("window must be [t_lo, t_hi]", path="fit.window")
-        kw["window"] = (_number(w[0], "fit.window"), _number(w[1], "fit.window"))
-    if "nonlinear" in s:
-        if not isinstance(s["nonlinear"], bool):
-            raise ConfigurationError("nonlinear must be a boolean", path="solver.nonlinear")
-        kw["nonlinear"] = s["nonlinear"]
-
-    n = _integer(g.get("n", 128), "grid.n")
-    box_length = _number(g.get("box_length", 32.0 * math.pi), "grid.box_length")
-    return DecayExperimentConfig(grid=GridSpec(n, box_length), **kw)
+        unknown = sorted(set(sub) - set(readers))
+        if unknown:
+            key = unknown[0]
+            raise ConfigurationError(f"unknown key {key!r}", path=f"{section}.{key}")
+        read = {key: readers[key](value, f"{section}.{key}") for key, value in sub.items()}
+        values[section] = {key: value for key, value in read.items() if value is not None}
+    grid = GridSpec(**{"n": 128, "box_length": 32.0 * math.pi, **values.pop("grid")})
+    initial = values.pop("initial_data")
+    family = initial.pop("family", "random_band")
+    used = {"amplitude", "amplitude_b", "seed", *INITIAL_FAMILIES.get(family, ())}
+    params = {"amplitude": 0.05, "seed": 0,
+              **{key: value for key, value in initial.items() if key in used}}
+    fields = {key: value for section in values.values() for key, value in section.items()}
+    return DecayExperimentConfig(grid=grid, family=family, params=params, **fields)
 
 
 def parse_config_file(path) -> DecayExperimentConfig:
@@ -166,19 +166,12 @@ def parse_config_file(path) -> DecayExperimentConfig:
 
 
 def serialize_config(cfg: DecayExperimentConfig) -> str:
-    """Canonical JSON echo; the module docstring says which defaults it fills in."""
-    doc = {
-        "grid": {"n": cfg.grid.n, "box_length": cfg.grid.box_length},
-        "physics": {"gamma": cfg.gamma},
-        "time": {"dt": cfg.dt, "t_end": cfg.t_end, "snapshot_every": cfg.snapshot_every},
-        "initial_data": {"family": cfg.family, **cfg.params},
-        "diagnostics": {
-            "q_list": list(cfg.q_list), "s_list_u": list(cfg.s_list_u),
-            "s_list_b": list(cfg.s_list_b), "m": cfg.m,
-        },
-        "fit": {"window": list(cfg.window) if cfg.window else None},
-        "solver": {"nonlinear": cfg.nonlinear},
-    }
+    """Canonical JSON echo of the table's keys; the module docstring says
+    which defaults it fills in."""
+    values = asdict(cfg)
+    values.update(values.pop("grid"), **values.pop("params"))
+    doc = {section: {key: values[key] for key in readers if key in values}
+           for section, readers in _KEYS.items()}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

@@ -229,7 +229,6 @@ class FitComparison:
 class DecayResult:
     trajectory: Trajectory
     comparisons: list
-    window: tuple
 
     def comparison(self, norm_id: str) -> FitComparison:
         for c in self.comparisons:
@@ -283,20 +282,21 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
     for norm_id in ids:
         fit = _fit_norm(norm_id, zip(t, traj.series(norm_id)), window)
         comps.append(FitComparison(norm_id, fit, theory[norm_id]))
-    return DecayResult(traj, comps, window)
+    return DecayResult(traj, comps)
 
 
 def _positive_gammas(gammas) -> list:
-    """``gammas`` as floats; an empty list, a gamma outside (0, inf) (gamma
-    = 0 is the MHD baseline) or a repeated gamma, which would run one
+    """``gammas`` as floats; an empty list, a gamma outside [tiny, inf)
+    (gamma = 0 is the MHD baseline, and below the smallest normal float
+    ``tiny`` the kernels overflow) or a repeated gamma, which would run one
     member twice, is a ``ConfigurationError`` at ``gammas``."""
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise ConfigurationError("expected at least one gamma", path="gammas")
-    bad = [g for g in gammas if not 0 < g < math.inf]
+    bad = [g for g in gammas if not np.finfo(float).tiny <= g < math.inf]
     if bad:
-        raise ConfigurationError(f"every gamma must be finite and > 0 (gamma = 0 is the "
-                                 f"baseline), got {bad[0]}", path="gammas")
+        raise ConfigurationError(f"every gamma must be finite and >= {np.finfo(float).tiny} "
+                                 f"(gamma = 0 is the baseline), got {bad[0]}", path="gammas")
     if len(set(gammas)) < len(gammas):
         raise ConfigurationError(f"every gamma must appear once, got {gammas}", path="gammas")
     return gammas
@@ -454,13 +454,6 @@ class ExpIntegralReport:
         return all(
             abs(self.c_emp_refined[k] - v) <= 0.01 * abs(v) for k, v in self.c_emp.items()
         )
-
-    def to_csv_rows(self, ineq: str):
-        yield ["case", "regime", "R", "kappa", "t", "lhs", "rhs_shape", "C_emp"]
-        for r in self.rows:
-            if r.ineq == ineq:
-                yield [r.ineq, r.regime, repr(float(r.R)), repr(float(r.kappa)), repr(float(r.t)),
-                       repr(float(r.lhs)), repr(float(r.rhs_shape)), repr(float(r.ratio))]
 
 
 def _regime(kappa: float) -> str:

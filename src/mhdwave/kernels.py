@@ -42,7 +42,6 @@ __all__ = [
     "propagator_tables",
     "duhamel_k1_weight",
     "heat_weight",
-    "BoundReport",
     "verify_kernel_bounds",
 ]
 
@@ -52,8 +51,10 @@ _SERIES_TERMS = 8
 
 
 def _check_gamma(gamma: float) -> None:
-    if not gamma > 0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
+    # below the smallest normal float 1/(2 gamma) overflows or loses digits,
+    # and the hyperbolic K1 reads ep / inf = 0
+    if not gamma >= np.finfo(float).tiny:
+        raise DomainError(f"gamma must be >= {np.finfo(float).tiny}, got {gamma}")
 
 
 def _series_factorial_weights():
@@ -205,7 +206,8 @@ def duhamel_k1_weight(gamma: float, k2, dt):
         W[zero] = dtv[zero] + gamma * np.expm1(-dtv[zero] / gamma)
 
     # short-step series in dt (root-free, handles every regime)
-    lam_scale = np.maximum(1.0 / gamma, np.sqrt(np.maximum(k2, 0.0) / gamma))
+    with np.errstate(over="ignore"):  # near the smallest gamma: inf, and no short step
+        lam_scale = np.maximum(1.0 / gamma, np.sqrt(np.maximum(k2, 0.0) / gamma))
     short = (lam_scale * dtv < 0.05) & ~zero
     if np.any(short):
         W[short] = _duhamel_dt_series(gamma, k2[short], dtv[short])
@@ -307,24 +309,9 @@ class BoundRow:
     n_samples: int
 
 
-@dataclass
-class BoundReport:
-    rows: list
-
-    def c_emp(self, bound_id: str, theta: float | None = None) -> float:
-        for r in self.rows:
-            if r.bound_id == bound_id and (theta is None or r.theta == theta):
-                return r.c_emp
-        raise KeyError(bound_id)
-
-    def to_csv_rows(self):
-        yield ["bound_id", "gamma", "theta", "C_emp", "n_samples"]
-        for r in self.rows:
-            yield [r.bound_id, repr(float(r.gamma)), repr(float(r.theta)), repr(float(r.c_emp)), r.n_samples]
-
-
-def verify_kernel_bounds(gamma: float, refine: int = 1) -> BoundReport:
-    """Empirical constants for the three kernel envelope bounds.
+def verify_kernel_bounds(gamma: float, refine: int = 1) -> list:
+    """Empirical constants for the three kernel envelope bounds, as one
+    ``BoundRow`` per bound: fren-1, fren-2 at theta = 0, 1/2 and 1, fren-3.
 
     On S1 (4 gamma k2 >= 3/4): |K0|, |K1| against exp(-t/(8 gamma))
     (bound fren-1) and |K1| against gamma^{-theta/2} |k|^{-theta}
@@ -341,7 +328,7 @@ def verify_kernel_bounds(gamma: float, refine: int = 1) -> BoundReport:
     same for every gamma, to 12 digits (1.06704832826, 1.06704832826,
     0.702157287694, 0.936284225016, 1.35080212317 at ``refine`` = 1 for
     gamma from 0.01 to 100); the gamma column is the only per-gamma
-    content of the report.
+    content of the rows.
     """
     _check_gamma(gamma)
     n = 48 * refine
@@ -370,4 +357,4 @@ def verify_kernel_bounds(gamma: float, refine: int = 1) -> BoundReport:
     shape = np.exp(-k2_s2 * t)
     ratio3 = np.maximum(np.abs(K0), np.abs(K1)) / shape
     rows.append(BoundRow("fren-3", gamma, 0.0, float(np.max(ratio3)), ratio3.size))
-    return BoundReport(rows)
+    return rows

@@ -181,6 +181,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 <= self.gamma < math.inf:
             raise ConfigurationError("gamma must be finite and >= 0", path="physics.gamma")
+        if 0 < self.gamma < np.finfo(float).tiny:  # the kernels' 1/(2 gamma) would overflow
+            raise ConfigurationError(f"gamma must be 0 or >= {np.finfo(float).tiny}, got "
+                                     f"{self.gamma}", path="physics.gamma")
         if not 0 <= self.dt < math.inf:
             raise ConfigurationError("dt must be finite and >= 0", path="time.dt")
         if not 0 <= self.t_end < math.inf:

@@ -2,18 +2,19 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy
 
-from mhdwave import cli, decay
+from mhdwave import cli, config, decay
 from mhdwave.checkpoint import save_checkpoint
 from mhdwave.cli import main
 from mhdwave.config import config_hash, parse_config, serialize_config
+from mhdwave.decay import DecayExperimentConfig
 from mhdwave.errors import ConfigurationError
-from mhdwave.initial import make_initial_data
+from mhdwave.initial import INITIAL_FAMILIES, make_initial_data
 
 from conftest import count_steps
 
@@ -42,6 +43,12 @@ class TestParseConfig:
         assert cfg.grid.box_length == pytest.approx(math.pi / 4)
         cfg = parse_config('{"grid": {"box_length": "2.5*pi"}}')
         assert cfg.grid.box_length == pytest.approx(2.5 * math.pi)
+
+    @pytest.mark.parametrize("text", ["pi/0", "pi/0.0", "2*pi/0", "0*pi/0"])
+    def test_pi_over_zero_names_path(self, text):
+        with pytest.raises(ConfigurationError, match="division by zero") as err:
+            parse_config(json.dumps({"grid": {"box_length": text}}))
+        assert err.value.path == "grid.box_length"
 
     def test_negative_gamma_names_path(self):
         with pytest.raises(ConfigurationError) as err:
@@ -88,6 +95,72 @@ class TestParseConfig:
             assert err.value.path == "scheme"
 
 
+# every key of the table set to a value other than its default; the
+# family is set per test
+EVERY_KEY = {
+    "grid": {"n": 16, "box_length": 6.0},
+    "physics": {"gamma": 0.25},
+    "time": {"dt": 0.01, "t_end": 2.0, "snapshot_every": 3},
+    "initial_data": {"amplitude": 0.02, "amplitude_b": 0.03, "width": 0.5,
+                     "separation": 1.5, "k_min": 1.2, "k_max": 3.0,
+                     "spectral_exponent": -1.0, "a0_amplitude": 0.01, "seed": 9},
+    "diagnostics": {"q_list": [3.0], "s_list_u": [0.5], "s_list_b": [0.25], "m": 2.0},
+    "fit": {"window": [0.5, 1.5]},
+    "solver": {"nonlinear": False},
+}
+
+# the keys whose null means unset; every other key refuses null
+NULLABLE = {"fit.window", *(f"initial_data.{key}" for key in (
+    "amplitude", "amplitude_b", "width", "separation", "k_min", "k_max",
+    "spectral_exponent", "a0_amplitude"))}
+TABLE_PATHS = [f"{section}.{key}" for section, readers in config._KEYS.items()
+               for key in readers]
+
+
+class TestKeyTable:
+    def test_every_field_is_a_table_key(self):
+        keys = {key for readers in config._KEYS.values() for key in readers}
+        names = {f.name for f in fields(DecayExperimentConfig)}
+        assert names <= keys | {"grid", "family", "params"}
+        assert set(EVERY_KEY) == set(config._KEYS)
+        assert all(set(EVERY_KEY[s]) | {"family"} >= set(r) for s, r in config._KEYS.items())
+
+    @pytest.mark.parametrize("family", sorted(INITIAL_FAMILIES))
+    def test_every_key_round_trips(self, family):
+        doc = json.loads(json.dumps(EVERY_KEY))
+        doc["initial_data"]["family"] = family
+        cfg = parse_config(json.dumps(doc))
+        echo = serialize_config(cfg)
+        again = parse_config(echo)
+        assert serialize_config(again) == echo
+        assert config_hash(again) == config_hash(cfg)
+        # every key the echo holds has the value the document set, which is not
+        # its default (random_band is the default family); the params the
+        # family does not read are dropped
+        default = json.loads(serialize_config(parse_config("{}")))
+        read = {"amplitude", "amplitude_b", "seed", *INITIAL_FAMILIES[family]}
+        for section, values in json.loads(echo).items():
+            expect = {key: value for key, value in doc[section].items()
+                      if section != "initial_data" or key in read or key == "family"}
+            assert values == expect
+            assert all(values[key] != default[section].get(key)
+                       for key in values if key != "family"), section
+
+    @pytest.mark.parametrize("path", [p for p in TABLE_PATHS if p not in NULLABLE])
+    def test_null_scalar_key_exit_code(self, tmp_path, capsys, path):
+        section, key = path.split(".")
+        cfgp = write_config(tmp_path, {section: {key: None}})
+        assert main(["simulate", "--config", cfgp, "--output", str(tmp_path / "x")]) == 2
+        assert f"configuration error: {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("path", sorted(NULLABLE))
+    def test_null_leaves_key_unset(self, path):
+        section, key = path.split(".")
+        cfg = parse_config(json.dumps({section: {key: None}}))
+        assert serialize_config(cfg) == serialize_config(parse_config("{}"))
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -103,6 +176,10 @@ BAD_DOCUMENTS = {
     "family_list.json": {"initial_data": {"family": ["x"]}},
     "family_object.json": {"initial_data": {"family": {"a": 1}}},
     "amplitude_b.json": {"initial_data": {"amplitude_b": -1}},
+    "pi_zero.json": {"grid": {"box_length": "pi/0"}},
+    "pi_zero_float.json": {"initial_data": {"family": "gaussian_vortex_pair",
+                                            "width": "2*pi/0.0"}},
+    "gamma_subnormal.json": {"physics": {"gamma": 1e-310}},
 }
 
 
@@ -282,6 +359,17 @@ class TestCli:
                      "initial_data.amplitude_b:", id="negative_amplitude_b"),
         pytest.param(["simulate", "--config", "deep.json"], 2, "malformed config document",
                      id="deeply_nested"),
+        pytest.param(["simulate", "--config", "pi_zero.json"], 2, "grid.box_length:",
+                     id="pi_over_zero"),
+        pytest.param(["simulate", "--config", "pi_zero_float.json"], 2, "initial_data.width:",
+                     id="pi_over_zero_float"),
+        # below the smallest normal float the kernels' 1/(2 gamma) overflows
+        pytest.param(["simulate", "--config", "gamma_subnormal.json"], 2, "physics.gamma:",
+                     id="gamma_subnormal"),
+        pytest.param(["sweep", "--gammas", "0.5,1e-310"], 2, "gammas:",
+                     id="sweep_gamma_subnormal"),
+        pytest.param(["compare-mhd", "--gammas", "1e-310"], 2, "gammas:",
+                     id="compare_gamma_subnormal"),
     ])
     def test_bad_cli_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, rc, where):
         monkeypatch.chdir(tmp_path)
@@ -290,7 +378,7 @@ class TestCli:
         (tmp_path / "deep.json").write_text(DEEP)
         assert main(argv + ["--output", str(tmp_path / "x")]) == rc
         assert where in capsys.readouterr().err
-        assert not (tmp_path / "x" / "series.csv").exists()
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_threads_flag_is_usage_error(self, tmp_path, command):

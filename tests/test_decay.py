@@ -236,6 +236,15 @@ class TestSingularLimit:
         with pytest.raises(ConfigurationError):
             singular_limit_experiment([0.1, 0.0], 1.0, _fast_experiment())
 
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-310, np.nextafter(np.finfo(float).tiny, 0)])
+    def test_subnormal_gamma_rejected(self, gamma):
+        # below the smallest normal float the kernels' 1/(2 gamma) overflows
+        for experiment in (lambda g: singular_limit_experiment(g, 1.0, _fast_experiment()),
+                           lambda g: gamma_prefactor_scan(g, _fast_experiment())):
+            with pytest.raises(ConfigurationError, match="gammas: every gamma must be"):
+                experiment([0.1, gamma])
+        assert decay._positive_gammas([np.finfo(float).tiny]) == [np.finfo(float).tiny]
+
     def test_linear_closed_form_oracle(self):
         # forcing-free runs admit a per-mode closed form for e(gamma)
         grid = GridSpec(32, 4 * np.pi)

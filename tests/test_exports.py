@@ -1,8 +1,8 @@
 """Every name the package and its modules export resolves and has a caller
 outside the tests, and every module attribute the benchmark's hooks wrap
 resolves; of the vector-field layer only the solver's views and its map
-from vectors remain; no module makes a BLAS call; a fresh import loads
-scipy itself but not its transforms."""
+from vectors remain; only the CLI formats CSV; no module makes a BLAS
+call; a fresh import loads scipy itself but not its transforms."""
 
 import ast
 import importlib
@@ -73,6 +73,19 @@ def test_vector_field_layer_stays_in_solver():
             if name in layer:
                 uses.setdefault(path.name, set()).add(name)
     assert uses == {"solver.py": {"_potential", "u_hat", "b_hat", "bt_hat"}}
+
+
+def test_only_the_cli_formats_csv():
+    # the CLI's writer is the one owner of the cell format repr(float(x)):
+    # no other module reads or writes CSV or calls repr
+    uses = set()
+    for path in sorted((ROOT / "src" / "mhdwave").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "csv"
+                    or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr"):
+                uses.add(path.name)
+    assert uses == {"cli.py"}
 
 
 def test_package_reexports_public_names():

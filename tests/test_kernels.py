@@ -94,6 +94,17 @@ class TestKernelSymbols:
         with pytest.raises(DomainError):
             kernel_pair(-1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-310, np.nextafter(np.finfo(float).tiny, 0)])
+    def test_subnormal_gamma_rejected(self, gamma):
+        # 1/(2 gamma) overflows below the smallest normal float, and the
+        # hyperbolic K1 would read ep / inf = 0
+        for call in (lambda: kernel_pair(gamma, 1.0, 0.1),
+                     lambda: duhamel_k1_weight(gamma, 1.0, 0.1),
+                     lambda: propagator_tables(gamma, np.array([0.0, 1.0]), 0.1)):
+            with pytest.raises(DomainError, match="gamma must be >="):
+                call()
+        assert np.all(np.isfinite(kernel_pair(np.finfo(float).tiny, 1.0, 0.1)))
+
     def test_ode_residual(self):
         # |gamma K'' + K' + k2 K| <= 1e-6 max(1, k2), 4th-order differences
         h = 1e-4
@@ -326,28 +337,36 @@ def test_duhamel_weight_accuracy_near_the_double_root(band, log_gamma, x, negati
     assert abs(duhamel_k1_weight(gamma, k2, dt) - ref) <= bound * abs(ref)
 
 
+def c_emp(rows) -> dict:
+    """The constants of ``verify_kernel_bounds`` rows by (bound_id, theta),
+    each pair once."""
+    table = {(r.bound_id, r.theta): r.c_emp for r in rows}
+    assert len(table) == len(rows)
+    return table
+
+
 class TestKernelBounds:
     def test_s2_constant_at_least_one(self):
-        rep = verify_kernel_bounds(1.0)
-        assert rep.c_emp("fren-3") >= 1.0
-        assert np.isfinite(rep.c_emp("fren-3"))
+        c = c_emp(verify_kernel_bounds(1.0))
+        assert c["fren-3", 0.0] >= 1.0
+        assert np.isfinite(c["fren-3", 0.0])
 
     def test_s1_bounds_finite_and_stable(self):
-        rep = verify_kernel_bounds(1.0)
-        rep2 = verify_kernel_bounds(1.0, refine=2)
-        for row, row2 in zip(rep.rows, rep2.rows):
+        rows = verify_kernel_bounds(1.0)
+        rows2 = verify_kernel_bounds(1.0, refine=2)
+        for row, row2 in zip(rows, rows2):
             assert np.isfinite(row.c_emp)
             assert abs(row2.c_emp - row.c_emp) <= 0.05 * row.c_emp
 
     def test_theta_one_finite(self):
-        rep = verify_kernel_bounds(0.5)
-        assert np.isfinite(rep.c_emp("fren-2", theta=1.0))
+        c = c_emp(verify_kernel_bounds(0.5))
+        assert np.isfinite(c["fren-2", 1.0])
 
     def test_constants_do_not_depend_on_gamma(self):
         # both samples scale with gamma as the kernels' arguments do
-        ref = verify_kernel_bounds(1.0).rows
+        ref = verify_kernel_bounds(1.0)
         for gamma in (0.01, 100.0):
-            for row, base in zip(verify_kernel_bounds(gamma).rows, ref):
+            for row, base in zip(verify_kernel_bounds(gamma), ref):
                 assert row.gamma == gamma
                 assert row.c_emp == pytest.approx(base.c_emp, rel=1e-12, abs=0.0)
 

@@ -487,6 +487,22 @@ class TestMhdBaseline:
             finals[1e-4].b_hat.coeffs - finals[0.0].b_hat.coeffs, grid16))
         assert gap <= 1e-2 * spectral_l2(finals[0.0].b_hat)
 
+    def test_smallest_normal_gamma_matches_baseline(self, grid16):
+        # at gamma = tiny the damped-wave tables reduce to the heat tables: psi
+        # and A, and so every norm of u and b, are those of the gamma = 0 run
+        data = make_initial_data("random_band", {"amplitude": 0.05, "seed": 1}, grid16)
+        obs = norm_observer((2.0, 4.0), (0.0, 1.0), (0.0, 1.5))
+        runs = {}
+        for gamma in (0.0, np.finfo(float).tiny):
+            cfg = SolverConfig(gamma=gamma, dt=0.01, t_end=0.02, grid=grid16)
+            final = []
+            traj = run(cfg, data, obs, checkpoint_every=2, checkpoint_sink=final.append)
+            runs[gamma] = traj.snapshots, final[0]
+        (snaps0, final0), (snaps, final) = runs.values()
+        assert snaps == snaps0
+        np.testing.assert_array_equal(final.psi_hat, final0.psi_hat)
+        np.testing.assert_array_equal(final.a_hat, final0.a_hat)
+
 
 class TestRun:
     def test_traced_peak_within_the_memory_guard(self):
@@ -609,6 +625,13 @@ class TestRun:
         kw = dict(dict(gamma=1.0, dt=0.1, t_end=1.0, grid=grid16), **{field: value})
         with pytest.raises(ConfigurationError, match=path):
             SolverConfig(**kw)
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-310, np.nextafter(np.finfo(float).tiny, 0)])
+    def test_subnormal_gamma_rejected(self, grid16, gamma):
+        # the kernels' 1/(2 gamma) overflows below the smallest normal float
+        with pytest.raises(ConfigurationError, match="physics.gamma: gamma must be 0 or >="):
+            SolverConfig(gamma=gamma, dt=0.1, t_end=1.0, grid=grid16)
+        SolverConfig(gamma=np.finfo(float).tiny, dt=0.1, t_end=1.0, grid=grid16)
 
     def test_small_amplitude_run_stays_bounded(self, grid16):
         # sup_t of the energy functional never exceeds its initial value by
