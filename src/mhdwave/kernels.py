@@ -24,7 +24,10 @@ Everything is evaluated in real arithmetic with explicit regime branches
 on the discriminant ``D = 1 - 4 gamma k2``: hyperbolic (D > 0, cosh/sinh
 via the rationalized roots), oscillatory (D < 0, cos/sin), and a Taylor
 series in D about the double root when |D| is below ``DEGENERATE_D``
-(the closed forms cancel catastrophically there).
+(the closed forms cancel catastrophically there).  Each mode is evaluated
+by its own regime's formula only, on the boolean subset of the modes that
+regime owns, so no formula sees a mode outside its regime and none needs
+guard values or silenced floating-point warnings.
 """
 
 from __future__ import annotations
@@ -80,55 +83,54 @@ def kernel_pair(gamma: float, k2, t):
     D = 1.0 - 4.0 * gamma * k2
     K0 = np.empty_like(D)
     K1 = np.empty_like(D)
-
     env = np.exp(-t / (2.0 * gamma))
 
+    # hyperbolic: moderate s t through the stable cosh/sinh forms, large s t
+    # through the exp(lambda t) forms (sinh would overflow before the
+    # envelope cancels it)
     hyp = D >= DEGENERATE_D
-    if np.any(hyp):
-        sq = np.sqrt(np.where(hyp, D, 1.0))
-        s = sq / (2.0 * gamma)
-        st = s * t
-        lam_p = -2.0 * k2 / (1.0 + sq)
-        lam_m = -(1.0 + sq) / (2.0 * gamma)
-        small = st <= 30.0
-        # moderate st: stable cosh/sinh forms; large st: exp(lambda t) forms
-        # (sinh would overflow before the envelope cancels it)
-        with np.errstate(over="ignore", invalid="ignore"):
-            k0_small = env * np.cosh(np.where(small, st, 0.0))
-            k1_small = env * t * _sinhc(np.where(small, st, 0.0)) / gamma
-            ep = np.exp(lam_p * t)
-            em = np.exp(lam_m * t)
-            k0_big = 0.5 * (ep + em)
-            k1_big = (ep - em) / (2.0 * gamma * np.where(s > 0, s, 1.0))
-        K0 = np.where(hyp & small, k0_small, np.where(hyp, k0_big, K0))
-        K1 = np.where(hyp & small, k1_small, np.where(hyp, k1_big, K1))
+    st = np.sqrt(D[hyp]) / (2.0 * gamma) * t[hyp]
+    small = hyp.copy()
+    small[hyp] = st <= 30.0
+    st = st[st <= 30.0]
+    K0[small] = env[small] * np.cosh(st)
+    K1[small] = env[small] * t[small] * _sinhc(st) / gamma
+    big = hyp & ~small
+    sq, tb = np.sqrt(D[big]), t[big]
+    ep = np.exp(-2.0 * k2[big] / (1.0 + sq) * tb)
+    em = np.exp(-(1.0 + sq) / (2.0 * gamma) * tb)
+    K0[big] = 0.5 * (ep + em)
+    K1[big] = (ep - em) / (2.0 * gamma * (sq / (2.0 * gamma)))
 
     osc = D <= -DEGENERATE_D
-    if np.any(osc):
-        om = np.sqrt(np.where(osc, -D, 1.0)) / (2.0 * gamma)
-        K0 = np.where(osc, env * np.cos(om * t), K0)
-        K1 = np.where(osc, env * t * _sinc(om * t) / gamma, K1)
+    omt = np.sqrt(-D[osc]) / (2.0 * gamma) * t[osc]
+    K0[osc] = env[osc] * np.cos(omt)
+    K1[osc] = env[osc] * t[osc] * _sinc(omt) / gamma
 
     deg = ~hyp & ~osc
-    if np.any(deg):
-        k0d, k1d = _kernel_series(gamma, D[deg], t[deg], env[deg])
-        K0[deg] = k0d
-        K1[deg] = k1d
+    K0[deg], K1[deg] = _kernel_series(gamma, D[deg], t[deg], env[deg])
     return K0.reshape(shape), K1.reshape(shape)
 
 
 def _sinhc(y):
     """sinh(y)/y, accurate near 0."""
-    small = np.abs(y) < 1e-4
-    ysafe = np.where(small, 1.0, y)
-    return np.where(small, 1.0 + y * y / 6.0, np.sinh(ysafe) / ysafe)
+    return _over_y(np.sinh, y, -1.0)
 
 
 def _sinc(y):
     """sin(y)/y, accurate near 0."""
-    small = np.abs(y) < 1e-4
-    ysafe = np.where(small, 1.0, y)
-    return np.where(small, 1.0 - y * y / 6.0, np.sin(ysafe) / ysafe)
+    return _over_y(np.sin, y, 1.0)
+
+
+def _over_y(f, y, sign):
+    """f(y)/y for an odd f with Taylor head y - sign y^3/6, the head's
+    quotient where |y| < 1e-4."""
+    out = np.empty_like(y)
+    near = np.abs(y) < 1e-4
+    z, far = y[near], y[~near]
+    out[near] = 1.0 - sign * z * z / 6.0
+    out[~near] = f(far) / far
+    return out
 
 
 def _kernel_series(gamma: float, D, t, env):
@@ -153,24 +155,24 @@ def _exp_integral_moments(alpha: float, T, mmax: int) -> list:
     the downward-stable recurrence E_m = (m E_{m-1} - T^m e^{-alpha T})/alpha.
     """
     T = np.asarray(T, dtype=np.float64)
-    aT = alpha * T
-    small = aT < 0.5
-    emT = np.exp(-aT)
-    out = []
-    rec_prev = np.zeros_like(T)
-    for m in range(mmax + 1):
-        acc = np.zeros_like(T)
-        term = np.ones_like(T)
-        for i in range(24):
-            acc += term / (m + i + 1)
-            term = term * (-aT) / (i + 1)
-        series = T ** (m + 1) * acc
-        if m == 0:
-            rec = (1.0 - emT) / alpha
-        else:
-            rec = (m * rec_prev - T**m * emT) / alpha
-        rec_prev = np.where(small, series, rec)
-        out.append(rec_prev)
+    small = alpha * T < 0.5
+    out = [np.empty_like(T) for _ in range(mmax + 1)]
+    Ts, Tr = T[small], T[~small]
+    if Ts.size:
+        aT = alpha * Ts
+        for m in range(mmax + 1):
+            acc = np.zeros_like(Ts)
+            term = np.ones_like(Ts)
+            for i in range(24):
+                acc += term / (m + i + 1)
+                term = term * (-aT) / (i + 1)
+            out[m][small] = Ts ** (m + 1) * acc
+    emT = np.exp(-(alpha * Tr))
+    rec = (1.0 - emT) / alpha
+    out[0][~small] = rec
+    for m in range(1, mmax + 1):
+        rec = (m * rec - Tr**m * emT) / alpha
+        out[m][~small] = rec
     return out
 
 
@@ -213,14 +215,10 @@ def duhamel_k1_weight(gamma: float, k2, dt):
         W[short] = _duhamel_dt_series(gamma, k2[short], dtv[short])
 
     hyp = (D >= DEGENERATE_D) & ~zero & ~short
-    if np.any(hyp):
-        sq = np.sqrt(np.where(hyp, D, 1.0))
-        lam_p = -2.0 * k2 / (1.0 + sq)
-        lam_m = -(1.0 + sq) / (2.0 * gamma)
-        lp = np.where(hyp, lam_p, -1.0)
-        lm = np.where(hyp, lam_m, -2.0)
-        val = (np.expm1(lp * dtv) / lp - np.expm1(lm * dtv) / lm) / (gamma * (lp - lm))
-        W = np.where(hyp, val, W)
+    sq, th = np.sqrt(D[hyp]), dtv[hyp]
+    lp = -2.0 * k2[hyp] / (1.0 + sq)
+    lm = -(1.0 + sq) / (2.0 * gamma)
+    W[hyp] = (np.expm1(lp * th) / lp - np.expm1(lm * th) / lm) / (gamma * (lp - lm))
 
     osc = (D <= -DEGENERATE_D) & ~zero & ~short
     if np.any(osc):

@@ -292,10 +292,28 @@ class TestDuhamelWeight:
         assert duhamel_k1_weight(gamma, k2, 1.7) == pytest.approx(ref, abs=1e-10)
 
     def test_vectorized_matches_scalar(self):
-        k2 = np.array([0.0, 0.1, 0.25, 1.0, 30.0])
-        w = duhamel_k1_weight(1.0, k2, 0.05)
-        for i, val in enumerate(k2):
-            assert w[i] == pytest.approx(duhamel_k1_weight(1.0, float(val), 0.05), rel=1e-13)
+        # a mode's value does not depend on the modes beside it: one array
+        # holds a mode of every branch, and each entry equals its scalar call
+        # bit for bit.  Columns: hyperbolic with small and large s t and
+        # with s t < 1e-4, oscillatory with om t < 1e-4 and larger, double
+        # root (both halves of the moments), k2 = 0, a short step and
+        # |D| just inside and just outside the double-root band
+        gamma = 1.0
+        D = np.array([0.5, 0.999, 0.5, -3.0, -0.5, 0.0, 2e-7, 1.0, 0.5, 0.9e-6, 1.1e-6])
+        t = np.array([1.0, 200.0, 1e-5, 1e-5, 1.0, 1.7, 0.6, 0.7, 0.01, 0.08, 0.08])
+        k2 = (1.0 - D) / (4.0 * gamma)
+        K0, K1 = kernel_pair(gamma, k2, t)
+        w = duhamel_k1_weight(gamma, k2, t)
+        for i in range(k2.size):
+            assert (K0[i], K1[i]) == k0_k1(gamma, k2[i], t[i])
+            assert w[i] == duhamel_k1_weight(gamma, float(k2[i]), float(t[i]))
+        for dt in t:
+            tab = propagator_tables(gamma, k2, float(dt))
+            for i in range(k2.size):
+                one = propagator_tables(gamma, float(k2[i]), float(dt))
+                assert sorted(one) == sorted(tab)
+                for key, value in one.items():
+                    assert tab[key][i] == value, (key, i, dt)
 
     def test_negative_dt_rejected(self):
         with pytest.raises(DomainError):
