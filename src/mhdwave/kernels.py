@@ -50,6 +50,8 @@ __all__ = [
 
 # |D| below this goes through the double-root series branch.
 DEGENERATE_D = 1e-6
+# W's closed form cancels for |D| up to about 1e-3, so its D-series band is wider
+_W_SERIES_D = 1e-3
 _SERIES_TERMS = 8
 
 
@@ -181,15 +183,15 @@ def duhamel_k1_weight(gamma: float, k2, dt):
 
     Closed form ((e^{lam_+ dt}-1)/lam_+ - (e^{lam_- dt}-1)/lam_-) /
     (gamma (lam_+ - lam_-)) away from degeneracies; series branches for
-    |D| < DEGENERATE_D, for k2 = 0 (where lam_+ = 0: W = dt + gamma
+    |D| < 1e-3 (the D-expansion of K1 integrated exactly: the two
+    closed-form terms cancel there, while K0 and K1 switch at
+    DEGENERATE_D), for k2 = 0 (where lam_+ = 0: W = dt + gamma
     expm1(-dt/gamma)), and for steps so short the difference cancels.
 
-    Accuracy is least just past the short-step series (t/gamma in [0.05,
-    0.1]).  There the worst relative error against a 50-digit reference was
-    6e-16 for |D| < 1e-6, and 1.4e-11, 3.7e-12, 1.3e-12 and 1.0e-12 on the
-    |D| bands (1e-6, 1e-5), (1e-5, 1e-4), (1e-4, 1e-3) and (1e-3, 1e-2):
-    below |D| = 1e-4 the two closed-form terms cancel, leaving about
-    3.5 eps / (sqrt|D| t/gamma).
+    Against a 50-digit reference, the worst relative error of the D-series
+    was 1.5e-15 for |D| < 1e-3 at t/gamma in [0.05, 1e4].  The closed form
+    is least accurate just past the short-step series (t/gamma in [0.05,
+    0.1]), 1.0e-12 on the |D| band (1e-3, 1e-2).
     """
     _check_gamma(gamma)
     if np.any(np.asarray(dt) < 0):
@@ -204,30 +206,27 @@ def duhamel_k1_weight(gamma: float, k2, dt):
     D = 1.0 - 4.0 * gamma * k2
 
     zero = k2 == 0.0
-    if np.any(zero):
-        W[zero] = dtv[zero] + gamma * np.expm1(-dtv[zero] / gamma)
+    W[zero] = dtv[zero] + gamma * np.expm1(-dtv[zero] / gamma)
 
     # short-step series in dt (root-free, handles every regime)
     with np.errstate(over="ignore"):  # near the smallest gamma: inf, and no short step
         lam_scale = np.maximum(1.0 / gamma, np.sqrt(np.maximum(k2, 0.0) / gamma))
     short = (lam_scale * dtv < 0.05) & ~zero
-    if np.any(short):
-        W[short] = _duhamel_dt_series(gamma, k2[short], dtv[short])
+    W[short] = _duhamel_dt_series(gamma, k2[short], dtv[short])
 
-    hyp = (D >= DEGENERATE_D) & ~zero & ~short
+    hyp = (D >= _W_SERIES_D) & ~zero & ~short
     sq, th = np.sqrt(D[hyp]), dtv[hyp]
     lp = -2.0 * k2[hyp] / (1.0 + sq)
     lm = -(1.0 + sq) / (2.0 * gamma)
     W[hyp] = (np.expm1(lp * th) / lp - np.expm1(lm * th) / lm) / (gamma * (lp - lm))
 
-    osc = (D <= -DEGENERATE_D) & ~zero & ~short
-    if np.any(osc):
-        om = np.sqrt(-D[osc]) / (2.0 * gamma)
-        alpha = 1.0 / (2.0 * gamma)
-        to = dtv[osc]
-        # int_0^T e^{-a s} sin(w s) ds = (w - e^{-aT}(w cos wT + a sin wT)) / (a^2+w^2)
-        num = om - np.exp(-alpha * to) * (om * np.cos(om * to) + alpha * np.sin(om * to))
-        W[osc] = num / (om * k2[osc])
+    osc = (D <= -_W_SERIES_D) & ~zero & ~short
+    om = np.sqrt(-D[osc]) / (2.0 * gamma)
+    alpha = 1.0 / (2.0 * gamma)
+    to = dtv[osc]
+    # int_0^T e^{-a s} sin(w s) ds = (w - e^{-aT}(w cos wT + a sin wT)) / (a^2+w^2)
+    num = om - np.exp(-alpha * to) * (om * np.cos(om * to) + alpha * np.sin(om * to))
+    W[osc] = num / (om * k2[osc])
 
     deg = ~hyp & ~osc & ~zero & ~short
     if np.any(deg):

@@ -332,12 +332,13 @@ def mp_duhamel_weight(gamma, k2, dt, dps=50):
 
 # |D| band -> the worst relative error of W there that the README and the
 # duhamel_k1_weight docstring state, for t / gamma in [0.05, 0.1]: just past
-# the short-step cut, where the closed form cancels most
+# the short-step cut, where the closed form cancels most.  Below |D| = 1e-3
+# W goes through its D-series
 _W_BANDS = {
     "series": (1e-7, 0.999e-6, 1e-15),
-    "1e-6": (1e-6, 1e-5, 2e-11),
-    "1e-5": (1e-5, 1e-4, 5e-12),
-    "1e-4": (1e-4, 1e-3, 2e-12),
+    "1e-6": (1e-6, 1e-5, 1e-14),
+    "1e-5": (1e-5, 1e-4, 1e-14),
+    "1e-4": (1e-4, 1e-3, 1e-14),
     "1e-3": (1e-3, 1e-2, 2e-12),
 }
 
