@@ -61,7 +61,7 @@ def _number(value, path: str) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ConfigurationError(f"expected a finite number, got {value}", path=path)
-    return value
+    return value + 0.0  # -0.0 reads as 0.0: one number, one echo, one config hash
 
 
 def _must_be(kind: type, message: str):

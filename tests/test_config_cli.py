@@ -82,6 +82,17 @@ class TestParseConfig:
         assert serialize_config(cfg2) == echo
         assert config_hash(cfg2) == config_hash(cfg)
 
+    @pytest.mark.parametrize("path", ["physics.gamma", "time.t_end"])
+    @pytest.mark.parametrize("zero", [-0.0, "-0.0", "-0*pi"])
+    def test_negative_zero_reads_as_zero(self, path, zero):
+        # one number, one echo and one hash
+        section, key = path.split(".")
+        cfg = parse_config(json.dumps({section: {key: zero}}))
+        plain = parse_config(json.dumps({section: {key: 0}}))
+        assert math.copysign(1.0, getattr(cfg, key)) == 1.0
+        assert serialize_config(cfg) == serialize_config(plain)
+        assert config_hash(cfg) == config_hash(plain)
+
     def test_window_validation(self):
         with pytest.raises(ConfigurationError):
             parse_config('{"fit": {"window": [10, 5]}}')
