@@ -160,7 +160,7 @@ def _exp_integral_moments(alpha: float, T, mmax: int) -> list:
     small = alpha * T < 0.5
     out = [np.empty_like(T) for _ in range(mmax + 1)]
     Ts, Tr = T[small], T[~small]
-    if Ts.size:
+    if Ts.size:  # 24 series terms per moment: skipped when no T is small
         aT = alpha * Ts
         for m in range(mmax + 1):
             acc = np.zeros_like(Ts)
@@ -268,8 +268,10 @@ def _duhamel_degenerate(gamma: float, D, dt):
 def heat_weight(k2, dt):
     """Heat-equation exponential-Euler weight int_0^dt e^{-k2 s} ds."""
     k2 = np.asarray(k2, dtype=np.float64)
-    k2safe = np.where(k2 > 0, k2, 1.0)
-    return np.where(k2 > 0, -np.expm1(-k2safe * dt) / k2safe, dt * np.ones_like(k2))
+    w = np.full_like(k2, dt)
+    pos = k2 > 0
+    w[pos] = -np.expm1(-k2[pos] * dt) / k2[pos]
+    return w
 
 
 def propagator_tables(gamma: float, k2, dt: float):
