@@ -99,10 +99,11 @@ def kernel_pair(gamma: float, k2, t):
     K1[small] = env[small] * t[small] * _sinhc(st) / gamma
     big = hyp & ~small
     sq, tb = np.sqrt(D[big]), t[big]
+    s = sq / (2.0 * gamma)
     ep = np.exp(-2.0 * k2[big] / (1.0 + sq) * tb)
     em = np.exp(-(1.0 + sq) / (2.0 * gamma) * tb)
     K0[big] = 0.5 * (ep + em)
-    K1[big] = (ep - em) / (2.0 * gamma * (sq / (2.0 * gamma)))
+    K1[big] = (ep - em) / (2.0 * gamma * s)
 
     osc = D <= -DEGENERATE_D
     omt = np.sqrt(-D[osc]) / (2.0 * gamma) * t[osc]
