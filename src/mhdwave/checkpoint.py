@@ -15,7 +15,12 @@ one: of the 1.1 ms a 1.58 MB (n = 256) write took on a 2-vCPU VM, the
 rename took 0.8 ms.  A rename to a fresh name took 0.02 ms, and the whole write about
 0.45 ms, but between removing the old file and the rename there would be
 no file at the path, so it is not done.  ``solver.run`` instead hands its
-checkpoints to a writer thread, beside the stepping.
+checkpoints to a writer thread, beside the stepping.  Writing in place
+into a ``posix_fallocate``d file avoids that write-back (ext4's
+``auto_da_alloc`` on a rename over a file) and the minor page faults
+measured with it on a linear run that checkpoints, but drops the guarantee
+that a crash leaves either the old file or the new one, so it is not done
+either.
 """
 
 from __future__ import annotations
