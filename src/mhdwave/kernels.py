@@ -26,8 +26,8 @@ via the rationalized roots), oscillatory (D < 0, cos/sin), and a Taylor
 series in D about the double root when |D| is below ``DEGENERATE_D``
 (the closed forms cancel catastrophically there).  Each mode is evaluated
 by its own regime's formula only, on the boolean subset of the modes that
-regime owns, so no formula sees a mode outside its regime and none needs
-guard values or silenced floating-point warnings.
+regime owns, so no formula sees a mode outside its regime or needs guard
+values; the one silenced overflow is W's short-step test at tiny gamma.
 """
 
 from __future__ import annotations
