@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .grid import GridSpec
+from .kernels import _gamma_refusal
 from .solver import State
 
 __all__ = ["MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
@@ -60,8 +61,7 @@ def save_checkpoint(path, state: State, gamma: float) -> None:
 def load_checkpoint(path):
     """Returns (state, gamma).  A path that cannot be opened is a
     ``DataError``; a malformed file, including a version other than 3 and
-    a header whose gamma or t is not finite or is negative, is a
-    ``ConfigurationError``."""
+    a header gamma or t that no run takes, is a ``ConfigurationError``."""
     try:
         with open(path, "rb") as fh:
             header = fh.read(_HEADER.size)
@@ -73,9 +73,9 @@ def load_checkpoint(path):
             if version != VERSION:
                 raise ConfigurationError(
                     f"checkpoint {path} has version {version}; only version {VERSION} is read")
-            if not (0 <= gamma < math.inf and 0 <= t < math.inf):
+            if (why := _gamma_refusal(gamma, mhd=True)) or not 0 <= t < math.inf:
                 raise ConfigurationError(f"checkpoint {path} header has gamma={gamma}, t={t}; "
-                                         "both must be finite and >= 0")
+                                         f"{why or 't must be finite and >= 0'}")
             grid = GridSpec(n, box_length)
             shape = (3, n, grid.half)
             size = 16 * math.prod(shape)

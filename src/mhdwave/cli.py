@@ -59,7 +59,7 @@ from .errors import (
     StepSizeError,
 )
 from .initial import make_initial_data
-from .kernels import verify_kernel_bounds
+from .kernels import _gamma_refusal, verify_kernel_bounds
 from .solver import run
 
 EXIT_OK = 0
@@ -227,8 +227,8 @@ def cmd_fit_decay(cfg, args) -> dict:
 
 
 def cmd_verify_kernels(cfg, args) -> dict:
-    if not cfg.gamma > 0:
-        raise ConfigurationError("the damped-wave kernels need gamma > 0", path="physics.gamma")
+    if why := _gamma_refusal(cfg.gamma):  # gamma = 0 has no damped-wave kernels
+        raise ConfigurationError(why, path="physics.gamma")
     header = ["bound_id", "gamma", "theta", "C_emp", "n_samples"]
     return {kind: [header] + [[r.bound_id, r.gamma, r.theta, r.c_emp, r.n_samples]
                               for r in verify_kernel_bounds(cfg.gamma, refine)]

@@ -30,6 +30,7 @@ from .errors import ConfigurationError, DataError, DomainError, WindowError
 from .diagnostics import _perp_seminorm, _power, norm_observer
 from .grid import GridSpec
 from .initial import INITIAL_FAMILIES, make_initial_data
+from .kernels import _gamma_refusal
 from .solver import SolverConfig, Trajectory, _observed, _step_count, run
 
 __all__ = [
@@ -286,17 +287,14 @@ def run_decay_experiment(cfg: DecayExperimentConfig) -> DecayResult:
 
 
 def _positive_gammas(gammas) -> list:
-    """``gammas`` as floats; an empty list, a gamma outside [tiny, inf)
-    (gamma = 0 is the MHD baseline, and below the smallest normal float
-    ``tiny`` the kernels overflow) or a repeated gamma, which would run one
-    member twice, is a ``ConfigurationError`` at ``gammas``."""
+    """``gammas`` as floats; an empty list, a gamma the kernels refuse
+    (gamma = 0 too: it is the MHD baseline) or a repeated gamma, which would
+    run one member twice, is a ``ConfigurationError`` at ``gammas``."""
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise ConfigurationError("expected at least one gamma", path="gammas")
-    bad = [g for g in gammas if not np.finfo(float).tiny <= g < math.inf]
-    if bad:
-        raise ConfigurationError(f"every gamma must be finite and >= {np.finfo(float).tiny} "
-                                 f"(gamma = 0 is the baseline), got {bad[0]}", path="gammas")
+    for why in filter(None, map(_gamma_refusal, gammas)):
+        raise ConfigurationError(why, path="gammas")
     if len(set(gammas)) < len(gammas):
         raise ConfigurationError(f"every gamma must appear once, got {gammas}", path="gammas")
     return gammas

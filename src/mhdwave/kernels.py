@@ -53,13 +53,14 @@ DEGENERATE_D = 1e-6
 # W's closed form cancels for |D| up to about 1e-3, so its D-series band is wider
 _W_SERIES_D = 1e-3
 _SERIES_TERMS = 8
+_GAMMA_MIN = float(np.finfo(float).tiny)
 
 
-def _check_gamma(gamma: float) -> None:
-    # below the smallest normal float 1/(2 gamma) overflows or loses digits,
-    # and the hyperbolic K1 reads ep / inf = 0
-    if not gamma >= np.finfo(float).tiny:
-        raise DomainError(f"gamma must be >= {np.finfo(float).tiny}, got {gamma}")
+def _gamma_refusal(gamma: float, mhd: bool = False) -> str | None:
+    """Why ``gamma`` is refused, or None.  0 is the MHD system, taken where
+    ``mhd`` is set; below the smallest normal float 1/(2 gamma) overflows."""
+    if not (mhd and gamma == 0 or _GAMMA_MIN <= gamma < math.inf):
+        return f"gamma must be {'0 or ' if mhd else ''}in [{_GAMMA_MIN}, inf), got {gamma}"
 
 
 def _series_factorial_weights():
@@ -73,7 +74,8 @@ _EVEN_W, _ODD_W = _series_factorial_weights()
 
 def kernel_pair(gamma: float, k2, t):
     """Vectorized (K0, K1) over broadcastable ``k2`` and ``t >= 0``."""
-    _check_gamma(gamma)
+    if why := _gamma_refusal(gamma):
+        raise DomainError(why)
     k2 = np.asarray(k2, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
@@ -194,7 +196,8 @@ def duhamel_k1_weight(gamma: float, k2, dt):
     is least accurate just past the short-step series (t/gamma in [0.05,
     0.1]), 1.0e-12 on the |D| band (1e-3, 1e-2).
     """
-    _check_gamma(gamma)
+    if why := _gamma_refusal(gamma):
+        raise DomainError(why)
     if np.any(np.asarray(dt) < 0):
         raise DomainError("dt must be >= 0")
     k2_in = np.asarray(k2, dtype=np.float64)
@@ -330,7 +333,8 @@ def verify_kernel_bounds(gamma: float, refine: int = 1) -> list:
     gamma from 0.01 to 100); the gamma column is the only per-gamma
     content of the rows.
     """
-    _check_gamma(gamma)
+    if why := _gamma_refusal(gamma):
+        raise DomainError(why)
     n = 48 * refine
     t_max = 40.0 * gamma
     boundary = 0.75 / (4.0 * gamma)

@@ -92,7 +92,7 @@ import scipy  # noqa: F401
 
 from .errors import BlowUpError, ConfigurationError, StepSizeError
 from .grid import GridSpec
-from .kernels import heat_weight, propagator_tables
+from .kernels import _gamma_refusal, heat_weight, propagator_tables
 
 __all__ = [
     "State",
@@ -179,11 +179,8 @@ class SolverConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigurationError("gamma must be finite and >= 0", path="physics.gamma")
-        if 0 < self.gamma < np.finfo(float).tiny:  # the kernels' 1/(2 gamma) would overflow
-            raise ConfigurationError(f"gamma must be 0 or >= {np.finfo(float).tiny}, got "
-                                     f"{self.gamma}", path="physics.gamma")
+        if why := _gamma_refusal(self.gamma, mhd=True):
+            raise ConfigurationError(why, path="physics.gamma")
         if not 0 <= self.dt < math.inf:
             raise ConfigurationError("dt must be finite and >= 0", path="time.dt")
         if not 0 <= self.t_end < math.inf:
