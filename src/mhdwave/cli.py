@@ -152,7 +152,8 @@ def cmd_simulate(cfg, args) -> dict:
     if args.resume:
         # run checks the grid and the checkpoint time against the config
         initial, gamma_ck = load_checkpoint(args.resume)
-        if abs(gamma_ck - cfg.gamma) > 1e-15 * max(1.0, abs(cfg.gamma)):
+        # relative to the larger gamma, so that gamma = 0 matches 0 only
+        if abs(gamma_ck - cfg.gamma) > 1e-15 * max(abs(gamma_ck), abs(cfg.gamma)):
             raise ConfigurationError(
                 f"checkpoint gamma {gamma_ck} does not match config gamma {cfg.gamma}",
                 path="physics.gamma",

@@ -912,6 +912,31 @@ class TestCli:
         assert "configuration error: grid.n:" in capsys.readouterr().err
         assert not (tmp_path / "x" / "series.csv").exists()
 
+    def test_resume_gamma_match_is_relative(self, tmp_path, capsys):
+        # a gamma written as an expression resumes into the config its run echoed
+        doc = dict(SMALL_RUN, physics={"gamma": "pi/4"}, time={"dt": 0.02, "t_end": 0.2})
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--output", str(run_dir), "--checkpoint-every", "5"]) == 0
+        echo = json.loads((run_dir / "manifest.jsonl").read_text().splitlines()[0])["config"]
+        assert echo["physics"]["gamma"] == math.pi / 4
+        assert main(["simulate", "--config", write_config(tmp_path, echo, "echo.json"),
+                     "--output", str(tmp_path / "echo"),
+                     "--resume", str(run_dir / "checkpoint_t00000.100000.mhdw")]) == 0
+        # gamma = 0 runs the MHD system: it matches a checkpoint of gamma = 0
+        # only, however small the other gamma
+        for gamma_ck, gamma_cfg in ((5e-16, 0.0), (0.0, 5e-16)):
+            doc = dict(doc, physics={"gamma": gamma_cfg})
+            cfg = parse_config(json.dumps(doc))
+            ck = tmp_path / "ck.mhdw"
+            save_checkpoint(ck, make_initial_data(cfg.family, cfg.params, cfg.grid), gamma_ck)
+            capsys.readouterr()
+            rc = main(["simulate", "--config", write_config(tmp_path, doc),
+                       "--output", str(tmp_path / "x"), "--resume", str(ck)])
+            assert rc == 2
+            assert "physics.gamma: checkpoint gamma" in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("argv,echo,files", [
         pytest.param(["simulate", "--checkpoint-every", "10"], {},
                      ["series.csv", "checkpoint_t00000.200000.mhdw",
