@@ -53,14 +53,19 @@ DEGENERATE_D = 1e-6
 # W's closed form cancels for |D| up to about 1e-3, so its D-series band is wider
 _W_SERIES_D = 1e-3
 _SERIES_TERMS = 8
+# the range of gamma > 0: below the smallest normal float 1/(2 gamma)
+# overflows, and above max/40 so does 40 gamma, the longest time
+# verify_kernel_bounds samples (its largest product of gamma)
 _GAMMA_MIN = float(np.finfo(float).tiny)
+_GAMMA_MAX = float(np.finfo(float).max) / 40.0
 
 
 def _gamma_refusal(gamma: float, mhd: bool = False) -> str | None:
     """Why ``gamma`` is refused, or None.  0 is the MHD system, taken where
-    ``mhd`` is set; below the smallest normal float 1/(2 gamma) overflows."""
-    if not (mhd and gamma == 0 or _GAMMA_MIN <= gamma < math.inf):
-        return f"gamma must be {'0 or ' if mhd else ''}in [{_GAMMA_MIN}, inf), got {gamma}"
+    ``mhd`` is set; any other gamma lies in [_GAMMA_MIN, _GAMMA_MAX]."""
+    if not (mhd and gamma == 0 or _GAMMA_MIN <= gamma <= _GAMMA_MAX):
+        return (f"gamma must be {'0 or ' if mhd else ''}in [{_GAMMA_MIN}, {_GAMMA_MAX}], "
+                f"got {gamma}")
 
 
 def _series_factorial_weights():

@@ -191,6 +191,8 @@ BAD_DOCUMENTS = {
     "pi_zero_float.json": {"initial_data": {"family": "gaussian_vortex_pair",
                                             "width": "2*pi/0.0"}},
     "gamma_subnormal.json": {"physics": {"gamma": 1e-310}},
+    "gamma_1e307.json": {"physics": {"gamma": 1e307}},
+    "gamma_1e308.json": {"physics": {"gamma": 1e308}},
 }
 
 
@@ -381,6 +383,15 @@ class TestCli:
                      id="sweep_gamma_subnormal"),
         pytest.param(["compare-mhd", "--gammas", "1e-310"], 2, "gammas:",
                      id="compare_gamma_subnormal"),
+        # above max/40 the 40 gamma of the kernel-bound samples overflows
+        pytest.param(["verify-kernels", "--config", "gamma_1e307.json"], 2, "physics.gamma:",
+                     id="verify_kernels_gamma_1e307"),
+        pytest.param(["verify-kernels", "--config", "gamma_1e308.json"], 2, "physics.gamma:",
+                     id="verify_kernels_gamma_1e308"),
+        pytest.param(["simulate", "--config", "gamma_1e307.json"], 2, "physics.gamma:",
+                     id="gamma_1e307"),
+        pytest.param(["sweep", "--gammas", "0.5,1e307"], 2, "gammas:",
+                     id="sweep_gamma_1e307"),
     ])
     def test_bad_cli_input_exit_code(self, tmp_path, capsys, monkeypatch, argv, rc, where):
         monkeypatch.chdir(tmp_path)
