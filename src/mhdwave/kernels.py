@@ -27,7 +27,11 @@ series in D about the double root when |D| is below ``DEGENERATE_D``
 (the closed forms cancel catastrophically there).  Each mode is evaluated
 by its own regime's formula only, on the boolean subset of the modes that
 regime owns, so no formula sees a mode outside its regime or needs guard
-values; the one silenced overflow is W's short-step test at tiny gamma.
+values.  Past t = 1e300 gamma every decay factor exp(-t/(2 gamma)) is 0
+(its expm1 is -1); those modes take that value directly, without the
+ratio t / gamma, which overflows at the smallest gamma.  The one silenced
+overflow is sqrt(k2 / gamma) in W's short-step test at tiny gamma, where
+an infinite rate only says that the step is not short.
 """
 
 from __future__ import annotations
@@ -92,15 +96,20 @@ def kernel_pair(gamma: float, k2, t):
     D = 1.0 - 4.0 * gamma * k2
     K0 = np.empty_like(D)
     K1 = np.empty_like(D)
-    env = np.exp(-t / (2.0 * gamma))
+    # past t = 1e300 gamma the envelope and em are exp(-huge) = 0, and s t is
+    # past 30: those modes take the zeros without the ratios that overflow
+    near = t * 1e-300 < gamma
+    env = np.zeros_like(t)
+    env[near] = np.exp(-t[near] / (2.0 * gamma))
 
     # hyperbolic: moderate s t through the stable cosh/sinh forms, large s t
     # through the exp(lambda t) forms (sinh would overflow before the
     # envelope cancels it)
     hyp = D >= DEGENERATE_D
-    st = np.sqrt(D[hyp]) / (2.0 * gamma) * t[hyp]
-    small = hyp.copy()
-    small[hyp] = st <= 30.0
+    low = hyp & near
+    st = np.sqrt(D[low]) / (2.0 * gamma) * t[low]
+    small = low.copy()
+    small[low] = st <= 30.0
     st = st[st <= 30.0]
     K0[small] = env[small] * np.cosh(st)
     K1[small] = env[small] * t[small] * _sinhc(st) / gamma
@@ -108,7 +117,9 @@ def kernel_pair(gamma: float, k2, t):
     sq, tb = np.sqrt(D[big]), t[big]
     s = sq / (2.0 * gamma)
     ep = np.exp(-2.0 * k2[big] / (1.0 + sq) * tb)
-    em = np.exp(-(1.0 + sq) / (2.0 * gamma) * tb)
+    em = np.zeros_like(tb)
+    nb = near[big]
+    em[nb] = np.exp(-(1.0 + sq[nb]) / (2.0 * gamma) * tb[nb])
     K0[big] = 0.5 * (ep + em)
     K1[big] = (ep - em) / (2.0 * gamma * s)
 
@@ -213,21 +224,31 @@ def duhamel_k1_weight(gamma: float, k2, dt):
     W = np.empty_like(k2)
 
     D = 1.0 - 4.0 * gamma * k2
+    # as in kernel_pair: past dt = 1e300 gamma, expm1(-dt/gamma) and
+    # expm1(lm dt) are -1, and no step is short
+    near = dtv * 1e-300 < gamma
 
     zero = k2 == 0.0
-    W[zero] = dtv[zero] + gamma * np.expm1(-dtv[zero] / gamma)
+    W[zero] = dtv[zero] - gamma
+    zn = zero & near
+    W[zn] = dtv[zn] + gamma * np.expm1(-dtv[zn] / gamma)
 
     # short-step series in dt (root-free, handles every regime)
     with np.errstate(over="ignore"):  # near the smallest gamma: inf, and no short step
         lam_scale = np.maximum(1.0 / gamma, np.sqrt(np.maximum(k2, 0.0) / gamma))
-    short = (lam_scale * dtv < 0.05) & ~zero
+    cand = near & ~zero
+    short = cand.copy()
+    short[cand] = lam_scale[cand] * dtv[cand] < 0.05
     W[short] = _duhamel_dt_series(gamma, k2[short], dtv[short])
 
     hyp = (D >= _W_SERIES_D) & ~zero & ~short
     sq, th = np.sqrt(D[hyp]), dtv[hyp]
     lp = -2.0 * k2[hyp] / (1.0 + sq)
     lm = -(1.0 + sq) / (2.0 * gamma)
-    W[hyp] = (np.expm1(lp * th) / lp - np.expm1(lm * th) / lm) / (gamma * (lp - lm))
+    em1 = np.full_like(th, -1.0)
+    nh = near[hyp]
+    em1[nh] = np.expm1(lm[nh] * th[nh])
+    W[hyp] = (np.expm1(lp * th) / lp - em1 / lm) / (gamma * (lp - lm))
 
     osc = (D <= -_W_SERIES_D) & ~zero & ~short
     om = np.sqrt(-D[osc]) / (2.0 * gamma)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as hst
 from scipy.integrate import quad
 
 from mhdwave.errors import DomainError
+from mhdwave.grid import GridSpec
 from mhdwave.kernels import (
     DEGENERATE_D,
     duhamel_k1_weight,
@@ -104,6 +105,24 @@ class TestKernelSymbols:
             with pytest.raises(DomainError, match=r"gamma must be in \["):
                 call()
         assert np.all(np.isfinite(kernel_pair(np.finfo(float).tiny, 1.0, 0.1)))
+
+    @pytest.mark.parametrize("t", [10.0, 1e3])
+    def test_smallest_gamma_long_step_forms_no_overflow(self, t):
+        # t / gamma overflows at gamma = tiny, and its only use is a decay
+        # factor of 0; the suite turns a kernel RuntimeWarning into an error
+        gamma = np.finfo(float).tiny
+        k2 = np.array([0.0, 1.0, 4.0])
+        K0, K1 = kernel_pair(gamma, k2, t)
+        W = duhamel_k1_weight(gamma, k2, t)
+        # the fast root is gone: K0 = e^{-k2 t}/2, K1 = e^{-k2 t}, W = int_0^t K1
+        np.testing.assert_allclose(K0, np.exp(-k2 * t) / 2, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(K1, np.exp(-k2 * t), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(W, [t, *(-np.expm1(-k2[1:] * t) / k2[1:])],
+                                   rtol=1e-15, atol=0)
+        tab = propagator_tables(gamma, GridSpec(16, 4 * np.pi).k2, t)
+        assert all(np.all(np.isfinite(v)) for v in tab.values())
+        # past t = 1e300 gamma at any gamma, W has reached int_0^inf K1 = 1/k2
+        assert duhamel_k1_weight(1.0, 0.1, t * 1e300) == pytest.approx(10.0, rel=1e-14)
 
     def test_ode_residual(self):
         # |gamma K'' + K' + k2 K| <= 1e-6 max(1, k2), 4th-order differences
