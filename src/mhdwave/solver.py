@@ -137,10 +137,6 @@ class State:
     def bt_hat(self) -> "_Vector":
         return _grad_perp(self.at_hat, self.grid)
 
-    def copy(self) -> "State":
-        return State(self.psi_hat.copy(), self.a_hat.copy(), self.at_hat.copy(), self.grid,
-                     self.t)
-
 
 # a vector field's (2, n, n//2 + 1) half spectrum and its grid
 _Vector = collections.namedtuple("_Vector", "coeffs grid")
@@ -467,7 +463,8 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
     the stepping and the observer go on.  The calls run in step order, one
     at a time: each waits for the one before, and ``run`` returns only
     after the last.  The state handed over is never written again, since
-    every step builds new arrays.  Errors are raised in step order: an
+    every step builds new arrays; so ``keep_states`` keeps the states
+    themselves, uncopied.  Errors are raised in step order: an
     error of the sink call for step i comes before an error of step i + 1
     or of its observer, and after a failed sink call no other is made.
     """
@@ -488,7 +485,7 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
     traj = Trajectory(nonlinear=config.nonlinear)
     traj.append(t0, observer(state) if observer else {})
     if keep_states:
-        traj.states.append(state.copy())
+        traj.states.append(state)
     # the executor starts its thread at the first sink call only
     writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mhdwave-checkpoint")
     pending = None  # the sink call in flight
@@ -500,7 +497,7 @@ def run(config: SolverConfig, initial, observer=None, keep_states: bool = False,
             if _observed(i, n_steps, config.snapshot_every):
                 traj.append(state.t, observer(state) if observer else {})
                 if keep_states:
-                    traj.states.append(state.copy())
+                    traj.states.append(state)
             if checkpoint_every and checkpoint_sink and i % checkpoint_every == 0:
                 if pending is not None:
                     pending.result()
