@@ -58,10 +58,12 @@ DEGENERATE_D = 1e-6
 _W_SERIES_D = 1e-3
 _SERIES_TERMS = 8
 # the range of gamma > 0: below the smallest normal float 1/(2 gamma)
-# overflows, and above max/40 so does 40 gamma, the longest time
-# verify_kernel_bounds samples (its largest product of gamma)
+# overflows, and the bound keeps 40 gamma, the longest time
+# verify_kernel_bounds samples (its largest product of gamma), at most 1e308;
+# numpy's geomspace forms 10**log10(40 gamma), which overflows within 6e-14
+# of the float max, and 40 gamma itself does past max/40
 _GAMMA_MIN = float(np.finfo(float).tiny)
-_GAMMA_MAX = float(np.finfo(float).max) / 40.0
+_GAMMA_MAX = 1e308 / 40.0
 
 
 def _gamma_refusal(gamma: float, mhd: bool = False) -> str | None:
@@ -357,13 +359,18 @@ def verify_kernel_bounds(gamma: float, refine: int = 1) -> list:
     same for every gamma, to 12 digits (1.06704832826, 1.06704832826,
     0.702157287694, 0.936284225016, 1.35080212317 at ``refine`` = 1 for
     gamma from 0.01 to 100); the gamma column is the only per-gamma
-    content of the rows.
+    content of the rows.  Below gamma = 75 / max (4.2e-307) the top of the
+    S1 sample, 75 / gamma, is past the float range, and the call is a
+    ``DomainError``.
     """
     if why := _gamma_refusal(gamma):
         raise DomainError(why)
     n = 48 * refine
     t_max = 40.0 * gamma
     boundary = 0.75 / (4.0 * gamma)
+    if float(boundary) * 400.0 == math.inf:
+        raise DomainError(f"at gamma = {gamma} the S1 sample would reach k2 = 75/gamma, "
+                          "past the float range")
     # t = 0 included: every ratio there is exactly max(|K0|,|K1|)/1 = 1
     t = np.concatenate([[0.0], np.geomspace(t_max * 1e-4, t_max, n - 1)])[None, :]
 

@@ -383,7 +383,7 @@ class TestCli:
                      id="sweep_gamma_subnormal"),
         pytest.param(["compare-mhd", "--gammas", "1e-310"], 2, "gammas:",
                      id="compare_gamma_subnormal"),
-        # above max/40 the 40 gamma of the kernel-bound samples overflows
+        # above 2.5e306 the kernel-bound samples' 40 gamma passes 1e308
         pytest.param(["verify-kernels", "--config", "gamma_1e307.json"], 2, "physics.gamma:",
                      id="verify_kernels_gamma_1e307"),
         pytest.param(["verify-kernels", "--config", "gamma_1e308.json"], 2, "physics.gamma:",
@@ -991,3 +991,4 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "mhdwave.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+

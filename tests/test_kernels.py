@@ -408,6 +408,16 @@ class TestKernelBounds:
                 assert row.gamma == gamma
                 assert row.c_emp == pytest.approx(base.c_emp, rel=1e-12, abs=0.0)
 
+    def test_samples_stay_finite_at_both_ends_of_the_gamma_range(self):
+        # the S1 sample reaches k2 = 75/gamma, past the float range below
+        # 75/max; above it every constant is that of gamma = 1, up to the bound
+        ref = verify_kernel_bounds(1.0)
+        with pytest.raises(DomainError, match="past the float range"):
+            verify_kernel_bounds(4.1e-307)
+        for gamma in (4.2e-307, 2.5e306):
+            for row, base in zip(verify_kernel_bounds(gamma), ref):
+                assert row.c_emp == pytest.approx(base.c_emp, rel=1e-12, abs=0.0)
+
 def test_propagator_tables_consistency():
     # the vectorized tables against the scalar kernel symbols and weight
     gamma, dt = 1.0, 0.4
