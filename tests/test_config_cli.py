@@ -9,12 +9,15 @@ import pytest
 import scipy
 
 from mhdwave import cli, config, decay
-from mhdwave.checkpoint import save_checkpoint
+from mhdwave.checkpoint import load_checkpoint, save_checkpoint
 from mhdwave.cli import main
 from mhdwave.config import config_hash, parse_config, serialize_config
 from mhdwave.decay import DecayExperimentConfig
-from mhdwave.errors import ConfigurationError
+from mhdwave.errors import ConfigurationError, DomainError
+from mhdwave.grid import GridSpec
 from mhdwave.initial import INITIAL_FAMILIES, make_initial_data
+from mhdwave.kernels import kernel_pair
+from mhdwave.solver import SolverConfig
 
 from conftest import count_steps
 
@@ -992,3 +995,76 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
 
+
+_TINY = float(np.finfo(float).tiny)
+_BOUND = 2.5e306  # 40 gamma, the kernel-bound samples' longest time, at 1e308
+
+
+# gamma, whether a surface that runs the MHD system at gamma = 0 takes it,
+# and whether a damped-wave surface does
+GAMMA_VERDICTS = [
+    (math.nan, False, False),
+    (-math.inf, False, False),
+    (-1.0, False, False),
+    (-0.0, True, False),
+    (0.0, True, False),
+    (5e-324, False, False),
+    (float(np.nextafter(_TINY, 0)), False, False),
+    (_TINY, True, True),
+    (1.0, True, True),
+    (_BOUND, True, True),
+    (float(np.nextafter(_BOUND, math.inf)), False, False),
+    (math.inf, False, False),
+]
+
+
+@pytest.mark.parametrize("gamma,mhd_ok,wave_ok", GAMMA_VERDICTS,
+                         ids=[repr(g) for g, *_ in GAMMA_VERDICTS])
+def test_gamma_verdicts(tmp_path, capsys, gamma, mhd_ok, wave_ok):
+    """Every gamma surface takes or refuses a gamma alike; gamma = 0 passes
+    only where the MHD system runs."""
+    def verdict(call, error):
+        try:
+            call()
+        except error:
+            return False
+        return True
+
+    grid = GridSpec(16, 2 * math.pi)
+    ck = tmp_path / "ck.mhdw"
+    save_checkpoint(ck, make_initial_data("taylor_green", {"amplitude": 1.0}, grid), gamma)
+    taken = {
+        "SolverConfig": verdict(lambda: SolverConfig(gamma=gamma, dt=0.1, t_end=1.0, grid=grid),
+                                ConfigurationError),
+        "load_checkpoint": verdict(lambda: load_checkpoint(ck), ConfigurationError),
+        "_positive_gammas": verdict(lambda: decay._positive_gammas([gamma]),
+                                    ConfigurationError),
+        "kernel_pair": verdict(lambda: kernel_pair(gamma, 0.0, 0.0), DomainError),
+    }
+    # through the CLI a refusal is exit 2 at the gamma's path, and writes
+    # nothing.  A taken gamma: verify-kernels writes finite constants, or at
+    # gamma = tiny, whose S1 sample 75/gamma is past the float range, exits 4;
+    # a sweep of zero data exits 4 (nothing to fit) before any step
+    doc = {"physics": {"gamma": gamma}}
+    zero = dict(SMALL_RUN, initial_data=dict(SMALL_RUN["initial_data"], amplitude=0))
+    for name, argv, path, rc_taken in [
+        ("verify-kernels", ["verify-kernels", "--config", write_config(tmp_path, doc)],
+         "physics.gamma:", 4 if gamma == _TINY else 0),
+        ("sweep --gammas", ["sweep", "--config", write_config(tmp_path, zero, "zero.json"),
+                            f"--gammas={gamma!r}"], "gammas:", 4),
+    ]:
+        out = tmp_path / name.replace(" ", "")
+        capsys.readouterr()
+        rc = main(argv + ["--output", str(out)])
+        err = capsys.readouterr().err
+        taken[name] = rc != 2
+        if rc == 2:
+            assert f"configuration error: {path}" in err
+            assert not out.exists()
+        else:
+            assert rc == rc_taken, err
+        if rc == 0:
+            _, *rows = (out / "kernel_bounds.csv").read_text().splitlines()
+            assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
+    runs_mhd = {"SolverConfig", "load_checkpoint"}
+    assert taken == {k: mhd_ok if k in runs_mhd else wave_ok for k in taken}
