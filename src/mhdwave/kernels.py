@@ -57,11 +57,10 @@ DEGENERATE_D = 1e-6
 # W's closed form cancels for |D| up to about 1e-3, so its D-series band is wider
 _W_SERIES_D = 1e-3
 _SERIES_TERMS = 8
-# the range of gamma > 0: below the smallest normal float 1/(2 gamma)
-# overflows, and the bound keeps 40 gamma, the longest time
-# verify_kernel_bounds samples (its largest product of gamma), at most 1e308;
-# numpy's geomspace forms 10**log10(40 gamma), which overflows within 6e-14
-# of the float max, and 40 gamma itself does past max/40
+# gamma > 0 lies in [_GAMMA_MIN, _GAMMA_MAX]: below the smallest normal float
+# 1/(2 gamma) overflows.  The bound keeps 40 gamma, verify_kernel_bounds'
+# longest time and largest product of gamma, at most 1e308: numpy's geomspace
+# of it forms 10**log10(40 gamma), which overflows within 6e-14 of float max
 _GAMMA_MIN = float(np.finfo(float).tiny)
 _GAMMA_MAX = 1e308 / 40.0
 
