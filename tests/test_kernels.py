@@ -418,6 +418,7 @@ class TestKernelBounds:
             for row, base in zip(verify_kernel_bounds(gamma), ref):
                 assert row.c_emp == pytest.approx(base.c_emp, rel=1e-12, abs=0.0)
 
+
 def test_propagator_tables_consistency():
     # the vectorized tables against the scalar kernel symbols and weight
     gamma, dt = 1.0, 0.4
